@@ -24,9 +24,9 @@ import time
 
 import numpy as np
 
+from repro.backends import use_backend
 from repro.data.dataset import Batch, collate
 from repro.data.synthetic_modelnet import make_synthetic_modelnet
-from repro.graph.fused import use_fused_kernels
 from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.nas.derived import DerivedModel
 from repro.nas.presets import device_fast_architecture
@@ -71,19 +71,19 @@ def test_float32_fused_speedup_and_parity(benchmark):
     with no_grad():
         # The two dtype pipelines share the seed, so the float32 weights and
         # data are rounded copies of the float64 ones.
-        with use_fused_kernels(False):
+        with use_backend("materialized"):
             logits64_dgcnn = dgcnn64(batch64).numpy()
             logits64_derived = derived64(batch64).numpy()
             baseline_dgcnn_s = _best_of(lambda: dgcnn64(batch64))
             baseline_derived_s = _best_of(lambda: derived64(batch64))
-        with use_fused_kernels(True):
+        with use_backend("numpy"):
             logits32_dgcnn = dgcnn32(batch32).numpy()
             logits32_derived = derived32(batch32).numpy()
             fused_dgcnn_s = _best_of(lambda: dgcnn32(batch32))
             fused_derived_s = _best_of(lambda: derived32(batch32))
             benchmark.pedantic(lambda: derived32(batch32), rounds=3, iterations=1)
             # Within one dtype, fused and materialized are interchangeable.
-            with use_fused_kernels(False):
+            with use_backend("materialized"):
                 logits32_materialized = derived32(batch32).numpy()
 
     assert logits32_dgcnn.dtype == np.float32 and logits64_dgcnn.dtype == np.float64

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import time
 
+from repro.backends import use_backend
 from repro.data.dataset import Batch, collate
 from repro.data.synthetic_modelnet import make_synthetic_modelnet
-from repro.graph.fused import use_fused_kernels
 from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.nn.dtype import default_dtype
 from repro.nn.tensor import no_grad
@@ -62,7 +62,7 @@ def test_tracing_overhead_under_gate(benchmark):
         with trace_span("bench.forward"):
             model(batch)
 
-    with no_grad(), use_fused_kernels(True):
+    with no_grad(), use_backend("numpy"):
         model(batch)  # warm caches before either timing pass
         with observability_disabled():
             untraced_s = _best_of(lambda: model(batch))

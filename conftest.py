@@ -4,39 +4,13 @@ The project is normally installed with ``pip install -e .`` (or
 ``python setup.py develop`` in offline environments without the ``wheel``
 package).  Adding ``src/`` to ``sys.path`` here keeps the test and benchmark
 suites runnable either way.
-
-``--backend NAME`` runs the whole suite under that compute backend (see
-:mod:`repro.backends`); CI uses it to exercise the kernel tests under
-``numpy-blocked`` in addition to the default run.
 """
 
 import pathlib
 import sys
-
-import pytest
 
 _ROOT = pathlib.Path(__file__).resolve().parent
 for _path in (_ROOT / "src", _ROOT / "tests"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        action="store",
-        default=None,
-        help="run the suite with this repro compute backend active (e.g. numpy-blocked)",
-    )
-
-
-@pytest.fixture(autouse=True)
-def _suite_backend(request):
-    name = request.config.getoption("--backend")
-    if name is None:
-        yield
-        return
-    from repro.backends import use_backend
-
-    with use_backend(name):
-        yield

@@ -4,10 +4,9 @@ This package reproduces the system described in *"Hardware-Aware Graph
 Neural Network Automated Design for Edge Computing Platforms"* (HGNAS,
 DAC 2023) on top of a pure-numpy substrate:
 
-* :mod:`repro.backends` -- the pluggable compute-backend registry: kernel
-  primitives (segment reduction, scatter, gather, matmul) dispatch through
-  the active :class:`~repro.backends.ComputeBackend` (``use_backend`` scopes
-  it; ``repro backends`` lists them).
+* :mod:`repro.backends` -- the shared segment-reduction and scatter
+  kernels, and the switch between fused and materialized message passing
+  (``use_backend("materialized")`` scopes the reference path).
 * :mod:`repro.nn` -- a small reverse-mode autograd engine with the layers,
   optimisers and losses needed to train GNNs; computes in float32 by
   default under the :mod:`repro.nn.dtype` policy (``default_dtype`` opts a
@@ -77,15 +76,7 @@ _LAZY_EXPORTS = {
     "get_default_dtype": "repro.nn.dtype",
     "set_default_dtype": "repro.nn.dtype",
     "default_dtype": "repro.nn.dtype",
-    "use_fused_kernels": "repro.graph.fused",
-    "register_backend": "repro.backends",
-    "unregister_backend": "repro.backends",
-    "get_backend": "repro.backends",
-    "list_backends": "repro.backends",
-    "active_backend": "repro.backends",
     "use_backend": "repro.backends",
-    "backend_status": "repro.backends",
-    "ComputeBackend": "repro.backends",
     "trace_span": "repro.obs",
     "get_tracer": "repro.obs",
     "get_metrics": "repro.obs",

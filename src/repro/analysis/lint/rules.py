@@ -18,9 +18,9 @@ Each rule pins one convention that earlier PRs established by hand:
   fused kernels skips bounds checking; it is only sound in functions that
   obtained the edge index from a validating builder.
 * ``backend-primitive`` — segment reductions (``reduceat``) and unbuffered
-  scatter accumulation (``np.add.at`` and friends) are compute-backend
-  primitives (PR 8) owned by :mod:`repro.backends`; raw call sites elsewhere
-  bypass backend dispatch and silently pin the numpy implementation.
+  scatter accumulation (``np.add.at`` and friends) are kernel primitives
+  kept in one module, :mod:`repro.backends`; raw call sites elsewhere
+  duplicate them and skip the uniform-degree fast path.
 """
 
 from __future__ import annotations
@@ -426,18 +426,16 @@ class BackendPrimitiveRule(LintRule):
 
     name = "backend-primitive"
     description = (
-        "reduceat / ufunc .at calls outside repro.backends bypass compute-backend "
-        "dispatch; route through repro.backends.active_backend()"
+        "reduceat / ufunc .at calls belong in repro.backends; call its "
+        "segment_reduce / scatter_add / scatter_extreme kernels instead"
     )
 
     #: Ufunc receivers whose unbuffered ``.at`` form is a scatter primitive.
     _UFUNC_NAMES = {"add", "maximum", "minimum", "subtract", "multiply", "divide", "reducer"}
-    _EXEMPT_PREFIX = "repro.backends"
+    _EXEMPT_MODULE = "repro.backends"
 
     def check(self, context: LintContext) -> Iterator[LintViolation]:
-        if context.module == self._EXEMPT_PREFIX or context.module.startswith(
-            self._EXEMPT_PREFIX + "."
-        ):
+        if context.module == self._EXEMPT_MODULE:
             return
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
@@ -449,7 +447,7 @@ class BackendPrimitiveRule(LintRule):
                     self.name,
                     node,
                     f"{chain} is a segment-reduction primitive; call "
-                    "active_backend().segment_reduce so alternative backends apply",
+                    "repro.backends.segment_reduce instead",
                 )
             elif attribute == "at" and self._is_ufunc_receiver(node.func.value):
                 chain = _attribute_chain(node.func) or "<expr>.at"
@@ -457,7 +455,7 @@ class BackendPrimitiveRule(LintRule):
                     self.name,
                     node,
                     f"{chain} is an unbuffered scatter primitive; call "
-                    "active_backend().scatter_add/scatter_extreme so alternative backends apply",
+                    "repro.backends.scatter_add/scatter_extreme instead",
                 )
 
     def _is_ufunc_receiver(self, receiver: ast.AST) -> bool:

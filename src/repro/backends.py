@@ -1,0 +1,117 @@
+"""The message-passing path switch and the numpy kernel primitives.
+
+Models run message passing along one of two paths:
+
+* ``numpy`` (the default) — in no-grad mode, ``EdgeConv``, the derived
+  models and the supernet aggregate dispatch to the fused CSR kernels of
+  :mod:`repro.graph.fused`;
+* ``materialized`` — the gather → message → MLP → scatter reference path.
+  It is slower and exists as a test oracle for the fused kernels.
+
+:func:`use_backend` scopes the path and :func:`fused_kernels_enabled` is
+the one query the models read.  The path name is also part of serving and
+workspace cache keys, so results of the two paths never alias::
+
+    with use_backend("materialized"):
+        logits = model(batch)          # gather -> scatter reference path
+
+The module also owns the irregular-access kernels that both paths share:
+contiguous segment reduction and unbuffered scatter accumulation.  It
+imports nothing from ``repro.nn``/``repro.graph`` (they import *it*).
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import Iterator
+
+import numpy as np
+
+__all__ = [
+    "BACKENDS",
+    "active_backend_name",
+    "use_backend",
+    "fused_kernels_enabled",
+    "check_backend",
+    "segment_reduce",
+    "scatter_add",
+    "scatter_extreme",
+]
+
+#: The two message-passing paths: fused (``numpy``) and the reference.
+BACKENDS = ("numpy", "materialized")
+
+_active = "numpy"
+
+#: Aggregator name -> reducing ufunc (``mean`` reduces like ``sum``; the
+#: caller divides by the segment counts afterwards).
+_REDUCERS = {"sum": np.add, "mean": np.add, "max": np.maximum, "min": np.minimum}
+
+_EXTREME_REDUCERS = {"max": np.maximum, "min": np.minimum}
+
+
+def check_backend(name: str) -> str:
+    """Return ``name`` if it is one of :data:`BACKENDS`, else raise ``ValueError``."""
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend '{name}', expected one of {BACKENDS}")
+    return name
+
+
+def active_backend_name() -> str:
+    """The message-passing path currently in effect."""
+    return _active
+
+
+def fused_kernels_enabled() -> bool:
+    """Whether models auto-dispatch to the fused kernels in no-grad mode."""
+    return _active == "numpy"
+
+
+@contextlib.contextmanager
+def use_backend(name: str) -> Iterator[str]:
+    """Scope the message-passing path (nestable, exception-safe)."""
+    global _active
+    previous = _active
+    _active = check_backend(name)
+    try:
+        yield name
+    finally:
+        _active = previous
+
+
+def segment_reduce(
+    values: np.ndarray, seg_starts: np.ndarray, seg_counts: np.ndarray, aggregator: str
+) -> np.ndarray:
+    """Reduce contiguous non-empty segments of ``values`` to ``(num_segments, F)``.
+
+    ``mean`` reduces like ``sum``; the caller divides by the counts.
+    """
+    try:
+        reducer = _REDUCERS[aggregator]
+    except KeyError as exc:
+        raise ValueError(f"unknown aggregator '{aggregator}'") from exc
+    degree = int(seg_counts[0]) if seg_counts.size else 0
+    if degree and np.all(seg_counts == degree):
+        # Uniform degree (the KNN/random-graph common case): a reshaped
+        # axis reduction is SIMD-vectorized, unlike ufunc.reduceat.
+        stacked = values.reshape(seg_counts.size, degree, values.shape[1])
+        if aggregator in ("sum", "mean"):
+            return stacked.sum(axis=1)
+        if aggregator == "max":
+            return stacked.max(axis=1)
+        return stacked.min(axis=1)
+    return reducer.reduceat(values, seg_starts, axis=0)
+
+
+def scatter_add(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """In-place unbuffered accumulation ``out[index] += values``."""
+    np.add.at(out, index, values)
+
+
+def scatter_extreme(out: np.ndarray, index: np.ndarray, values: np.ndarray, mode: str) -> None:
+    """In-place unbuffered ``out[index] = max/min(out[index], values)``."""
+    try:
+        reducer = _EXTREME_REDUCERS[mode]
+    except KeyError as exc:
+        raise ValueError(f"unknown extreme mode '{mode}', expected 'max' or 'min'") from exc
+    reducer.at(out, index, values)

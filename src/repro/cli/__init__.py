@@ -1,5 +1,5 @@
 """The unified ``repro`` command-line interface (see :mod:`repro.cli.main`)."""
 
-from repro.cli.main import add_serve_arguments, build_parser, main
+from repro.cli.main import build_parser, main
 
-__all__ = ["add_serve_arguments", "build_parser", "main"]
+__all__ = ["build_parser", "main"]

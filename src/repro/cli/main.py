@@ -3,7 +3,6 @@
 Subcommands mirror the pipeline stages::
 
     repro devices                 # list the registered device models
-    repro backends                # list the registered compute backends
     repro profile  --device pi    # latency/memory breakdown of a preset
     repro predict  --device gpu   # train (or load) the latency predictor
     repro search   --device tx2   # run a laptop-scale hardware-aware search
@@ -14,8 +13,7 @@ Subcommands mirror the pipeline stages::
 
 Pass ``--root DIR`` to any stage command to persist artifacts in a
 content-addressed store, so a repeated ``repro predict``/``repro search``
-with the same flags loads the previous result instead of recomputing.  The
-legacy ``repro-serve`` script forwards to ``repro serve``.
+with the same flags loads the previous result instead of recomputing.
 
 Global flags work before or after the subcommand: ``-v``/``--log-level``
 control logging verbosity, and ``--trace`` records the run's span tree and
@@ -31,7 +29,6 @@ import sys
 
 import numpy as np
 
-from repro.backends import backend_status, list_backends
 from repro.experiments.common import ExperimentScale, format_table, load_benchmark_dataset
 from repro.hardware.device import all_devices, list_devices
 from repro.nas.latency_eval import list_latency_evaluators
@@ -58,7 +55,7 @@ from repro.utils.logging import set_verbosity
 from repro.workspace import Workspace
 from repro.workspace.store import ArtifactStore
 
-__all__ = ["build_parser", "add_serve_arguments", "main"]
+__all__ = ["build_parser", "main"]
 
 _PRESETS = {
     "dgcnn": lambda device: dgcnn_architecture(),
@@ -119,17 +116,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser, default_device: str =
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help=(
-            f"compute backend for kernel primitives ({', '.join(list_backends())}; "
-            "default: the process-wide active backend)"
-        ),
-    )
-
-
 def _print_store_stats(workspace: Workspace) -> None:
     stats = workspace.cache_stats()
     location = stats["root"] or "memory-only"
@@ -157,29 +143,10 @@ def _cmd_devices(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# repro backends
-# ---------------------------------------------------------------------- #
-def _cmd_backends(args: argparse.Namespace) -> int:
-    rows = [
-        {
-            "name": row["name"],
-            "available": "yes" if row["available"] else "no",
-            "active": "*" if row["active"] else "",
-            "fused": "yes" if row["fused_dispatch"] else "no",
-            "description": row["description"],
-        }
-        for row in backend_status()
-    ]
-    print(format_table(rows))
-    print("\nselect per run with --backend on serve/search/profile")
-    return 0
-
-
-# ---------------------------------------------------------------------- #
 # repro profile
 # ---------------------------------------------------------------------- #
 def _cmd_profile(args: argparse.Namespace) -> int:
-    workspace = Workspace(device=args.device, backend=args.backend)
+    workspace = Workspace(device=args.device)
     architecture = _PRESETS[args.arch](workspace.device.name)
     profile = workspace.profile(
         architecture, num_points=args.num_points, k=args.k, num_classes=args.num_classes
@@ -227,7 +194,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 # repro search
 # ---------------------------------------------------------------------- #
 def _cmd_search(args: argparse.Namespace) -> int:
-    workspace = Workspace(device=args.device, root=args.root, backend=args.backend)
+    workspace = Workspace(device=args.device, root=args.root)
     scale = ExperimentScale(
         num_classes=args.classes,
         samples_per_class=args.samples_per_class,
@@ -266,10 +233,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 # repro serve
 # ---------------------------------------------------------------------- #
-def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the serve-stream flags (shared with the legacy ``repro-serve``)."""
+def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the serve-stream flags."""
     _add_common_arguments(parser)
-    _add_backend_argument(parser)
     parser.add_argument(
         "--dtype",
         choices=("float32", "float64"),
@@ -321,7 +287,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _serve_stream(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    workspace = Workspace(device=args.device, root=args.root, backend=args.backend)
+    workspace = Workspace(device=args.device, root=args.root)
     architecture = device_fast_architecture(workspace.device.name)
     deployed = workspace.deploy(
         architecture,
@@ -395,13 +361,9 @@ def _serve_pool_tcp(
 ) -> int:
     """Drive the request stream over the pool's JSON-lines TCP frontend."""
     import asyncio
-    import dataclasses
 
     from repro.serving.frontend import AsyncServingFrontend, request_over_tcp
     from repro.serving.pool import WorkerPoolEngine
-
-    if workspace.backend is not None and engine_config.backend is None:
-        engine_config = dataclasses.replace(engine_config, backend=workspace.backend)
 
     async def drive(pool) -> list[dict]:
         frontend = AsyncServingFrontend(pool)
@@ -524,9 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     devices = add_command("devices", "list registered devices and latency oracles")
     devices.set_defaults(func=_cmd_devices)
 
-    backends = add_command("backends", "list registered compute backends")
-    backends.set_defaults(func=_cmd_backends)
-
     # Profiling is deterministic and cheap: no --root/--seed, unlike the
     # stage commands that persist artifacts.
     profile = add_command("profile", "latency/memory breakdown of a preset architecture")
@@ -539,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--num-points", type=int, default=None, help="points per cloud (default: 1024)")
     profile.add_argument("--k", type=int, default=None, help="KNN neighbourhood size (default: 20)")
     profile.add_argument("--num-classes", type=int, default=None, help="classifier classes (default: 40)")
-    _add_backend_argument(profile)
     profile.set_defaults(func=_cmd_profile)
 
     predict = add_command("predict", "train or load the GNN latency predictor")
@@ -551,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = add_command("search", "run a laptop-scale hardware-aware search")
     _add_common_arguments(search)
-    _add_backend_argument(search)
     search.add_argument(
         "--oracle",
         default="oracle",
@@ -576,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.set_defaults(func=_cmd_search)
 
     serve = add_command("serve", "serve a synthetic request stream, print telemetry")
-    add_serve_arguments(serve)
+    _add_serve_arguments(serve)
     serve.set_defaults(func=_cmd_serve)
 
     report = add_command("report", "render a persisted observability run from an artifact store")

@@ -14,11 +14,8 @@ from repro.graph.fused import (
     FUSED_MESSAGE_TYPES,
     fused_aggregate,
     fused_edgeconv,
-    fused_kernels_enabled,
     linearize_mlp,
-    set_fused_kernels,
     supports_fused,
-    use_fused_kernels,
 )
 from repro.graph.edge_index import (
     add_self_loops,
@@ -80,9 +77,6 @@ __all__ = [
     "FUSED_MESSAGE_TYPES",
     "fused_aggregate",
     "fused_edgeconv",
-    "fused_kernels_enabled",
     "linearize_mlp",
-    "set_fused_kernels",
     "supports_fused",
-    "use_fused_kernels",
 ]

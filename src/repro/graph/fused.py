@@ -32,33 +32,26 @@ seed implementation.
 :class:`~repro.models.edgeconv.EdgeConv`, :class:`~repro.nas.derived.DerivedModel`
 and the supernet dispatch here automatically in no-grad (inference) mode.
 
-The low-level primitives (gather, matmul, segment reduction, scatter
-accumulation) are owned by the **active compute backend**
-(:mod:`repro.backends`); this module contributes the CSR layout, the
-segment-aligned chunking and the exact rematerializing backward, and calls
-:func:`repro.backends.active_backend` for the arithmetic.  Dispatch policy
-lives there too: the ``materialized`` backend disables fused auto-dispatch,
-and the :func:`use_fused_kernels`/:func:`set_fused_kernels` toggles of PR 5
-remain as thin shims over ``use_backend``.
+The irregular-access primitives (segment reduction, scatter accumulation)
+are the shared kernels of :mod:`repro.backends`; this module contributes the
+CSR layout, the segment-aligned chunking and the exact rematerializing
+backward.  Whether models dispatch here at all is the path switch of
+:mod:`repro.backends` (the ``materialized`` path turns dispatch off).
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Sequence
 
 import numpy as np
 
-from repro.backends import active_backend, active_backend_name, set_active_backend, use_backend
+from repro.backends import scatter_add, segment_reduce
 from repro.nn.layers import MLP, Dropout, Identity, LeakyReLU, Linear, ReLU, Sequential
 from repro.nn.tensor import Tensor, apply_op, as_tensor
 from repro.obs.metrics import get_metrics
 
 __all__ = [
     "FUSED_MESSAGE_TYPES",
-    "fused_kernels_enabled",
-    "set_fused_kernels",
-    "use_fused_kernels",
     "linearize_mlp",
     "supports_fused",
     "fused_aggregate",
@@ -72,49 +65,6 @@ FUSED_MESSAGE_TYPES = ("source_pos", "target_pos", "rel_pos", "target_rel")
 #: ``chunk × max(message_dim, mlp widths)`` floats while staying large
 #: enough that BLAS and reduceat run at full throughput.
 _CHUNK_EDGES = 32768
-
-def fused_kernels_enabled() -> bool:
-    """Whether models auto-dispatch to the fused kernels in no-grad mode.
-
-    The policy now lives on the active compute backend: the ``materialized``
-    backend is the one that answers ``False``.
-    """
-    return active_backend().fused_dispatch
-
-
-def _toggle_target(enabled: bool) -> str:
-    """Backend name that realizes the legacy boolean toggle.
-
-    Disabling means the ``materialized`` backend; re-enabling from the
-    materialized backend returns to the ``numpy`` reference.  Enabling while
-    a fused-capable backend (numpy, numpy-blocked, numba, ...) is already
-    active keeps it — the toggle never downgrades an explicit backend choice.
-    """
-    if not enabled:
-        return "materialized"
-    current = active_backend_name()
-    return "numpy" if not active_backend().fused_dispatch else current
-
-
-def set_fused_kernels(enabled: bool) -> None:
-    """Deprecated: globally enable/disable fused-kernel dispatch.
-
-    Thin shim over :func:`repro.backends.set_active_backend`; prefer
-    ``set_active_backend("materialized")`` / ``set_active_backend("numpy")``.
-    """
-    set_active_backend(_toggle_target(bool(enabled)))
-
-
-@contextlib.contextmanager
-def use_fused_kernels(enabled: bool = True):
-    """Deprecated: context manager that toggles fused-kernel dispatch.
-
-    Thin shim over :func:`repro.backends.use_backend` (kept so the PR-5
-    A/B benchmarks run unchanged); prefer
-    ``use_backend("materialized")`` / ``use_backend("numpy")``.
-    """
-    with use_backend(_toggle_target(bool(enabled))):
-        yield
 
 
 def linearize_mlp(mlp) -> list[tuple] | None:
@@ -182,19 +132,19 @@ def _csr_segments(edge_index: np.ndarray):
     return sources, targets, seg_nodes, seg_starts, seg_counts
 
 
-def _chunk_messages(backend, xd, src, tgt, message_type):
+def _chunk_messages(xd, src, tgt, message_type):
     if message_type == "source_pos":
-        return backend.gather(xd, src)
+        return xd[src]
     if message_type == "target_pos":
-        return backend.gather(xd, tgt)
+        return xd[tgt]
     if message_type == "rel_pos":
-        return backend.gather(xd, src) - backend.gather(xd, tgt)
+        return xd[src] - xd[tgt]
     # target_rel: [x_i, x_j - x_i]
-    x_i = backend.gather(xd, tgt)
-    return np.concatenate([x_i, backend.gather(xd, src) - x_i], axis=1)
+    x_i = xd[tgt]
+    return np.concatenate([x_i, xd[src] - x_i], axis=1)
 
 
-def _run_steps(backend, h, steps, keep_intermediates: bool):
+def _run_steps(h, steps, keep_intermediates: bool):
     """Apply linearized MLP steps; optionally keep per-step inputs for backprop."""
     inputs = [] if keep_intermediates else None
     for step in steps:
@@ -202,7 +152,7 @@ def _run_steps(backend, h, steps, keep_intermediates: bool):
             inputs.append(h)
         if step[0] == "linear":
             _, weight, bias = step
-            h = backend.matmul(h, weight.data)
+            h = h @ weight.data
             if bias is not None:
                 h = h + bias.data
         else:
@@ -220,19 +170,19 @@ def _act_derivative(pre, slope, dtype):
     return np.where(pre > 0.0, dtype.type(1.0), dtype.type(slope))
 
 
-def _scatter_dmsg(backend, dx, dmsg, src, tgt, message_type, feature_dim):
+def _scatter_dmsg(dx, dmsg, src, tgt, message_type, feature_dim):
     if message_type == "source_pos":
-        backend.scatter_add(dx, src, dmsg)
+        scatter_add(dx, src, dmsg)
     elif message_type == "target_pos":
-        backend.scatter_add(dx, tgt, dmsg)
+        scatter_add(dx, tgt, dmsg)
     elif message_type == "rel_pos":
-        backend.scatter_add(dx, src, dmsg)
-        backend.scatter_add(dx, tgt, -dmsg)
+        scatter_add(dx, src, dmsg)
+        scatter_add(dx, tgt, -dmsg)
     else:  # target_rel
         d_centre = dmsg[:, :feature_dim]
         d_rel = dmsg[:, feature_dim:]
-        backend.scatter_add(dx, tgt, d_centre - d_rel)
-        backend.scatter_add(dx, src, d_rel)
+        scatter_add(dx, tgt, d_centre - d_rel)
+        scatter_add(dx, src, d_rel)
 
 
 def fused_edgeconv(
@@ -299,10 +249,6 @@ def fused_edgeconv(
         if edge_index[0].max() >= x.shape[0] or edge_index[1].max() >= target_bound:
             raise ValueError("edge_index references a node outside the graph")
 
-    # Captured once so the forward pass and the (possibly much later)
-    # rematerializing backward run on the same backend even if the ambient
-    # context changed in between.
-    backend = active_backend()
     metrics = get_metrics()
     metrics.count("graph.fused.dispatch")
     metrics.count("graph.fused.edges", int(edge_index.shape[1]))
@@ -335,9 +281,9 @@ def fused_edgeconv(
 
     for s0, s1 in chunk_bounds:
         e0, e1 = int(seg_starts[s0]), int(seg_ends[s1 - 1])
-        h = _chunk_messages(backend, xd, sources[e0:e1], targets[e0:e1], message_type)
-        h, _ = _run_steps(backend, h, steps, keep_intermediates=False)
-        out[seg_nodes[s0:s1]] = backend.segment_reduce(
+        h = _chunk_messages(xd, sources[e0:e1], targets[e0:e1], message_type)
+        h, _ = _run_steps(h, steps, keep_intermediates=False)
+        out[seg_nodes[s0:s1]] = segment_reduce(
             h, seg_starts[s0:s1] - e0, seg_counts[s0:s1], aggregator
         )
 
@@ -370,8 +316,8 @@ def fused_edgeconv(
             e0, e1 = int(seg_starts[s0]), int(seg_ends[s1 - 1])
             src = sources[e0:e1]
             tgt = targets[e0:e1]
-            h = _chunk_messages(backend, xd, src, tgt, message_type)
-            h, inputs = _run_steps(backend, h, steps, keep_intermediates=True)
+            h = _chunk_messages(xd, src, tgt, message_type)
+            h, inputs = _run_steps(h, steps, keep_intermediates=True)
             local_counts = seg_counts[s0:s1]
             seg_of_edge = np.repeat(np.arange(s1 - s0), local_counts)
             if aggregator in ("sum", "mean"):
@@ -379,21 +325,19 @@ def fused_edgeconv(
             else:
                 winners = (h == out[seg_nodes[s0:s1]][seg_of_edge]).astype(dtype)
                 local_starts = seg_starts[s0:s1] - e0
-                # Winner counts are small exact integers, so any backend's
-                # summation order yields identical bits here.
-                winner_counts = backend.segment_reduce(winners, local_starts, local_counts, "sum")
+                winner_counts = segment_reduce(winners, local_starts, local_counts, "sum")
                 g = winners * (grad[seg_nodes[s0:s1]] / winner_counts)[seg_of_edge]
             for step, layer_in in zip(reversed(steps), reversed(inputs)):
                 if step[0] == "linear":
                     _, weight, bias = step
-                    d_weights[id(step)] += backend.matmul(layer_in.T, g)
+                    d_weights[id(step)] += layer_in.T @ g
                     if bias is not None:
                         d_biases[id(step)] += g.sum(axis=0)
-                    g = backend.matmul(g, weight.data.T)
+                    g = g @ weight.data.T
                 else:
                     g = g * _act_derivative(layer_in, step[1], dtype)
             if dx is not None:
-                _scatter_dmsg(backend, dx, g, src, tgt, message_type, feature_dim)
+                _scatter_dmsg(dx, g, src, tgt, message_type, feature_dim)
         grads: list[np.ndarray | None] = [dx]
         for step in linear_steps:
             grads.append(d_weights[id(step)])

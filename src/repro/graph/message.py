@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import active_backend
+from repro.backends import scatter_add
 from repro.graph.edge_index import validate_edge_index
 from repro.nn.tensor import Tensor, apply_op, as_tensor, concatenate
 
@@ -60,18 +60,16 @@ def message_dim(message_type: str, feature_dim: int) -> int:
 
 
 def _gather_nodes(features: Tensor, index: np.ndarray) -> Tensor:
-    """Differentiable endpoint gather through the active compute backend.
+    """Differentiable endpoint gather.
 
     Forward is ``features[index]``; backward scatter-accumulates the output
-    gradient back onto the gathered rows — both dispatched so a backend can
-    substitute its own irregular-access kernels.
+    gradient back onto the gathered rows.
     """
-    backend = active_backend()
-    data = backend.gather(features.data, index)
+    data = features.data[index]
 
     def backward_fn(grad: np.ndarray) -> list[np.ndarray]:
         full = np.zeros_like(features.data)
-        backend.scatter_add(full, index, grad)
+        scatter_add(full, index, grad)
         return [full]
 
     return apply_op(data, (features,), backward_fn)

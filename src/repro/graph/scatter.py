@@ -7,9 +7,8 @@ shape ``(num_nodes, F)``.  All four aggregators of the HGNAS function space
 
 Outputs are allocated in the dtype of the incoming messages, so a float32
 pipeline aggregates in float32 (see :mod:`repro.nn.dtype`).  The
-irregular-access arithmetic (gather and unbuffered scatter accumulation)
-dispatches through the active compute backend (:mod:`repro.backends`);
-each op captures the backend once so its backward runs on the same one.
+unbuffered scatter accumulation is the shared kernel of
+:mod:`repro.backends`.
 
 Validation of the ``index`` array (1-D, in range) costs a full ``min``/
 ``max`` scan per call.  Edge indices produced by the repo's own graph
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import active_backend
+from repro.backends import scatter_add, scatter_extreme
 from repro.nn.tensor import Tensor, apply_op, as_tensor
 from repro.obs.metrics import get_metrics
 
@@ -84,30 +83,28 @@ def _check_inputs(
 
 def scatter_sum(src: Tensor, index: np.ndarray, dim_size: int, validated: bool = False) -> Tensor:
     """Sum messages per target node."""
-    backend = active_backend()
     src, index = _check_inputs(src, index, dim_size, validated)
     out = np.zeros((dim_size, src.shape[1]), dtype=src.data.dtype)
-    backend.scatter_add(out, index, src.data)
+    scatter_add(out, index, src.data)
 
     def backward_fn(grad: np.ndarray) -> list[np.ndarray]:
-        return [backend.gather(grad, index)]
+        return [grad[index]]
 
     return apply_op(out, (src,), backward_fn)
 
 
 def scatter_mean(src: Tensor, index: np.ndarray, dim_size: int, validated: bool = False) -> Tensor:
     """Average messages per target node (empty targets yield zero)."""
-    backend = active_backend()
     src, index = _check_inputs(src, index, dim_size, validated)
     dtype = src.data.dtype
     counts = np.bincount(index, minlength=dim_size).astype(dtype)
     safe_counts = np.maximum(counts, 1.0)
     out = np.zeros((dim_size, src.shape[1]), dtype=dtype)
-    backend.scatter_add(out, index, src.data)
+    scatter_add(out, index, src.data)
     out /= safe_counts[:, None]
 
     def backward_fn(grad: np.ndarray) -> list[np.ndarray]:
-        return [backend.gather(grad / safe_counts[:, None], index)]
+        return [(grad / safe_counts[:, None])[index]]
 
     return apply_op(out, (src,), backward_fn)
 
@@ -115,12 +112,11 @@ def scatter_mean(src: Tensor, index: np.ndarray, dim_size: int, validated: bool 
 def _scatter_extreme(
     src: Tensor, index: np.ndarray, dim_size: int, mode: str, validated: bool
 ) -> Tensor:
-    backend = active_backend()
     src, index = _check_inputs(src, index, dim_size, validated)
     dtype = src.data.dtype
     fill = -np.inf if mode == "max" else np.inf
     out = np.full((dim_size, src.shape[1]), fill, dtype=dtype)
-    backend.scatter_extreme(out, index, src.data, mode)
+    scatter_extreme(out, index, src.data, mode)
     empty = ~np.isfinite(out)
     out = np.where(empty, dtype.type(0.0), out)
 
@@ -128,11 +124,11 @@ def _scatter_extreme(
         # The winners (possibly tied) receive the gradient, split equally.
         # Computed here rather than in the forward pass so inference-only
         # callers (e.g. batched population scoring) never pay for it.
-        winner_mask = (src.data == backend.gather(out, index)) & ~backend.gather(empty, index)
+        winner_mask = (src.data == out[index]) & ~empty[index]
         winner_counts = np.zeros((dim_size, src.shape[1]), dtype=dtype)
-        backend.scatter_add(winner_counts, index, winner_mask.astype(dtype))
+        scatter_add(winner_counts, index, winner_mask.astype(dtype))
         winner_counts = np.maximum(winner_counts, 1.0)
-        return [winner_mask * backend.gather(grad / winner_counts, index)]
+        return [winner_mask * (grad / winner_counts)[index]]
 
     return apply_op(out, (src,), backward_fn)
 

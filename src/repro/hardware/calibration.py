@@ -31,19 +31,12 @@ __all__ = [
     "CalibrationTarget",
     "PAPER_TARGETS",
     "calibrate_coefficients",
-    "calibrate_backend_target",
 ]
 
 
 @dataclass(frozen=True)
 class CalibrationTarget:
-    """Published measurements and physical constants for one device.
-
-    ``backend`` records which compute backend produced the timings:
-    ``"analytic"`` for the paper-derived targets (no kernel ran at all), or
-    a :mod:`repro.backends` name for targets built by
-    :func:`calibrate_backend_target` from measured host kernels.
-    """
+    """Published measurements and physical constants for one device."""
 
     name: str
     display_name: str
@@ -55,7 +48,6 @@ class CalibrationTarget:
     power_watts: float
     measurement_noise: float
     measurement_round_trip_s: float
-    backend: str = "analytic"
 
     def __post_init__(self) -> None:
         total = sum(self.breakdown.values())
@@ -175,97 +167,3 @@ def calibrate_coefficients(target: CalibrationTarget) -> dict[str, float]:
         "ms_per_op_overhead": ms_per_op_overhead,
         "memory_scale": memory_scale,
     }
-
-
-def calibrate_backend_target(
-    backend: str,
-    name: str | None = None,
-    num_points: int = 256,
-    k: int = 10,
-    feature_dim: int = 64,
-    repeats: int = 3,
-    seed: int = 0,
-    power_watts: float = 65.0,
-    measurement_noise: float = 0.05,
-    measurement_round_trip_s: float = 1.0,
-) -> CalibrationTarget:
-    """Build a :class:`CalibrationTarget` by timing a real compute backend.
-
-    Unlike :data:`PAPER_TARGETS`, whose numbers come from the paper, this
-    runs the actual kernel primitives of the named :mod:`repro.backends`
-    backend on this host: KNN graph construction for the *sample* share, a
-    fused message-pass for *aggregate*, a dense matmul through the backend
-    for *combine*, and dispatch of tiny kernels for *others*.  Each phase is
-    timed best-of-``repeats``, so the breakdown fractions sum to exactly 1.0
-    by construction, and the resulting target records which backend produced
-    its timings in :attr:`CalibrationTarget.backend`.
-
-    The memory figures are estimated from the working set the micro-workload
-    touches (this is a latency calibration, not a memory profiler), and the
-    power/noise/round-trip constants describe the measurement host, so they
-    are caller-supplied knobs with laptop-class defaults.
-    """
-    import time
-
-    import numpy as np
-
-    # Local imports: hardware/ sits below graph/ and backends/ in the layer
-    # order, so the kernel dependencies stay out of module import time.
-    from repro.backends import get_backend, use_backend
-    from repro.graph.fused import fused_aggregate
-    from repro.graph.knn import knn_graph
-    from repro.nn.tensor import Tensor, no_grad
-
-    backend_obj = get_backend(backend)
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((num_points, 3)).astype(np.float32)
-    features = rng.standard_normal((num_points, feature_dim)).astype(np.float32)
-    weight_a = rng.standard_normal((num_points, feature_dim)).astype(np.float32)
-    weight_b = rng.standard_normal((feature_dim, feature_dim)).astype(np.float32)
-
-    def best_of(fn) -> float:
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best * 1e3  # ms
-
-    with use_backend(backend_obj.name), no_grad():
-        edge_index = knn_graph(points, k=k)
-        feature_tensor = Tensor(features)
-        sample_ms = best_of(lambda: knn_graph(points, k=k))
-        aggregate_ms = best_of(
-            lambda: fused_aggregate(feature_tensor, edge_index, "source_pos", "max", num_points)
-        )
-        combine_ms = best_of(lambda: backend_obj.matmul(weight_a, weight_b))
-        # Dispatch overhead: many tiny kernels, so per-call cost dominates.
-        tiny = np.zeros((4, 4), dtype=np.float32)
-        index = np.zeros(4, dtype=np.int64)
-        others_ms = best_of(lambda: [backend_obj.gather(tiny, index) for _ in range(100)])
-
-    total_ms = sample_ms + aggregate_ms + combine_ms + others_ms
-    breakdown = {
-        "sample": sample_ms / total_ms,
-        "aggregate": aggregate_ms / total_ms,
-        "combine": combine_ms / total_ms,
-        "others": others_ms / total_ms,
-    }
-    # Working set of the micro-workload: features, messages and weights.
-    working_mb = (
-        features.nbytes + weight_a.nbytes + weight_b.nbytes + edge_index.shape[1] * feature_dim * 4
-    ) / 2**20
-    base_memory_mb = 50.0
-    return CalibrationTarget(
-        name=name or f"{backend_obj.name}-host",
-        display_name=f"Measured host ({backend_obj.name} backend)",
-        dgcnn_latency_ms=total_ms,
-        breakdown=breakdown,
-        dgcnn_peak_memory_mb=base_memory_mb + max(working_mb, 1.0),
-        base_memory_mb=base_memory_mb,
-        available_memory_mb=4096.0,
-        power_watts=power_watts,
-        measurement_noise=measurement_noise,
-        measurement_round_trip_s=measurement_round_trip_s,
-        backend=backend_obj.name,
-    )

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import fused_kernels_enabled
 from repro.graph.edge_index import validate_edge_index
-from repro.graph.fused import fused_edgeconv, fused_kernels_enabled, supports_fused
+from repro.graph.fused import fused_edgeconv, supports_fused
 from repro.graph.message import MESSAGE_TYPES, build_messages, message_dim
 from repro.graph.scatter import AGGREGATORS, scatter
 from repro.nn.layers import MLP, Module

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends import fused_kernels_enabled
 from repro.data.dataset import Batch
 from repro.graph.batching import batched_knn_graph, batched_random_graph
-from repro.graph.fused import fused_aggregate, fused_kernels_enabled, supports_fused
+from repro.graph.fused import fused_aggregate, supports_fused
 from repro.graph.message import build_messages, message_dim
 from repro.graph.scatter import scatter
 from repro.models.classifier import ClassificationHead

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import active_backend
+from repro.backends import scatter_add
 from repro.nn.dtype import get_default_dtype
 from repro.nn.tensor import Tensor, apply_op, as_tensor
 
@@ -77,27 +77,24 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 
 
 def matmul(x: Tensor, weight: Tensor) -> Tensor:
-    """Dense product ``x @ weight`` through the active compute backend.
+    """Dense product ``x @ weight``: the ``Linear`` hot path.
 
-    The ``Linear`` hot path: the 2-D x 2-D case (and the batched 3-D x 2-D
-    case) dispatches forward and backward products to
-    :func:`repro.backends.active_backend`, so e.g. the ``numpy-blocked``
-    backend runs every dense layer cache-blocked.  Other shapes fall back to
-    :meth:`Tensor.__matmul__`, whose semantics this op mirrors exactly.
+    Handles the 2-D x 2-D and batched 3-D x 2-D cases as one autograd op;
+    other shapes fall back to :meth:`Tensor.__matmul__`, whose semantics
+    this op mirrors exactly.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
     if x.ndim < 2 or weight.ndim != 2:
         return x @ weight
-    backend = active_backend()
-    out = backend.matmul(x.data, weight.data)
+    out = x.data @ weight.data
 
     def backward_fn(grad: np.ndarray) -> list[np.ndarray | None]:
-        dx = backend.matmul(grad, weight.data.T) if x.requires_grad else None
+        dx = grad @ weight.data.T if x.requires_grad else None
         if not weight.requires_grad:
             return [dx, None]
         if x.ndim == 2:
-            dw = backend.matmul(x.data.T, grad)
+            dw = x.data.T @ grad
         else:
             # Batched input: contract per batch; apply_op unbroadcasts the
             # leading dimensions onto the 2-D weight (summing over them).
@@ -129,14 +126,13 @@ def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """Differentiable row lookup ``table[indices]``."""
-    backend = active_backend()
     table = as_tensor(table)
     indices = np.asarray(indices, dtype=np.int64)
-    data = backend.gather(table.data, indices)
+    data = table.data[indices]
 
     def backward_fn(grad: np.ndarray) -> list[np.ndarray]:
         full = np.zeros_like(table.data)
-        backend.scatter_add(full, indices, grad)
+        scatter_add(full, indices, grad)
         return [full]
 
     return apply_op(data, (table,), backward_fn)

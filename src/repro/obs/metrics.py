@@ -172,21 +172,22 @@ class Histogram:
         """The ``q``-th percentile: exact over the window, else a bucket bound.
 
         Without a window the estimate is the upper bound of the bucket the
-        quantile falls in (the overflow bucket reports the observed ``max``).
+        quantile falls in, clamped to the observed ``[min, max]`` (the
+        overflow bucket reports the observed ``max``).
         """
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
         if self.window:
             return float(np.percentile(np.asarray(self.window, dtype=WIDE_DTYPE), q))
-        if not self.count:
+        if not self.count or self.min is None or self.max is None:
             return 0.0
         target = q / 100.0 * self.count
         cumulative = 0
         for bound, bucket_count in zip(self.buckets, self.counts):
             cumulative += bucket_count
             if cumulative >= target and bucket_count:
-                return bound
-        return self.max if self.max is not None else self.buckets[-1]
+                return min(max(bound, self.min), self.max)
+        return self.max
 
     def snapshot(self) -> dict:
         return {

@@ -23,7 +23,6 @@ scenario the paper optimises for.  The subsystem layers:
   connect/read timeouts.
 * :mod:`repro.serving.resilience` — client-side retry-with-backoff and a
   circuit breaker composed by the frontend.
-* :mod:`repro.serving.cli` — the ``repro-serve`` demo entry point.
 
 High-level helpers live in :func:`repro.api.deploy_architecture` and
 :func:`repro.api.serve`.

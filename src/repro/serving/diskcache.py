@@ -45,7 +45,7 @@ def deployment_fingerprint(entry, backend: str) -> str:
 
     Covers everything that determines the logits a deployment produces for
     a given cloud: the genotype, the head configuration, the actual weight
-    bytes and the compute backend.  Unlike the registry's ``generation``
+    bytes and the message-passing path.  Unlike the registry's ``generation``
     counter (a per-process monotonic stamp), this hash is identical across
     worker processes that loaded the same registry snapshot — the property
     a cross-process cache key needs — while any redeploy that changes the

@@ -28,14 +28,13 @@ internally so callers get a simple blocking API.
 
 from __future__ import annotations
 
-import contextlib
 import pathlib
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import active_backend_name, get_backend, use_backend
+from repro.backends import active_backend_name, check_backend, use_backend
 from repro.data.dataset import Batch
 from repro.graph.batching import pack_clouds
 from repro.hardware.latency import estimate_latency
@@ -47,7 +46,14 @@ from repro.serving.diskcache import SharedArrayCache, deployment_fingerprint
 from repro.serving.registry import DeployedModel, ModelRegistry
 from repro.serving.telemetry import TelemetryStore
 
-__all__ = ["AdmissionError", "EngineConfig", "InferenceResult", "InferenceEngine", "validate_points"]
+__all__ = [
+    "AdmissionControl",
+    "AdmissionError",
+    "EngineConfig",
+    "InferenceResult",
+    "InferenceEngine",
+    "validate_points",
+]
 
 
 class AdmissionError(RuntimeError):
@@ -66,8 +72,9 @@ class EngineConfig:
     max_queue_depth: int = 1024
     quantize_decimals: int = 6
     telemetry_window: int = 1024
-    #: Compute backend batches execute under (a registered name from
-    #: :mod:`repro.backends`); ``None`` follows the ambient active backend.
+    #: Message-passing path batches execute under (``"numpy"`` or
+    #: ``"materialized"``, see :mod:`repro.backends`); ``None`` follows the
+    #: ambient path.
     backend: str | None = None
     #: Directory of the cross-process result/edge cache tier shared by the
     #: workers of a :class:`~repro.serving.pool.WorkerPoolEngine`; ``None``
@@ -91,7 +98,7 @@ class EngineConfig:
         if self.telemetry_window <= 0:
             raise ValueError(f"telemetry_window must be positive, got {self.telemetry_window}")
         if self.backend is not None:
-            get_backend(self.backend)  # fail fast on unknown names
+            check_backend(self.backend)
 
 
 @dataclass
@@ -145,6 +152,51 @@ def validate_points(entry: DeployedModel, points: np.ndarray) -> np.ndarray:
     return points
 
 
+class AdmissionControl:
+    """Cost-model SLO and capacity admission, before a request is queued.
+
+    Shared by the in-process engine (depth = its batcher's queue) and the
+    pool frontend (depth = its in-flight requests, checked before IPC).
+    ``depth_text`` formats the depth in the capacity rejection message.
+    """
+
+    def __init__(self, telemetry: TelemetryStore, enabled: bool, max_depth: int, depth_text: str):
+        self.telemetry = telemetry
+        self.enabled = enabled
+        self.max_depth = max_depth
+        self.depth_text = depth_text
+        self._estimates: dict[tuple[str, int], float] = {}
+
+    def estimate_request_ms(self, entry: DeployedModel, num_points: int) -> float:
+        """Cost-model latency of one ``num_points`` request on the entry's device."""
+        key = (entry.name, num_points)
+        if key not in self._estimates:
+            workload = entry.architecture.to_workload(
+                num_points=num_points, k=entry.k, num_classes=entry.num_classes
+            )
+            self._estimates[key] = estimate_latency(workload, entry.device).total_ms
+        return self._estimates[key]
+
+    def admit(self, entry: DeployedModel, num_points: int, depth: int) -> float:
+        """Return the request's estimate, or raise :class:`AdmissionError`."""
+        estimated = self.estimate_request_ms(entry, num_points)
+        if not self.enabled:
+            return estimated
+        if entry.slo_ms is not None and estimated > entry.slo_ms:
+            self.telemetry.model(entry.name).record_rejection()
+            raise AdmissionError(
+                f"request rejected: estimated {estimated:.2f} ms on {entry.device.name} "
+                f"exceeds the {entry.slo_ms:.2f} ms SLO of model '{entry.name}'"
+            )
+        if depth >= self.max_depth:
+            self.telemetry.model(entry.name).record_rejection()
+            raise AdmissionError(
+                f"request rejected: {self.depth_text.format(depth=depth)} at capacity "
+                f"({self.max_depth})"
+            )
+        return estimated
+
+
 @dataclass
 class _PendingSlot:
     """Bookkeeping for a request between submission and execution."""
@@ -172,6 +224,9 @@ class InferenceEngine:
         self.result_cache = LRUCache(self.config.result_cache_capacity)
         self.edge_cache = LRUCache(self.config.edge_cache_capacity)
         self.telemetry = TelemetryStore(self.config.telemetry_window)
+        self.admission = AdmissionControl(
+            self.telemetry, self.config.admission_control, self.config.max_queue_depth, "queue depth {depth}"
+        )
         # Optional cross-process tier: result logits and KNN edge indices
         # shared with the other workers of a pool through disk.
         self.shared_cache: SharedArrayCache | None = None
@@ -189,18 +244,12 @@ class InferenceEngine:
         # uncached engines produce bit-identical logits.
         self._uncached_builder = CachingGraphBuilder(cache=None, decimals=self.config.quantize_decimals)
         self._pending: dict[int, _PendingSlot] = {}
-        self._latency_estimates: dict[tuple[str, int], float] = {}
         self._content_keys: dict[tuple[str, int], str] = {}
         self._next_request_id = 0
 
     def _backend_name(self) -> str:
-        """Backend batches of this engine execute under (for cache identity)."""
+        """Path batches of this engine execute under (for cache identity)."""
         return self.config.backend or active_backend_name()
-
-    def _backend_context(self):
-        if self.config.backend is None:
-            return contextlib.nullcontext()
-        return use_backend(self.config.backend)
 
     def _content_key(self, entry: DeployedModel) -> str:
         """Process-independent cache identity of one deployment.
@@ -218,37 +267,6 @@ class InferenceEngine:
         return self._content_keys[cache_key]
 
     # ------------------------------------------------------------------ #
-    # Admission control
-    # ------------------------------------------------------------------ #
-    def estimate_request_ms(self, entry: DeployedModel, num_points: int) -> float:
-        """Cost-model latency of one ``num_points`` request on the entry's device."""
-        key = (entry.name, num_points)
-        if key not in self._latency_estimates:
-            workload = entry.architecture.to_workload(
-                num_points=num_points, k=entry.k, num_classes=entry.num_classes
-            )
-            self._latency_estimates[key] = estimate_latency(workload, entry.device).total_ms
-        return self._latency_estimates[key]
-
-    def _admit(self, entry: DeployedModel, points: np.ndarray) -> float:
-        estimated = self.estimate_request_ms(entry, points.shape[0])
-        if not self.config.admission_control:
-            return estimated
-        if entry.slo_ms is not None and estimated > entry.slo_ms:
-            self.telemetry.model(entry.name).record_rejection()
-            raise AdmissionError(
-                f"request rejected: estimated {estimated:.2f} ms on {entry.device.name} "
-                f"exceeds the {entry.slo_ms:.2f} ms SLO of model '{entry.name}'"
-            )
-        if self.batcher.queue_depth >= self.config.max_queue_depth:
-            self.telemetry.model(entry.name).record_rejection()
-            raise AdmissionError(
-                f"request rejected: queue depth {self.batcher.queue_depth} at capacity "
-                f"({self.config.max_queue_depth})"
-            )
-        return estimated
-
-    # ------------------------------------------------------------------ #
     # Submission API
     # ------------------------------------------------------------------ #
     def _validate_points(self, entry: DeployedModel, points: np.ndarray) -> np.ndarray:
@@ -258,12 +276,12 @@ class InferenceEngine:
         """Admit one request: serve from the result cache or queue it."""
         entry = self.registry.get(model)
         points = self._validate_points(entry, points)
-        estimated = self._admit(entry, points)
+        estimated = self.admission.admit(entry, points.shape[0], self.batcher.queue_depth)
         # The content key distinguishes redeployments of the same name (its
         # weight hash changes), so a replace=True re-registration can never
-        # serve stale cached logits; it also folds in the backend name, which
-        # keeps logits computed by different kernel variants (bit-different
-        # under e.g. blocked summation) from aliasing — and, unlike the old
+        # serve stale cached logits; it also folds in the path name, which
+        # keeps fused and materialized logits (equal only to allclose) from
+        # aliasing — and, unlike the old
         # per-process generation counter, it is identical across the worker
         # processes of a pool, making the key valid in the shared disk tier.
         fingerprint = cloud_fingerprint(
@@ -420,7 +438,7 @@ class InferenceEngine:
             self._graph_builder if self.config.edge_cache_capacity > 0 else self._uncached_builder
         )
         try:
-            with telemetry.busy, no_grad(), self._backend_context():
+            with telemetry.busy, no_grad(), use_backend(self._backend_name()):
                 logits = entry.model(batch).data
         finally:
             entry.model.graph_builder = None

@@ -55,12 +55,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults import fault_point
-from repro.hardware.latency import estimate_latency
 from repro.nn.dtype import get_default_dtype
 from repro.obs.metrics import get_metrics, merge_snapshots
 from repro.serving.cache import CacheStats
-from repro.serving.engine import AdmissionError, EngineConfig, InferenceResult, validate_points
-from repro.serving.registry import DeployedModel, ModelRegistry
+from repro.serving.engine import AdmissionControl, AdmissionError, EngineConfig, InferenceResult, validate_points
+from repro.serving.registry import ModelRegistry
 from repro.serving.telemetry import TelemetryStore
 from repro.utils.logging import get_logger
 
@@ -383,6 +382,12 @@ class WorkerPoolEngine:
         # Frontend-side telemetry: rejections (admission lives here) and
         # per-model request counts merged with worker snapshots at shutdown.
         self.telemetry = TelemetryStore(config.telemetry_window)
+        self.admission = AdmissionControl(
+            self.telemetry,
+            config.admission_control,
+            self.pool_config.max_queue_depth,
+            "{depth} requests in flight",
+        )
         self.worker_snapshots: dict[int, dict] = {}
         self.fleet_metrics: dict[str, dict] = {}
         self.requeued = 0
@@ -390,7 +395,6 @@ class WorkerPoolEngine:
         self.restarts = 0
         self.stalls = 0
         self.submitted = 0
-        self._latency_estimates: dict[tuple[str, int], float] = {}
         self._lock = threading.Lock()
         self._inflight: dict[int, _InFlight] = {}
         self._next_request_id = 0
@@ -445,39 +449,6 @@ class WorkerPoolEngine:
         self.shutdown()
 
     # ------------------------------------------------------------------ #
-    # Admission control (frontend side, before IPC)
-    # ------------------------------------------------------------------ #
-    def estimate_request_ms(self, entry: DeployedModel, num_points: int) -> float:
-        """Cost-model latency of one request on the entry's target device."""
-        key = (entry.name, num_points)
-        if key not in self._latency_estimates:
-            workload = entry.architecture.to_workload(
-                num_points=num_points, k=entry.k, num_classes=entry.num_classes
-            )
-            self._latency_estimates[key] = estimate_latency(workload, entry.device).total_ms
-        return self._latency_estimates[key]
-
-    def _admit(self, entry: DeployedModel, points: np.ndarray) -> float:
-        estimated = self.estimate_request_ms(entry, points.shape[0])
-        if not self.config.admission_control:
-            return estimated
-        if entry.slo_ms is not None and estimated > entry.slo_ms:
-            self.telemetry.model(entry.name).record_rejection()
-            get_metrics().count("serving.pool.rejected")
-            raise AdmissionError(
-                f"request rejected: estimated {estimated:.2f} ms on {entry.device.name} "
-                f"exceeds the {entry.slo_ms:.2f} ms SLO of model '{entry.name}'"
-            )
-        if len(self._inflight) >= self.pool_config.max_queue_depth:
-            self.telemetry.model(entry.name).record_rejection()
-            get_metrics().count("serving.pool.rejected")
-            raise AdmissionError(
-                f"request rejected: {len(self._inflight)} requests in flight at capacity "
-                f"({self.pool_config.max_queue_depth})"
-            )
-        return estimated
-
-    # ------------------------------------------------------------------ #
     # Submission API
     # ------------------------------------------------------------------ #
     def submit(self, model: str, points: np.ndarray) -> Future:
@@ -495,7 +466,12 @@ class WorkerPoolEngine:
             raise RuntimeError("pool has been shut down")
         entry = self.registry.get(model)
         points = validate_points(entry, points)
-        self._admit(entry, points)
+        try:
+            # Frontend-side admission, before any IPC.
+            self.admission.admit(entry, points.shape[0], len(self._inflight))
+        except AdmissionError:
+            get_metrics().count("serving.pool.rejected")
+            raise
         deadline = time.time() + self.pool_config.request_timeout_s
         future: Future = Future()
         with self._lock:

@@ -18,7 +18,6 @@ The one-shot helpers in :mod:`repro.api` are thin shims over a throwaway
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import pathlib
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.backends import active_backend_name, get_backend, use_backend
+from repro.backends import active_backend_name
 from repro.data.dataset import InMemoryDataset
 from repro.hardware.device import DeviceSpec, get_device
 from repro.hardware.profiler import ProfileResult, profile_workload
@@ -135,10 +134,6 @@ class Workspace:
             per-call overrides.
         registry: Serving registry to deploy into; a fresh one is created
             when omitted.
-        backend: Compute backend (a registered name from
-            :mod:`repro.backends`) the stages run under; ``None`` follows the
-            ambient active backend.  Orthogonal to the dtype policy; recorded
-            in stage spans and artifact cache keys either way.
 
     Repeating a stage call with identical inputs returns the persisted
     artifact instead of recomputing (``fresh=True`` bypasses and overwrites).
@@ -150,11 +145,9 @@ class Workspace:
         root: str | pathlib.Path | None = None,
         defaults: InferenceDefaults | None = None,
         registry: ModelRegistry | None = None,
-        backend: str | None = None,
     ):
         self.device = device if isinstance(device, DeviceSpec) else get_device(device)
         self.defaults = defaults if defaults is not None else DEFAULTS
-        self.backend = None if backend is None else get_backend(backend).name
         self.store = ArtifactStore(root)
         self.registry = registry if registry is not None else ModelRegistry()
         self._engine: InferenceEngine | None = None
@@ -175,20 +168,6 @@ class Workspace:
         # same name with different coefficients must not share artifacts.
         return dataclasses.asdict(self.device)
 
-    def _backend_name(self) -> str:
-        """The effective compute backend of this workspace's stages.
-
-        Part of every compute-stage artifact key: backends are numerically
-        equivalent only to allclose (blocked/jitted summation orders differ),
-        so artifacts produced under different backends must not alias.
-        """
-        return self.backend or active_backend_name()
-
-    def _backend_context(self):
-        if self.backend is None:
-            return contextlib.nullcontext()
-        return use_backend(self.backend)
-
     # ------------------------------------------------------------------ #
     # Stage 1: profiling / measurement
     # ------------------------------------------------------------------ #
@@ -200,7 +179,7 @@ class Workspace:
         num_classes: int | None = None,
     ) -> ProfileResult:
         """Latency breakdown and peak memory of ``architecture`` on this device."""
-        with trace_span("workspace.profile", device=self.device.name, backend=self._backend_name()):
+        with trace_span("workspace.profile", device=self.device.name, backend=active_backend_name()):
             scenario = self.defaults.resolve(num_points=num_points, k=k, num_classes=num_classes)
             workload = architecture.to_workload(scenario.num_points, scenario.k, scenario.num_classes)
             return profile_workload(workload, self.device)
@@ -216,7 +195,7 @@ class Workspace:
     ) -> float:
         """Latency (ms) on this device, optionally with simulated measurement noise."""
         with trace_span(
-            "workspace.measure_latency", device=self.device.name, noisy=noisy, backend=self._backend_name()
+            "workspace.measure_latency", device=self.device.name, noisy=noisy, backend=active_backend_name()
         ):
             scenario = self.defaults.resolve(num_points=num_points, k=k, num_classes=num_classes, seed=seed)
             evaluator = make_latency_evaluator(
@@ -252,8 +231,8 @@ class Workspace:
         scale, both configs and seed, so an identical call skips training.
         """
         with trace_span(
-            "workspace.train_predictor", device=self.device.name, backend=self._backend_name()
-        ) as span, self._backend_context():
+            "workspace.train_predictor", device=self.device.name, backend=active_backend_name()
+        ) as span:
             seed = self.defaults.seed if seed is None else seed
             predictor_config = predictor_config or PredictorConfig(
                 gcn_dims=(32, 48, 48),
@@ -277,9 +256,9 @@ class Workspace:
                     "predictor_config": dataclasses.asdict(predictor_config),
                     "training_config": dataclasses.asdict(training_config),
                     "seed": seed,
-                    # Backends are only allclose-equivalent, so artifacts from
-                    # different backends must not alias each other.
-                    "backend": self._backend_name(),
+                    # Fused and materialized paths are only allclose-equivalent,
+                    # so artifacts from the two must not alias each other.
+                    "backend": active_backend_name(),
                 },
             )
             if not fresh:
@@ -411,7 +390,7 @@ class Workspace:
                     if may_use_workspace_predictor
                     else None
                 ),
-                "backend": self._backend_name(),
+                "backend": active_backend_name(),
             },
         )
         with trace_span(
@@ -419,8 +398,8 @@ class Workspace:
             device=self.device.name,
             oracle=oracle,
             strategy=strategy,
-            backend=self._backend_name(),
-        ) as span, self._backend_context():
+            backend=active_backend_name(),
+        ) as span:
             if not fresh:
                 cached = self.store.load("search", key)
                 if cached is not None:
@@ -489,8 +468,8 @@ class Workspace:
         of re-training.  Untrained instantiation is cheap and never cached.
         """
         with trace_span(
-            "workspace.derive", device=self.device.name, backend=self._backend_name()
-        ) as span, self._backend_context():
+            "workspace.derive", device=self.device.name, backend=active_backend_name()
+        ) as span:
             scenario = self.defaults.resolve(k=k, embed_dim=embed_dim, seed=seed)
             model = DerivedModel(
                 architecture,
@@ -513,7 +492,7 @@ class Workspace:
                     "train_data": dataset_fingerprint(train_dataset),
                     "train_epochs": train_epochs,
                     "train_batch_size": train_batch_size,
-                    "backend": self._backend_name(),
+                    "backend": active_backend_name(),
                 },
             )
             if not fresh:
@@ -563,7 +542,7 @@ class Workspace:
         fresh: bool = False,
     ) -> DeployedModel:
         """Derive (via the cache) and register ``architecture`` in this workspace's registry."""
-        with trace_span("workspace.deploy", device=self.device.name, backend=self._backend_name()):
+        with trace_span("workspace.deploy", device=self.device.name, backend=active_backend_name()):
             scenario = self.defaults.resolve(k=k, embed_dim=embed_dim, seed=seed)
             model = self.derive(
                 architecture,
@@ -597,17 +576,11 @@ class Workspace:
         """The workspace's persistent inference engine (caches stay warm).
 
         Created on first use; passing a different ``config`` later rebuilds
-        it (and drops the warm caches).  A workspace pinned to a compute
-        backend passes it down to the engine unless the config already names
-        one of its own.
+        it (and drops the warm caches).
         """
-        if config is not None or self._engine is None:
-            resolved = config
-            if self.backend is not None and (resolved is None or resolved.backend is None):
-                resolved = dataclasses.replace(resolved or EngineConfig(), backend=self.backend)
-            if self._engine is None or (config is not None and resolved != self._engine_config):
-                self._engine_config = resolved
-                self._engine = InferenceEngine(self.registry, resolved)
+        if self._engine is None or (config is not None and config != self._engine_config):
+            self._engine_config = config
+            self._engine = InferenceEngine(self.registry, config)
         return self._engine
 
     def serve(
@@ -633,7 +606,7 @@ class Workspace:
             device=self.device.name,
             model=name,
             requests=len(clouds),
-            backend=self._backend_name(),
+            backend=active_backend_name(),
         ):
             engine = self.engine(config)
             results = engine.submit_many(name, clouds)
@@ -662,15 +635,13 @@ class Workspace:
             name = self._last_deployed if self._last_deployed in names else names[-1]
         clouds = list(clouds)
         pool_config = pool_config or PoolConfig()
-        if self.backend is not None and (config is None or config.backend is None):
-            config = dataclasses.replace(config or EngineConfig(), backend=self.backend)
         with trace_span(
             "workspace.serve_pool",
             device=self.device.name,
             model=name,
             requests=len(clouds),
             workers=pool_config.workers,
-            backend=self._backend_name(),
+            backend=active_backend_name(),
         ):
             with WorkerPoolEngine(
                 self.registry, config, pool_config, root=self.store.root

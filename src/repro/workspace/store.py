@@ -43,6 +43,9 @@ __all__ = [
 
 _FORMAT = "repro.workspace.artifact/v1"
 
+#: Write attempts per save; retries absorb a concurrent discard() of the entry.
+_SAVE_ATTEMPTS = 3
+
 _LOGGER = get_logger("workspace.store")
 
 
@@ -221,7 +224,7 @@ class ArtifactStore:
             # a save of the same key — each commit is one writer's complete
             # bytes, last write wins, a concurrent reader sees some complete
             # version, never a torn one.
-            for attempt in (0, 1):
+            for attempt in range(_SAVE_ATTEMPTS):
                 try:
                     token = uuid.uuid4().hex
                     arrays_path = directory / "arrays.npz"
@@ -244,11 +247,12 @@ class ArtifactStore:
                     save_json(staging_meta, document)
                     os.replace(staging_meta, directory / "meta.json")
                     break
-                except FileNotFoundError:
+                except (FileNotFoundError, FileExistsError):
                     # A racing discard() can rmdir the entry directory between
-                    # our mkdir and a write; one retry recreates it after the
-                    # racer is done with it.
-                    if attempt:
+                    # our mkdir and a write (FileNotFoundError), or between
+                    # mkdir's EEXIST and its is_dir() check (FileExistsError);
+                    # a retry recreates it after the racer is done with it.
+                    if attempt == _SAVE_ATTEMPTS - 1:
                         raise
             path = directory
         artifact = Artifact(stage=stage, key=key, meta=meta, arrays=arrays, path=path)

@@ -1,9 +1,8 @@
-"""Smoke tests for the unified ``repro`` CLI and the ``repro-serve`` alias."""
+"""Smoke tests for the unified ``repro`` CLI."""
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.serving import cli as legacy_cli
 
 
 class TestDevicesCommand:
@@ -86,21 +85,6 @@ class TestServeCommand:
         assert "error" in capsys.readouterr().err
 
 
-class TestLegacyServeAlias:
-    def test_forwards_with_deprecation_notice(self, capsys):
-        assert legacy_cli.main(["--requests", "4"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "repro serve" in captured.err
-        assert "served 4 requests" in captured.out
-
-    def test_parser_keeps_serve_flags(self):
-        parser = legacy_cli.build_parser()
-        args = parser.parse_args(["--requests", "5", "--device", "pi"])
-        assert args.requests == 5
-        assert args.device == "pi"
-
-
 class TestEntryPoints:
     def test_console_scripts_point_at_cli(self):
         import pathlib
@@ -108,8 +92,7 @@ class TestEntryPoints:
 
         data = tomllib.loads((pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text())
         scripts = data["project"]["scripts"]
-        assert scripts["repro"] == "repro.cli:main"
-        assert scripts["repro-serve"] == "repro.serving.cli:main"
+        assert scripts == {"repro": "repro.cli:main"}
 
     def test_missing_subcommand_exits_with_usage(self):
         with pytest.raises(SystemExit) as excinfo:

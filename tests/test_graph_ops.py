@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends import use_backend
 from repro.graph import (
     add_self_loops,
     batched_knn_graph,
@@ -42,7 +43,6 @@ from repro.graph import (
     fused_edgeconv,
     linearize_mlp,
     supports_fused,
-    use_fused_kernels,
     validate_index,
 )
 from repro.models.edgeconv import EdgeConv
@@ -506,7 +506,7 @@ class TestFusedKernels:
         edge_index = knn_graph(points, 5)
         with no_grad():
             fused = conv(Tensor(points), edge_index)
-            with use_fused_kernels(False):
+            with use_backend("materialized"):
                 materialized = conv(Tensor(points), edge_index)
         assert fused.dtype == np.float32
         np.testing.assert_allclose(fused.data, materialized.data, rtol=1e-5, atol=1e-6)

@@ -87,7 +87,7 @@ class TestDeploymentFingerprint:
         entry_a = _make_registry(seed=0).get("model")
         entry_b = _make_registry(seed=99).get("model")
         assert deployment_fingerprint(entry_a, "numpy") != deployment_fingerprint(entry_b, "numpy")
-        assert deployment_fingerprint(entry_a, "numpy") != deployment_fingerprint(entry_a, "numpy-blocked")
+        assert deployment_fingerprint(entry_a, "numpy") != deployment_fingerprint(entry_a, "materialized")
 
 
 class TestPoolConfig:
@@ -134,12 +134,16 @@ class TestWorkerPoolEngine:
             np.testing.assert_array_equal(logits, result.logits)
 
     def test_frontend_admission_rejects_before_dispatch(self, rng):
+        from repro.obs import get_metrics
+
         registry = _make_registry(slo_ms=1e-9)
+        rejected_before = get_metrics().counter("serving.pool.rejected").value
         with WorkerPoolEngine(registry, EngineConfig(), PoolConfig(workers=1)) as pool:
-            with pytest.raises(AdmissionError):
+            with pytest.raises(AdmissionError, match="SLO"):
                 pool.request("model", _clouds(rng, 1)[0])
             assert pool.submitted == 0  # rejected before any IPC
             assert pool.telemetry.model("model").rejected == 1
+        assert get_metrics().counter("serving.pool.rejected").value == rejected_before + 1
 
     def test_submit_many_return_exceptions(self, rng):
         registry = _make_registry()

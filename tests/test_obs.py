@@ -124,6 +124,14 @@ class TestMetrics:
         # Bucket-bound estimate without a window; overflow reports max.
         assert histogram.percentile(25.0) == 1.0
         assert histogram.percentile(100.0) == 500.0
+        # A bucket bound outside the observed range is clamped to [min, max]:
+        # 3.0 and 4.0 both land in the default (1, 5] bucket.
+        clamped = Histogram("batch")
+        for value in (3.0, 4.0, 4.0):
+            clamped.observe(value)
+        for q in (0.0, 50.0, 90.0, 100.0):
+            assert clamped.min <= clamped.percentile(q) <= clamped.max
+        assert clamped.percentile(50.0) == 4.0
 
     def test_histogram_window_exact_percentiles(self):
         histogram = Histogram("lat", window=3)

@@ -20,7 +20,8 @@ from repro.serving import (
     QueuedRequest,
     cloud_fingerprint,
 )
-from repro.serving.telemetry import ModelTelemetry
+from repro.serving.engine import AdmissionControl
+from repro.serving.telemetry import ModelTelemetry, TelemetryStore
 
 
 def _make_registry(name="model", device="raspberry-pi", num_classes=6, k=6, slo_ms=None):
@@ -247,6 +248,62 @@ class TestEngineConfigValidation:
     def test_defaults_and_edge_values_accepted(self):
         EngineConfig()
         EngineConfig(max_wait_ms=0.0, result_cache_capacity=0, edge_cache_capacity=0)
+
+
+class TestAdmissionControl:
+    """The admission helper shared by the engine and the pool frontend."""
+
+    def _admission(self, enabled=True, max_depth=4, depth_text="queue depth {depth}"):
+        return AdmissionControl(TelemetryStore(16), enabled, max_depth, depth_text)
+
+    def test_estimate_is_memoized_per_model_and_size(self, monkeypatch):
+        import repro.serving.engine as engine_module
+
+        calls = []
+        real = engine_module.estimate_latency
+
+        def counting(workload, device):
+            calls.append(workload)
+            return real(workload, device)
+
+        monkeypatch.setattr(engine_module, "estimate_latency", counting)
+        admission = self._admission()
+        entry = _make_registry().get("model")
+        first = admission.estimate_request_ms(entry, 32)
+        assert admission.admit(entry, 32, depth=0) == first
+        assert len(calls) == 1
+        admission.estimate_request_ms(entry, 64)
+        assert len(calls) == 2
+        assert first > 0
+
+    def test_slo_rejection_is_recorded(self):
+        admission = self._admission()
+        entry = _make_registry(slo_ms=1e-6).get("model")
+        with pytest.raises(AdmissionError, match=r"exceeds the 0\.00 ms SLO of model 'model'"):
+            admission.admit(entry, 32, depth=0)
+        assert admission.telemetry.model("model").rejected == 1
+
+    @pytest.mark.parametrize(
+        "depth_text, expected",
+        [
+            ("queue depth {depth}", "queue depth 4 at capacity (4)"),
+            ("{depth} requests in flight", "4 requests in flight at capacity (4)"),
+        ],
+    )
+    def test_capacity_rejection_formats_depth(self, depth_text, expected):
+        admission = self._admission(depth_text=depth_text)
+        entry = _make_registry().get("model")
+        admission.admit(entry, 32, depth=3)
+        with pytest.raises(AdmissionError) as excinfo:
+            admission.admit(entry, 32, depth=4)
+        assert str(excinfo.value) == f"request rejected: {expected}"
+        assert admission.telemetry.model("model").rejected == 1
+
+    def test_disabled_admits_but_still_estimates(self):
+        admission = self._admission(enabled=False, max_depth=1)
+        entry = _make_registry(slo_ms=1e-6).get("model")
+        assert admission.admit(entry, 32, depth=10) == admission.estimate_request_ms(entry, 32)
+        assert admission.telemetry.model("model").rejected == 0
 
 
 class TestInferenceEngine:

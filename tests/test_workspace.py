@@ -481,3 +481,25 @@ class TestArtifactStoreConcurrency:
         committed = {"meta.json", "arrays.npz"}
         for entry in (tmp_path / "stress").glob("*/*"):
             assert entry.name in committed or entry.name.startswith("."), entry
+
+    @pytest.mark.parametrize("error", [FileNotFoundError, FileExistsError])
+    def test_save_retries_after_racing_discard(self, tmp_path, monkeypatch, error):
+        """A discard() racing save's mkdir surfaces as either error; save retries."""
+        import repro.workspace.store as store_module
+
+        real_save_npz = store_module.save_npz
+        calls = []
+
+        def racing_save_npz(path, arrays):
+            calls.append(path)
+            if len(calls) == 1:
+                raise error("entry directory removed by a concurrent discard")
+            return real_save_npz(path, arrays)
+
+        monkeypatch.setattr(store_module, "save_npz", racing_save_npz)
+        store = ArtifactStore(tmp_path)
+        store.save("stage", "k", {"v": 1}, {"w": np.arange(3.0)})
+        assert len(calls) == 2
+        loaded = ArtifactStore(tmp_path).load("stage", "k")
+        assert loaded is not None and loaded.meta == {"v": 1}
+        np.testing.assert_array_equal(loaded.arrays["w"], np.arange(3.0))
