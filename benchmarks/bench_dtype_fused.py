@@ -12,10 +12,14 @@ The acceptance claims of the dtype/fusion work, quantified:
   small tolerance;
 * within a fixed dtype the fused path is numerically interchangeable with
   the materialized path (allclose logits), so serving results do not depend
-  on which kernel executed them.
+  on which kernel executed them;
+* a float32 training step (forward + backward) of both models is at least
+  1.2x faster on the fused path than on the materialized one, with
+  allclose parameter gradients.
 
-Both models run the same eval batches; timings are best-of-N to suppress
-scheduler noise, mirroring ``bench_batched_eval.py``.
+Both models run the same eval batches.  Inference timings are best-of-N to
+suppress scheduler noise, mirroring ``bench_batched_eval.py``; training
+steps alternate the two paths round by round and compare medians.
 """
 
 from __future__ import annotations
@@ -31,11 +35,13 @@ from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.nas.derived import DerivedModel
 from repro.nas.presets import device_fast_architecture
 from repro.nn.dtype import default_dtype
-from repro.nn.loss import accuracy
+from repro.nn.loss import accuracy, cross_entropy
 from repro.nn.tensor import no_grad
 
 MIN_SPEEDUP = 1.5
+MIN_TRAIN_SPEEDUP = 1.2
 ROUNDS = 5
+TRAIN_ROUNDS = 5
 NUM_CLASSES = 6
 NUM_POINTS = 256
 EVAL_CLOUDS = 8
@@ -113,3 +119,46 @@ def test_float32_fused_speedup_and_parity(benchmark):
     assert derived_speedup >= MIN_SPEEDUP, (
         f"float32+fused derived-model forward only {derived_speedup:.2f}x faster than float64 baseline"
     )
+
+
+def _train_step(model, batch: Batch) -> tuple[float, dict[str, np.ndarray]]:
+    """One forward + backward; returns its wall time and the gradients."""
+    model.zero_grad()
+    start = time.perf_counter()
+    cross_entropy(model(batch), batch.labels).backward()
+    elapsed = time.perf_counter() - start
+    return elapsed, {name: param.grad for name, param in model.named_parameters() if param.grad is not None}
+
+
+def test_float32_fused_train_step_speedup_and_parity(benchmark):
+    """Fused training steps: >=1.2x the materialized path, allclose gradients."""
+    dgcnn, derived, batch = _build("float32")
+    for name, model in (("dgcnn", dgcnn), ("derived", derived)):
+        # eval() keeps dropout inert so both paths see identical networks;
+        # grad stays enabled, so this is a full training forward + backward.
+        times: dict[str, list[float]] = {"numpy": [], "materialized": []}
+        grads: dict[str, dict[str, np.ndarray]] = {}
+        for round_index in range(TRAIN_ROUNDS):
+            order = ("numpy", "materialized") if round_index % 2 == 0 else ("materialized", "numpy")
+            for backend in order:
+                with use_backend(backend):
+                    elapsed, grads[backend] = _train_step(model, batch)
+                times[backend].append(elapsed)
+
+        assert grads["numpy"].keys() == grads["materialized"].keys()
+        for param, grad in grads["numpy"].items():
+            reference = grads["materialized"][param]
+            np.testing.assert_allclose(
+                grad, reference, rtol=1e-4, atol=1e-4 * float(np.abs(reference).max()), err_msg=param
+            )
+
+        fused_s = float(np.median(times["numpy"]))
+        materialized_s = float(np.median(times["materialized"]))
+        speedup = materialized_s / fused_s
+        benchmark.extra_info[f"{name}_train_materialized_ms"] = round(materialized_s * 1e3, 2)
+        benchmark.extra_info[f"{name}_train_fused_ms"] = round(fused_s * 1e3, 2)
+        benchmark.extra_info[f"{name}_train_speedup"] = round(speedup, 2)
+        assert speedup >= MIN_TRAIN_SPEEDUP, (
+            f"fused {name} train step only {speedup:.2f}x faster than the materialized path"
+        )
+    benchmark.pedantic(lambda: _train_step(derived, batch), rounds=3, iterations=1)

@@ -344,6 +344,7 @@ class UnvalidatedIndexRule(LintRule):
         "build_messages",
         "fused_aggregate",
         "fused_edgeconv",
+        "propagate",
     }
     #: Calls that establish index validity within the same function.
     _VALIDATORS = {

@@ -2,15 +2,17 @@
 
 Models run message passing along one of two paths:
 
-* ``numpy`` (the default) — in no-grad mode, ``EdgeConv``, the derived
-  models and the supernet aggregate dispatch to the fused CSR kernels of
-  :mod:`repro.graph.fused`;
+* ``numpy`` (the default) — ``EdgeConv``, the derived models and the
+  supernet aggregate run the fused CSR kernels of :mod:`repro.graph.fused`,
+  in training and inference alike;
 * ``materialized`` — the gather → message → MLP → scatter reference path.
-  It is slower and exists as a test oracle for the fused kernels.
+  It is slower and exists as a test oracle for the fused kernels; message
+  types and MLPs without a fused kernel take it on either path.
 
 :func:`use_backend` scopes the path and :func:`fused_kernels_enabled` is
-the one query the models read.  The path name is also part of serving and
-workspace cache keys, so results of the two paths never alias::
+the one query ``repro.graph.propagate`` reads.  The path name is also part
+of serving and workspace cache keys, so results of the two paths never
+alias::
 
     with use_backend("materialized"):
         logits = model(batch)          # gather -> scatter reference path
@@ -63,7 +65,7 @@ def active_backend_name() -> str:
 
 
 def fused_kernels_enabled() -> bool:
-    """Whether models auto-dispatch to the fused kernels in no-grad mode."""
+    """Whether message passing runs the fused kernels where they apply."""
     return _active == "numpy"
 
 

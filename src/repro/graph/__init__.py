@@ -15,6 +15,7 @@ from repro.graph.fused import (
     fused_aggregate,
     fused_edgeconv,
     linearize_mlp,
+    propagate,
     supports_fused,
 )
 from repro.graph.edge_index import (
@@ -78,5 +79,6 @@ __all__ = [
     "fused_aggregate",
     "fused_edgeconv",
     "linearize_mlp",
+    "propagate",
     "supports_fused",
 ]

@@ -29,14 +29,16 @@ runs in the dtype of the node features, so the float32 default policy
 (:mod:`repro.nn.dtype`) halves its memory traffic relative to the float64
 seed implementation.
 
+:func:`propagate` is the message-passing entry point of
 :class:`~repro.models.edgeconv.EdgeConv`, :class:`~repro.nas.derived.DerivedModel`
-and the supernet dispatch here automatically in no-grad (inference) mode.
+and the supernet, in training and inference alike.  It falls back to the
+materialized path under ``use_backend("materialized")`` and for pairs
+:func:`supports_fused` rejects.
 
 The irregular-access primitives (segment reduction, scatter accumulation)
 are the shared kernels of :mod:`repro.backends`; this module contributes the
 CSR layout, the segment-aligned chunking and the exact rematerializing
-backward.  Whether models dispatch here at all is the path switch of
-:mod:`repro.backends` (the ``materialized`` path turns dispatch off).
+backward.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backends import scatter_add, segment_reduce
+from repro.backends import fused_kernels_enabled, scatter_add, segment_reduce
+from repro.graph.message import build_messages
+from repro.graph.scatter import scatter
 from repro.nn.layers import MLP, Dropout, Identity, LeakyReLU, Linear, ReLU, Sequential
 from repro.nn.tensor import Tensor, apply_op, as_tensor
 from repro.obs.metrics import get_metrics
@@ -56,6 +60,7 @@ __all__ = [
     "supports_fused",
     "fused_aggregate",
     "fused_edgeconv",
+    "propagate",
 ]
 
 #: Message types with a fused kernel (the linear-gather family).
@@ -374,3 +379,26 @@ def fused_aggregate(
         num_nodes=num_nodes,
         validated=validated,
     )
+
+
+def propagate(
+    x: Tensor,
+    edge_index: np.ndarray,
+    message_type: str,
+    aggregator: str,
+    mlp=None,
+    validated: bool = False,
+) -> Tensor:
+    """``scatter(mlp(build_messages(x, edge_index)))`` onto ``x``'s nodes.
+
+    Runs :func:`fused_edgeconv` when fused kernels are enabled and
+    :func:`supports_fused` accepts the pair, else the materialized path
+    (counted as ``graph.materialized.dispatch``).  Both are differentiable.
+    """
+    if fused_kernels_enabled() and supports_fused(message_type, mlp):
+        return fused_edgeconv(x, edge_index, mlp, message_type=message_type, aggregator=aggregator, validated=validated)
+    get_metrics().count("graph.materialized.dispatch")
+    messages = build_messages(x, edge_index, message_type, validated=validated)
+    if mlp is not None:
+        messages = mlp(messages)
+    return scatter(messages, edge_index[1], x.shape[0], aggregator, validated=validated)

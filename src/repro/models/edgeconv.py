@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import fused_kernels_enabled
 from repro.graph.edge_index import validate_edge_index
-from repro.graph.fused import fused_edgeconv, supports_fused
-from repro.graph.message import MESSAGE_TYPES, build_messages, message_dim
-from repro.graph.scatter import AGGREGATORS, scatter
+from repro.graph.fused import propagate
+from repro.graph.message import MESSAGE_TYPES, message_dim
+from repro.graph.scatter import AGGREGATORS
 from repro.nn.layers import MLP, Module
-from repro.nn.tensor import Tensor, is_grad_enabled
-from repro.obs.metrics import get_metrics
+from repro.nn.tensor import Tensor
 
 __all__ = ["EdgeConv"]
 
@@ -64,30 +62,10 @@ class EdgeConv(Module):
         """
         if x.shape[1] != self.in_dim:
             raise ValueError(f"expected input dim {self.in_dim}, got {x.shape[1]}")
-        # Validate the caller's edge index exactly once per forward; both
-        # execution paths below then skip their redundant range scans.
+        # Validate the caller's edge index exactly once per forward; the
+        # message-passing path then skips its redundant range scans.
         edge_index = validate_edge_index(edge_index, x.shape[0])
-        # Inference dispatches to the fused CSR/reduceat kernel, which skips
-        # materializing the (E, F) message tensor through the MLP.  Training
-        # keeps the materialized path so its floats stay unchanged.
-        if (
-            not is_grad_enabled()
-            and fused_kernels_enabled()
-            and supports_fused(self.message_type, self.mlp)
-        ):
-            return fused_edgeconv(
-                x,
-                edge_index,
-                self.mlp,
-                message_type=self.message_type,
-                aggregator=self.aggregator,
-                num_nodes=x.shape[0],
-                validated=True,
-            )
-        get_metrics().count("graph.materialized.dispatch")
-        messages = build_messages(x, edge_index, self.message_type, validated=True)
-        transformed = self.mlp(messages)
-        return scatter(transformed, edge_index[1], x.shape[0], self.aggregator, validated=True)
+        return propagate(x, edge_index, self.message_type, self.aggregator, mlp=self.mlp, validated=True)
 
     def __repr__(self) -> str:
         return (

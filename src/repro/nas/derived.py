@@ -12,18 +12,14 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backends import fused_kernels_enabled
 from repro.data.dataset import Batch
 from repro.graph.batching import batched_knn_graph, batched_random_graph
-from repro.graph.fused import fused_aggregate, supports_fused
-from repro.graph.message import build_messages
-from repro.graph.scatter import scatter
+from repro.graph.fused import propagate
 from repro.models.classifier import ClassificationHead
 from repro.nas.architecture import Architecture, EffectiveOp
 from repro.nn import functional as F
 from repro.nn.layers import Linear, Module
-from repro.nn.tensor import Tensor, concatenate, is_grad_enabled
-from repro.obs.metrics import get_metrics
+from repro.nn.tensor import Tensor, concatenate
 
 __all__ = ["DerivedModel", "GraphBuilder"]
 
@@ -87,28 +83,8 @@ class DerivedModel(Module):
             elif op.kind == "aggregate":
                 if edge_index is None:
                     edge_index = self._build_graph("knn", x.data, batch.batch)
-                if (
-                    not is_grad_enabled()
-                    and fused_kernels_enabled()
-                    and supports_fused(op.message_type)
-                ):
-                    # Inference fast path: fused gather/message/reduce over
-                    # CSR-sorted edges, no (E, F) message materialization.
-                    # The edge index came out of a validating graph builder.
-                    x = fused_aggregate(
-                        x,
-                        edge_index,
-                        op.message_type,
-                        op.aggregator,
-                        num_nodes=x.shape[0],
-                        validated=True,
-                    )
-                else:
-                    get_metrics().count("graph.materialized.dispatch")
-                    messages = build_messages(x, edge_index, op.message_type, validated=True)
-                    x = scatter(
-                        messages, edge_index[1], x.shape[0], op.aggregator, validated=True
-                    )
+                # The edge index came out of a validating graph builder.
+                x = propagate(x, edge_index, op.message_type, op.aggregator, validated=True)
             elif op.kind == "combine":
                 x = F.leaky_relu(self.combines[index](x), 0.2)
             elif op.kind == "connect_skip":

@@ -22,19 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import fused_kernels_enabled
 from repro.data.dataset import Batch
 from repro.graph.batching import batched_knn_graph, batched_random_graph
-from repro.graph.fused import fused_aggregate, supports_fused
-from repro.graph.message import build_messages, message_dim
-from repro.graph.scatter import scatter
+from repro.graph.fused import propagate
+from repro.graph.message import message_dim
 from repro.models.classifier import ClassificationHead
 from repro.nas.architecture import Architecture
 from repro.nas.ops import COMBINE_DIMS, FunctionSet, OperationType
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Linear, Module
-from repro.nn.tensor import Tensor, concatenate, is_grad_enabled
-from repro.obs.metrics import get_metrics
+from repro.nn.tensor import Tensor, concatenate
 
 __all__ = ["SupernetConfig", "Supernet"]
 
@@ -101,21 +98,8 @@ class _PositionBlock(Module):
         message_type: str,
     ) -> Tensor:
         """Message construction, reduction and alignment back to hidden."""
-        # The edge index comes from Supernet._build_graph's validating
-        # builders and is shared across positions: skip re-scanning it on
-        # every aggregate call.
-        if not is_grad_enabled() and fused_kernels_enabled() and supports_fused(message_type):
-            # Evaluation passes (accuracy scoring during the search) run in
-            # no-grad mode and take the fused CSR/reduceat kernel.
-            # repro-lint: allow[unvalidated-index] edge index produced by Supernet._build_graph (validating) one call level up
-            reduced = fused_aggregate(
-                x, edge_index, message_type, aggregator, num_nodes=x.shape[0], validated=True
-            )
-        else:
-            get_metrics().count("graph.materialized.dispatch")
-            # repro-lint: allow[unvalidated-index] edge index produced by Supernet._build_graph (validating) one call level up
-            messages = build_messages(x, edge_index, message_type, validated=True)
-            reduced = scatter(messages, edge_index[1], x.shape[0], aggregator, validated=True)  # repro-lint: allow[unvalidated-index] same shared edge index
+        # repro-lint: allow[unvalidated-index] edge index produced by Supernet._build_graph (validating) one call level up
+        reduced = propagate(x, edge_index, message_type, aggregator, validated=True)
         width = message_dim(message_type, self.hidden_dim)
         align_weight = self.aggregate_align.weight[:width, :]
         return F.leaky_relu(reduced @ align_weight + self.aggregate_align.bias, 0.2)

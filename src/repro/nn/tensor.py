@@ -158,6 +158,9 @@ class Tensor:
     def backward(self, grad: np.ndarray | float | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
+        Consumes the graph: each node drops its backward closure (which
+        references the node) so the graph is freed by reference counting.
+
         Args:
             grad: Gradient of the final objective w.r.t. this tensor.  May be
                 omitted only for scalar tensors, in which case it defaults to
@@ -189,8 +192,9 @@ class Tensor:
 
         self._accumulate(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            backward_fn, node._backward = node._backward, None
+            if backward_fn is not None and node.grad is not None:
+                backward_fn()
 
     # ------------------------------------------------------------------ #
     # Arithmetic

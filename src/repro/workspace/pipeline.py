@@ -317,7 +317,6 @@ class Workspace:
         strategy: str = "multi-stage",
         predictor_num_samples: int = 200,
         predictor_epochs: int = 40,
-        batched_evaluation: bool | None = None,
         fresh: bool = False,
         resume: bool = False,
         checkpoint: bool | None = None,
@@ -329,8 +328,6 @@ class Workspace:
         ``"predictor"`` and no explicit ``predictor``, the workspace's own
         (cached) :meth:`train_predictor` supplies one, trained with
         ``predictor_num_samples``/``predictor_epochs``.
-        ``batched_evaluation`` overrides the config's population-scoring
-        path (batched fast path vs sequential; the results are identical).
         Results are keyed by device, search config, oracle, strategy, seed
         and dataset fingerprints, so the genotype and its history survive
         restarts.
@@ -353,8 +350,6 @@ class Workspace:
         if strategy not in ("multi-stage", "one-stage"):
             raise ValueError(f"unknown search strategy '{strategy}' (use 'multi-stage' or 'one-stage')")
         config = config or HGNASConfig(num_classes=train_dataset.num_classes, seed=seed)
-        if batched_evaluation is not None and batched_evaluation != config.batched_evaluation:
-            config = dataclasses.replace(config, batched_evaluation=batched_evaluation)
         # Any evaluator (including custom ones) may consult the workspace's
         # predictor factory when no explicit predictor is given, so the
         # factory's knobs are part of the result's identity in that case.

@@ -325,10 +325,17 @@ class TestLintRules:
 
             def unvalidated_kw_false(x, edges):
                 return scatter(x, edges, 4, "sum", validated=False)
+
+            def bad_propagate(x, edges):
+                return propagate(x, edges, "rel_pos", "max", validated=True)
+
+            def good_propagate(points, x):
+                edges = knn_graph(points, 4)
+                return propagate(x, edges, "rel_pos", "max", validated=True)
             """,
             "unvalidated-index",
         )
-        assert [v.line for v in violations] == [5]
+        assert [v.line for v in violations] == [5, 19]
 
     def test_waiver_without_reason_is_flagged(self, tmp_path):
         violations = _violations_for(

@@ -8,6 +8,8 @@ both path settings: the kernels are shared, so the setting must not change
 what they compute.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,10 +32,16 @@ from repro.graph import (
     message_dim,
     scatter,
 )
+from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.models.edgeconv import EdgeConv
-from repro.nas.ops import FunctionSet
+from repro.nas.architecture import Architecture
+from repro.nas.derived import DerivedModel
+from repro.nas.ops import FunctionSet, OperationType
+from repro.nas.presets import device_fast_architecture
 from repro.nas.supernet import Supernet, SupernetConfig
 from repro.nn import MLP, Tensor, default_dtype, no_grad
+from repro.nn.loss import cross_entropy
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.nn.functional import embedding_lookup, matmul
 from repro.serving.engine import EngineConfig, InferenceEngine
 from repro.workspace import Workspace
@@ -312,6 +320,74 @@ class TestFusedToggleShims:
                 with use_backend("materialized"):
                     materialized = supernet(batch, path)
             np.testing.assert_allclose(fused.data, materialized.data, rtol=1e-4, atol=1e-5)
+
+
+class TestTrainingParity:
+    """Grad-enabled forwards take the fused path and match the reference.
+
+    Float64 with the models in ``eval()`` (no dropout masks) and grad on:
+    the loss and every parameter gradient under ``numpy`` must agree with
+    the ``materialized`` path, and the dispatch counters show which path ran.
+    """
+
+    def _batch(self, tiny_train):
+        batch = collate([tiny_train[i] for i in range(4)])
+        return dataclasses.replace(batch, points=batch.points.astype(np.float64))
+
+    def _step(self, model, forward, labels, backend):
+        model.zero_grad()
+        with use_backend(backend), use_metrics(MetricsRegistry()) as metrics:
+            loss = cross_entropy(forward(), labels)
+            loss.backward()
+        grads = {name: param.grad for name, param in model.named_parameters()
+                 if param.grad is not None}
+        dispatch = {path: metrics.counter(f"graph.{path}.dispatch").value
+                    for path in ("fused", "materialized")}
+        return loss.item(), grads, dispatch
+
+    def _assert_parity(self, model, forward, labels):
+        loss, grads, dispatch = self._step(model, forward, labels, "numpy")
+        ref_loss, ref_grads, _ = self._step(model, forward, labels, "materialized")
+        assert dispatch["fused"] > 0 and dispatch["materialized"] == 0
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-9)
+        assert grads.keys() == ref_grads.keys() and grads
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-7, atol=1e-10, err_msg=name)
+
+    def test_dgcnn(self, tiny_train):
+        batch = self._batch(tiny_train)
+        with default_dtype("float64"):
+            model = DGCNN(DGCNNConfig(num_classes=4, k=4, layer_dims=(8, 8),
+                                      embed_dim=16, classifier_hidden=(8,))).eval()
+        self._assert_parity(model, lambda: model(batch), batch.labels)
+
+    def test_derived_model(self, tiny_train):
+        batch = self._batch(tiny_train)
+        with default_dtype("float64"):
+            model = DerivedModel(device_fast_architecture("jetson-tx2"), num_classes=4, k=4).eval()
+        self._assert_parity(model, lambda: model(batch), batch.labels)
+
+    def _supernet_path(self, message_type):
+        functions = FunctionSet(aggregator="max", message_type=message_type, sample_method="knn")
+        ops = (OperationType.SAMPLE, OperationType.AGGREGATE, OperationType.COMBINE)
+        return Architecture(ops + ops, upper_functions=functions,
+                            lower_functions=dataclasses.replace(functions, aggregator="mean"))
+
+    def test_supernet(self, tiny_train):
+        batch = self._batch(tiny_train)
+        with default_dtype("float64"):
+            supernet = Supernet(SupernetConfig(num_positions=6, hidden_dim=12, k=4, num_classes=4)).eval()
+        for message_type in ("target_rel", "rel_pos"):
+            path = self._supernet_path(message_type)
+            self._assert_parity(supernet, lambda: supernet(batch, path), batch.labels)
+
+    def test_supernet_full_message_type_stays_materialized(self, tiny_train):
+        batch = self._batch(tiny_train)
+        supernet = Supernet(SupernetConfig(num_positions=6, hidden_dim=12, k=4, num_classes=4)).eval()
+        _, _, dispatch = self._step(
+            supernet, lambda: supernet(batch, self._supernet_path("full")), batch.labels, "numpy"
+        )
+        assert dispatch == {"fused": 0, "materialized": 2}
 
 
 class TestBackendPlumbing:

@@ -47,6 +47,7 @@ from repro.graph import (
 )
 from repro.models.edgeconv import EdgeConv
 from repro.nn import MLP, BatchNorm1d, Linear, Sequential, Tensor, default_dtype, no_grad
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from helpers import finite_difference_grad
 
 
@@ -499,7 +500,7 @@ class TestFusedKernels:
         dropout_mlp.eval()
         assert linearize_mlp(dropout_mlp) is not None
 
-    def test_edgeconv_dispatches_in_no_grad(self, rng):
+    def test_edgeconv_dispatches_fused_with_and_without_grad(self, rng):
         conv = EdgeConv(3, 8, aggregator="max", message_type="target_rel",
                         rng=np.random.default_rng(2)).eval()
         points = rng.normal(size=(30, 3)).astype(np.float32)
@@ -510,9 +511,12 @@ class TestFusedKernels:
                 materialized = conv(Tensor(points), edge_index)
         assert fused.dtype == np.float32
         np.testing.assert_allclose(fused.data, materialized.data, rtol=1e-5, atol=1e-6)
-        # Grad-enabled forwards keep the materialized path's exact floats.
-        trained = conv(Tensor(points), edge_index)
-        np.testing.assert_array_equal(trained.data, materialized.data)
+        # Grad-enabled forwards run the same fused kernel as inference.
+        with use_metrics(MetricsRegistry()) as metrics:
+            trained = conv(Tensor(points), edge_index)
+        assert metrics.counter("graph.fused.dispatch").value == 1
+        assert metrics.counter("graph.materialized.dispatch").value == 0
+        np.testing.assert_array_equal(trained.data, fused.data)
 
     def test_fused_validates_edge_index(self):
         x = Tensor(np.ones((4, 3), dtype=np.float32))

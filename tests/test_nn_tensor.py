@@ -1,5 +1,8 @@
 """Tests for the autograd engine: forward values and gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -174,6 +177,24 @@ class TestBackward:
     def test_backward_on_non_grad_tensor_raises(self):
         with pytest.raises(RuntimeError):
             Tensor([1.0]).backward()
+
+    def test_backward_frees_graph_by_refcount(self):
+        gc.disable()
+        try:
+            x = Tensor(np.ones(3), requires_grad=True)
+            w = Tensor(np.full(3, 2.0), requires_grad=True)
+            product = x * w
+            # Tensor has __slots__ without weakref support; its data array
+            # is referenced by the intermediate alone.
+            alive = weakref.ref(product.data)
+            loss = product.sum()
+            loss.backward()
+            del product, loss
+            # No cyclic GC ran: the intermediate is gone by refcount alone.
+            assert alive() is None
+            np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0])
+        finally:
+            gc.enable()
 
 
 class TestGradMode:
