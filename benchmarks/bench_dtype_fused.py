@@ -4,8 +4,9 @@ The acceptance claims of the dtype/fusion work, quantified:
 
 * an end-to-end inference forward of DGCNN **and** of a searched derived
   model is at least 1.5x faster under the float32 default with the fused
-  CSR/reduceat kernels than under the float64 materialized baseline (the
-  seed configuration);
+  kernels (per-node gather-reduce for MLP-free aggregates, the chunked
+  EdgeConv kernel for DGCNN) than under the float64 materialized baseline
+  (the seed configuration);
 * the speedup does not change what the models predict: float32+fused logits
   match the float64 baseline to float32 precision and the top-1
   classification accuracy on the synthetic eval set is identical within a

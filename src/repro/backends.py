@@ -2,12 +2,14 @@
 
 Models run message passing along one of two paths:
 
-* ``numpy`` (the default) — ``EdgeConv``, the derived models and the
-  supernet aggregate run the fused CSR kernels of :mod:`repro.graph.fused`,
-  in training and inference alike;
+* ``numpy`` (the default) — :func:`repro.graph.propagate` runs the fused
+  kernels of :mod:`repro.graph.fused` in training and inference alike:
+  MLP-free aggregates as a per-node gather-reduce, EdgeConv's one
+  ``Linear`` + activation as a chunked per-edge kernel;
 * ``materialized`` — the gather → message → MLP → scatter reference path.
-  It is slower and exists as a test oracle for the fused kernels; message
-  types and MLPs without a fused kernel take it on either path.
+  It is slower and exists as a test oracle for the fused kernels.  The
+  ``distance`` and ``full`` message types and MLPs of any other shape take
+  it on either path.
 
 :func:`use_backend` scopes the path and :func:`fused_kernels_enabled` is
 the one query ``repro.graph.propagate`` reads.  The path name is also part

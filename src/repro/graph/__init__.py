@@ -14,9 +14,7 @@ from repro.graph.fused import (
     FUSED_MESSAGE_TYPES,
     fused_aggregate,
     fused_edgeconv,
-    linearize_mlp,
     propagate,
-    supports_fused,
 )
 from repro.graph.edge_index import (
     add_self_loops,
@@ -78,7 +76,5 @@ __all__ = [
     "FUSED_MESSAGE_TYPES",
     "fused_aggregate",
     "fused_edgeconv",
-    "linearize_mlp",
     "propagate",
-    "supports_fused",
 ]

@@ -1,140 +1,167 @@
-"""Fused gather → message → (MLP) → aggregate kernels.
+"""Fused message passing: per-node gather-reduce and the EdgeConv kernel.
 
 The materialized message-passing path (:func:`repro.graph.message.build_messages`
 followed by an MLP and a :mod:`repro.graph.scatter` aggregation) allocates a
-full ``(E, message_dim)`` edge tensor, pushes it through the MLP as one giant
-matrix and reduces it with ``np.ufunc.at`` — which is both bandwidth-bound
-(every intermediate lives in memory at once) and reduction-bound
-(``np.add.at``/``np.maximum.at`` are an order of magnitude slower than
-contiguous segment reductions).
+full ``(E, message_dim)`` edge tensor and reduces it with ``np.ufunc.at``,
+an order of magnitude slower than a contiguous segment reduction.  This
+module replaces it, over **CSR-sorted edges** (target-major; KNN and random
+edge indices already are, so sorting is a cheap verification pass), with
+two kernels:
 
-This module fuses the whole pipeline over **CSR-sorted edges**:
+* :func:`fused_aggregate` — MLP-free aggregation as per-node work.  One
+  differentiable gather-reduce ``R = reduce_j x_j`` runs over the
+  target-sorted segments, and the centre term ``x_i`` is scaled per node
+  (by the in-degree for ``sum``), so ``rel_pos`` is ``R − x_i`` rather than
+  a reduction over ``E`` rows of ``x_j − x_i``.  For ``max``/``min`` this
+  is bit-identical to the materialized path, because ``fl(a − c)`` is
+  monotone in ``a``.
+* :func:`fused_edgeconv` — the per-edge kernel for EdgeConv's one shape,
+  a single ``Linear`` followed by ``ReLU``/``LeakyReLU``.  Edges are
+  processed in segment-aligned chunks (build messages, ``msg @ W + b``,
+  activation, segment reduce), so the peak intermediate is
+  ``chunk × width`` instead of ``E × width``; the backward rematerializes
+  each chunk.
 
-1. Edges are sorted by target node (KNN/random edge indices are already
-   target-major, so this is a cheap verification pass) and turned into
-   ``reduceat`` segment offsets.
-2. Edges are processed in chunks aligned to segment boundaries: each chunk
-   gathers its endpoint features, builds the messages, runs the (optional)
-   MLP and reduces per target with ``np.ufunc.reduceat`` — so the peak
-   intermediate is ``chunk × width`` instead of ``E × width``.
-3. The backward pass is exact: chunks are rematerialized and standard
-   backprop runs through the MLP, with max/min tie gradients split equally
-   among winners exactly like :func:`repro.graph.scatter.scatter_max`.
-
-The fused path supports the common message types (``source_pos``,
-``target_pos``, ``rel_pos``, ``target_rel``) and MLPs made of
-``Linear``/``ReLU``/``LeakyReLU`` (+ inert eval-mode ``Dropout``) — which
-covers EdgeConv, the derived models and the supernet aggregate.  Everything
-runs in the dtype of the node features, so the float32 default policy
-(:mod:`repro.nn.dtype`) halves its memory traffic relative to the float64
-seed implementation.
+Both backward passes are exact, with max/min gradients split equally among
+tied winners like :func:`repro.graph.scatter.scatter_max`.  Everything runs
+in the dtype of the node features.
 
 :func:`propagate` is the message-passing entry point of
 :class:`~repro.models.edgeconv.EdgeConv`, :class:`~repro.nas.derived.DerivedModel`
-and the supernet, in training and inference alike.  It falls back to the
-materialized path under ``use_backend("materialized")`` and for pairs
-:func:`supports_fused` rejects.
-
-The irregular-access primitives (segment reduction, scatter accumulation)
-are the shared kernels of :mod:`repro.backends`; this module contributes the
-CSR layout, the segment-aligned chunking and the exact rematerializing
-backward.
+and the supernet, in training and inference alike.  Message types outside
+:data:`FUSED_MESSAGE_TYPES`, MLPs of any other shape and everything under
+``use_backend("materialized")`` run the materialized path.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.backends import fused_kernels_enabled, scatter_add, segment_reduce
+from repro.graph.edge_index import validate_edge_index
 from repro.graph.message import build_messages
 from repro.graph.scatter import scatter
-from repro.nn.layers import MLP, Dropout, Identity, LeakyReLU, Linear, ReLU, Sequential
-from repro.nn.tensor import Tensor, apply_op, as_tensor
+from repro.nn.layers import MLP, LeakyReLU, Linear, ReLU
+from repro.nn.tensor import Tensor, apply_op, as_tensor, concatenate
 from repro.obs.metrics import get_metrics
 
-__all__ = [
-    "FUSED_MESSAGE_TYPES",
-    "linearize_mlp",
-    "supports_fused",
-    "fused_aggregate",
-    "fused_edgeconv",
-    "propagate",
-]
+__all__ = ["FUSED_MESSAGE_TYPES", "fused_aggregate", "fused_edgeconv", "propagate"]
 
-#: Message types with a fused kernel (the linear-gather family).
-FUSED_MESSAGE_TYPES = ("source_pos", "target_pos", "rel_pos", "target_rel")
+#: Message types with a fused kernel: the ones linear in ``x_i`` and ``x_j``.
+FUSED_MESSAGE_TYPES = ("source_pos", "target_pos", "rel_pos", "source_rel", "target_rel")
 
-#: Target number of edges per fused chunk; bounds the peak intermediate to
-#: ``chunk × max(message_dim, mlp widths)`` floats while staying large
-#: enough that BLAS and reduceat run at full throughput.
+#: Target number of edges per :func:`fused_edgeconv` chunk; bounds the peak
+#: intermediate to ``chunk × max(message_dim, out_dim)`` floats while staying
+#: large enough that BLAS and reduceat run at full throughput.
 _CHUNK_EDGES = 32768
 
 
-def linearize_mlp(mlp) -> list[tuple] | None:
-    """Flatten an MLP into fused-kernel steps, or ``None`` if unsupported.
+def _csr_segments(x: Tensor, edge_index, message_type: str, aggregator: str, validated: bool):
+    """Check the inputs, count the dispatch and sort the edges by target.
 
-    Supported modules: :class:`Linear`, :class:`ReLU`, :class:`LeakyReLU`,
-    :class:`Identity` and eval-mode / zero-probability :class:`Dropout`.
-    Anything else (``BatchNorm1d``, active dropout, custom modules) returns
-    ``None`` and the caller falls back to the materialized path.
+    Returns ``(x, sources, targets, seg_nodes, seg_starts, seg_counts)``:
+    target-sorted edges plus the non-empty segments (``reduceat`` cannot
+    express empty ones).
     """
-    if mlp is None:
-        return []
-    if isinstance(mlp, MLP):
-        modules: Sequence = list(mlp.layers)
-    elif isinstance(mlp, Sequential):
-        modules = list(mlp)
-    else:
-        return None
-    steps: list[tuple] = []
-    for module in modules:
-        if isinstance(module, Linear):
-            steps.append(("linear", module.weight, module.bias))
-        elif isinstance(module, ReLU):
-            steps.append(("act", 0.0))
-        elif isinstance(module, LeakyReLU):
-            steps.append(("act", float(module.negative_slope)))
-        elif isinstance(module, Identity):
-            continue
-        elif isinstance(module, Dropout):
-            if module.training and module.p > 0:
-                return None
-        else:
-            return None
-    return steps
+    x = as_tensor(x)
+    if x.ndim != 2:
+        raise ValueError(f"fused kernels expect 2-D node features, got shape {x.shape}")
+    if message_type not in FUSED_MESSAGE_TYPES:
+        raise ValueError(
+            f"message type '{message_type}' has no fused kernel; supported: {FUSED_MESSAGE_TYPES}"
+        )
+    if aggregator not in ("sum", "mean", "max", "min"):
+        raise ValueError(f"unknown aggregator '{aggregator}'")
+    edge_index = np.asarray(edge_index, dtype=np.int64)
+    if edge_index.ndim != 2 or edge_index.shape[0] != 2:
+        raise ValueError(f"edge_index must have shape (2, E), got {edge_index.shape}")
+    if not validated:
+        validate_edge_index(edge_index, x.shape[0])
+    metrics = get_metrics()
+    metrics.count("graph.fused.dispatch")
+    metrics.count("graph.fused.edges", int(edge_index.shape[1]))
 
-
-def supports_fused(message_type: str, mlp=None) -> bool:
-    """Whether the fused kernel can run this (message type, MLP) pair."""
-    return message_type in FUSED_MESSAGE_TYPES and linearize_mlp(mlp) is not None
-
-
-def _csr_segments(edge_index: np.ndarray):
-    """Sort edges by target and compute ``reduceat`` segment offsets.
-
-    Returns ``(sources, targets, seg_nodes, seg_starts, seg_counts)`` where
-    the edges are target-sorted and the three segment arrays describe the
-    non-empty targets only (``reduceat`` cannot express empty segments).
-    """
-    sources = np.asarray(edge_index[0], dtype=np.int64)
-    targets = np.asarray(edge_index[1], dtype=np.int64)
+    sources, targets = edge_index
     if targets.size and np.any(targets[:-1] > targets[1:]):
         order = np.argsort(targets, kind="stable")
-        sources = sources[order]
-        targets = targets[order]
-    # Non-empty segments: boundaries where the sorted target changes.
-    if targets.size:
-        boundaries = np.flatnonzero(np.diff(targets)) + 1
-        seg_starts = np.concatenate([[0], boundaries]).astype(np.int64)
-        seg_nodes = targets[seg_starts]
-        seg_counts = np.diff(np.concatenate([seg_starts, [targets.size]]))
-    else:
-        seg_starts = np.zeros(0, dtype=np.int64)
-        seg_nodes = np.zeros(0, dtype=np.int64)
-        seg_counts = np.zeros(0, dtype=np.int64)
-    return sources, targets, seg_nodes, seg_starts, seg_counts
+        sources, targets = sources[order], targets[order]
+    seg_starts = np.flatnonzero(np.diff(targets, prepend=-1))
+    seg_counts = np.diff(np.append(seg_starts, targets.size))
+    return x, sources, targets, targets[seg_starts], seg_starts, seg_counts
+
+
+def _gather_reduce(x: Tensor, sources, seg_nodes, seg_starts, seg_counts, aggregator: str) -> Tensor:
+    """Differentiable ``segment_reduce(x[sources])`` onto ``x``'s nodes.
+
+    Nodes without in-edges get zero rows.  The backward recomputes the
+    gather; max/min gradients go to the winners, split equally among ties.
+    """
+    xd = x.data
+    dtype = xd.dtype
+    out = np.zeros_like(xd)
+    out[seg_nodes] = segment_reduce(xd[sources], seg_starts, seg_counts, aggregator)
+    if aggregator == "mean":
+        out[seg_nodes] /= seg_counts[:, None].astype(dtype)
+
+    def backward_fn(grad: np.ndarray) -> list[np.ndarray]:
+        seg_grad = np.asarray(grad, dtype=dtype)[seg_nodes]
+        if aggregator == "mean":
+            seg_grad = seg_grad / seg_counts[:, None].astype(dtype)
+        if aggregator in ("max", "min"):
+            winners = (xd[sources] == np.repeat(out[seg_nodes], seg_counts, axis=0)).astype(dtype)
+            winner_counts = segment_reduce(winners, seg_starts, seg_counts, "sum")
+            edge_grad = winners * np.repeat(seg_grad / winner_counts, seg_counts, axis=0)
+        else:
+            edge_grad = np.repeat(seg_grad, seg_counts, axis=0)
+        dx = np.zeros_like(xd)
+        scatter_add(dx, sources, edge_grad)
+        return [dx]
+
+    return apply_op(out, (x,), backward_fn)
+
+
+def fused_aggregate(
+    x: Tensor, edge_index: np.ndarray, message_type: str, aggregator: str, validated: bool = False
+) -> Tensor:
+    """MLP-free ``scatter(build_messages(x, edge_index, message_type))`` as per-node work.
+
+    With ``R = reduce_j x_j`` and ``centre = w · x_i`` (``w`` the in-degree
+    for ``sum``, 1 otherwise, 0 for nodes without in-edges), the message
+    types become ``source_pos → R``, ``target_pos → centre``,
+    ``rel_pos → R − centre``, ``source_rel → [R, R − centre]`` and
+    ``target_rel → [centre, R − centre]``.
+
+    Args:
+        x: Node features ``(N, F)``.
+        edge_index: Edge index ``(2, E)`` (targets need not be pre-sorted).
+        message_type: One of :data:`FUSED_MESSAGE_TYPES`.
+        aggregator: ``sum`` / ``mean`` / ``max`` / ``min``.
+        validated: Skip the edge-index range scan (for indices produced by
+            the repo's own — validating — graph builders).
+    """
+    x, sources, _, seg_nodes, seg_starts, seg_counts = _csr_segments(
+        x, edge_index, message_type, aggregator, validated
+    )
+    reduced = _gather_reduce(x, sources, seg_nodes, seg_starts, seg_counts, aggregator)
+    if message_type == "source_pos":
+        return reduced
+    weight = np.zeros((x.shape[0], 1), dtype=x.data.dtype)
+    weight[seg_nodes, 0] = seg_counts if aggregator == "sum" else 1
+    centre = x * weight
+    if message_type == "target_pos":
+        return centre
+    relative = reduced - centre
+    if message_type == "rel_pos":
+        return relative
+    return concatenate([reduced if message_type == "source_rel" else centre, relative], axis=1)
+
+
+def _edgeconv_layers(mlp):
+    """``(linear, negative_slope)`` if ``mlp`` is one ``Linear`` + ``ReLU``/``LeakyReLU``."""
+    layers = list(mlp.layers) if isinstance(mlp, MLP) else []
+    if len(layers) == 2 and isinstance(layers[0], Linear) and isinstance(layers[1], (ReLU, LeakyReLU)):
+        return layers[0], float(getattr(layers[1], "negative_slope", 0.0))
+    return None
 
 
 def _chunk_messages(xd, src, tgt, message_type):
@@ -142,37 +169,10 @@ def _chunk_messages(xd, src, tgt, message_type):
         return xd[src]
     if message_type == "target_pos":
         return xd[tgt]
+    relative = xd[src] - xd[tgt]
     if message_type == "rel_pos":
-        return xd[src] - xd[tgt]
-    # target_rel: [x_i, x_j - x_i]
-    x_i = xd[tgt]
-    return np.concatenate([x_i, xd[src] - x_i], axis=1)
-
-
-def _run_steps(h, steps, keep_intermediates: bool):
-    """Apply linearized MLP steps; optionally keep per-step inputs for backprop."""
-    inputs = [] if keep_intermediates else None
-    for step in steps:
-        if keep_intermediates:
-            inputs.append(h)
-        if step[0] == "linear":
-            _, weight, bias = step
-            h = h @ weight.data
-            if bias is not None:
-                h = h + bias.data
-        else:
-            slope = step[1]
-            if slope == 0.0:
-                h = np.maximum(h, 0.0)
-            else:
-                h = np.where(h > 0.0, h, slope * h)
-    return h, inputs
-
-
-def _act_derivative(pre, slope, dtype):
-    if slope == 0.0:
-        return (pre > 0.0).astype(dtype)
-    return np.where(pre > 0.0, dtype.type(1.0), dtype.type(slope))
+        return relative
+    return np.concatenate([xd[src] if message_type == "source_rel" else xd[tgt], relative], axis=1)
 
 
 def _scatter_dmsg(dx, dmsg, src, tgt, message_type, feature_dim):
@@ -183,202 +183,102 @@ def _scatter_dmsg(dx, dmsg, src, tgt, message_type, feature_dim):
     elif message_type == "rel_pos":
         scatter_add(dx, src, dmsg)
         scatter_add(dx, tgt, -dmsg)
-    else:  # target_rel
-        d_centre = dmsg[:, :feature_dim]
-        d_rel = dmsg[:, feature_dim:]
+    elif message_type == "target_rel":
+        d_centre, d_rel = dmsg[:, :feature_dim], dmsg[:, feature_dim:]
         scatter_add(dx, tgt, d_centre - d_rel)
         scatter_add(dx, src, d_rel)
+    else:  # source_rel: [x_j, x_j - x_i]
+        d_source, d_rel = dmsg[:, :feature_dim], dmsg[:, feature_dim:]
+        scatter_add(dx, src, d_source + d_rel)
+        scatter_add(dx, tgt, -d_rel)
 
 
 def fused_edgeconv(
     x: Tensor,
     edge_index: np.ndarray,
-    mlp=None,
+    mlp: MLP,
     message_type: str = "target_rel",
     aggregator: str = "max",
-    num_nodes: int | None = None,
-    chunk_edges: int = _CHUNK_EDGES,
     validated: bool = False,
 ) -> Tensor:
-    """Fused message → MLP → aggregate, differentiable and chunked.
+    """Chunked ``scatter(act(build_messages(x, edge_index) @ W + b))``.
 
-    Semantically equivalent to ``scatter(mlp(build_messages(x, edge_index,
-    message_type)), edge_index[1], num_nodes, aggregator)`` but never
-    materializes the full ``(E, F)`` message/activation tensors: edges are
-    processed in segment-aligned chunks reduced with ``np.ufunc.reduceat``.
-
-    Args:
-        x: Node features ``(N, F)``.
-        edge_index: Edge index ``(2, E)`` (targets need not be pre-sorted).
-        mlp: Optional per-edge MLP; must satisfy :func:`linearize_mlp`.
-        message_type: One of :data:`FUSED_MESSAGE_TYPES`.
-        aggregator: ``sum`` / ``mean`` / ``max`` / ``min``.
-        num_nodes: Output segment count (defaults to ``x.shape[0]``).
-        chunk_edges: Target edges per chunk.
-        validated: Skip the edge-index range scan (for indices produced by
-            the repo's own — validating — graph builders).
-
-    Returns:
-        Aggregated features ``(num_nodes, out_dim)`` wired into autograd:
-        gradients are exact (chunks are rematerialized in backward, max/min
-        ties split equally among winners like ``scatter_max``).
+    ``mlp`` must be EdgeConv's shape: one ``Linear`` followed by ``ReLU`` or
+    ``LeakyReLU``.  Edges are processed in segment-aligned chunks of about
+    ``_CHUNK_EDGES``, so the full ``(E, F)`` message and activation tensors
+    never exist; the backward rematerializes each chunk.  Other arguments
+    are as in :func:`fused_aggregate`.
     """
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise ValueError(f"fused kernels expect 2-D node features, got shape {x.shape}")
-    if message_type not in FUSED_MESSAGE_TYPES:
-        raise ValueError(
-            f"message type '{message_type}' has no fused kernel; "
-            f"supported: {FUSED_MESSAGE_TYPES}"
-        )
-    if aggregator not in ("sum", "mean", "max", "min"):
-        raise ValueError(f"unknown aggregator '{aggregator}'")
-    steps = linearize_mlp(mlp)
-    if steps is None:
-        raise ValueError("MLP structure unsupported by the fused kernel (see linearize_mlp)")
-    if chunk_edges <= 0:
-        raise ValueError(f"chunk_edges must be positive, got {chunk_edges}")
-
-    edge_index = np.asarray(edge_index, dtype=np.int64)
-    if edge_index.ndim != 2 or edge_index.shape[0] != 2:
-        raise ValueError(f"edge_index must have shape (2, E), got {edge_index.shape}")
-    dim_size = x.shape[0] if num_nodes is None else int(num_nodes)
-    if dim_size <= 0:
-        raise ValueError(f"num_nodes must be positive, got {dim_size}")
-    if not validated and edge_index.size:
-        if edge_index.min() < 0:
-            raise ValueError("edge_index contains negative node indices")
-        # Sources always gather from x; targets index the output segments
-        # and — for every message type except source_pos — x as well.
-        target_bound = dim_size if message_type == "source_pos" else min(dim_size, x.shape[0])
-        if edge_index[0].max() >= x.shape[0] or edge_index[1].max() >= target_bound:
-            raise ValueError("edge_index references a node outside the graph")
-
-    metrics = get_metrics()
-    metrics.count("graph.fused.dispatch")
-    metrics.count("graph.fused.edges", int(edge_index.shape[1]))
-
+    layers = _edgeconv_layers(mlp)
+    if layers is None:
+        raise ValueError("fused_edgeconv needs an MLP of one Linear followed by ReLU/LeakyReLU")
+    linear, slope = layers
+    x, sources, targets, seg_nodes, seg_starts, seg_counts = _csr_segments(
+        x, edge_index, message_type, aggregator, validated
+    )
     xd = x.data
     dtype = xd.dtype
-    feature_dim = xd.shape[1]
-    sources, targets, seg_nodes, seg_starts, seg_counts = _csr_segments(edge_index)
-    num_edges = targets.size
+    weight, bias = linear.weight, linear.bias
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = np.zeros((xd.shape[0], weight.shape[1]), dtype=dtype)
+    if not targets.size:
+        # No messages: zero output, and every input gets a zero gradient,
+        # matching the materialized path's accumulation.
+        return apply_op(out, parents, lambda grad: [np.zeros_like(p.data) for p in parents])
 
-    out_dim = feature_dim * (2 if message_type == "target_rel" else 1)
-    for step in steps:
-        if step[0] == "linear":
-            out_dim = step[1].shape[1]
-
-    out = np.zeros((dim_size, out_dim), dtype=dtype)
-
-    # Chunk boundaries in segment space: each chunk covers whole segments
-    # and at most ~chunk_edges edges (a single oversized segment still
-    # becomes its own chunk).
+    # Chunks cover whole segments and at most ~_CHUNK_EDGES edges (a single
+    # oversized segment still becomes its own chunk).
     seg_ends = seg_starts + seg_counts
-    chunk_bounds: list[tuple[int, int]] = []
-    seg = 0
-    while seg < seg_nodes.size:
-        limit = seg_starts[seg] + chunk_edges
-        stop = int(np.searchsorted(seg_ends, limit, side="right"))
-        stop = max(stop, seg + 1)
-        chunk_bounds.append((seg, stop))
-        seg = stop
+    chunks: list[tuple[int, int]] = []
+    s0 = 0
+    while s0 < seg_nodes.size:
+        stop = int(np.searchsorted(seg_ends, seg_starts[s0] + _CHUNK_EDGES, side="right"))
+        chunks.append((s0, max(stop, s0 + 1)))
+        s0 = chunks[-1][1]
 
-    for s0, s1 in chunk_bounds:
+    def run_chunk(s0: int, s1: int):
         e0, e1 = int(seg_starts[s0]), int(seg_ends[s1 - 1])
-        h = _chunk_messages(xd, sources[e0:e1], targets[e0:e1], message_type)
-        h, _ = _run_steps(h, steps, keep_intermediates=False)
-        out[seg_nodes[s0:s1]] = segment_reduce(
-            h, seg_starts[s0:s1] - e0, seg_counts[s0:s1], aggregator
-        )
+        src, tgt = sources[e0:e1], targets[e0:e1]
+        msg = _chunk_messages(xd, src, tgt, message_type)
+        pre = msg @ weight.data
+        if bias is not None:
+            pre = pre + bias.data
+        h = np.maximum(pre, 0.0) if slope == 0.0 else np.where(pre > 0.0, pre, slope * pre)
+        return src, tgt, msg, pre, h, seg_starts[s0:s1] - e0, seg_counts[s0:s1]
 
-    counts = None
+    for s0, s1 in chunks:
+        *_, h, starts, counts = run_chunk(s0, s1)
+        out[seg_nodes[s0:s1]] = segment_reduce(h, starts, counts, aggregator)
     if aggregator == "mean":
-        counts = seg_counts.astype(dtype)
-        out[seg_nodes] /= counts[:, None]
-
-    params: list[Tensor] = []
-    for step in steps:
-        if step[0] == "linear":
-            params.append(step[1])
-            if step[2] is not None:
-                params.append(step[2])
-    parents = (x, *params)
+        out[seg_nodes] /= seg_counts[:, None].astype(dtype)
 
     def backward_fn(grad: np.ndarray) -> list[np.ndarray | None]:
-        grad = np.asarray(grad, dtype=dtype)
-        dx = np.zeros_like(xd) if x.requires_grad else None
-        linear_steps = [step for step in steps if step[0] == "linear"]
-        d_weights = {id(step): np.zeros_like(step[1].data) for step in linear_steps}
-        d_biases = {
-            id(step): np.zeros_like(step[2].data) for step in linear_steps if step[2] is not None
-        }
+        seg_grad = np.asarray(grad, dtype=dtype)[seg_nodes]
         if aggregator == "mean":
-            scaled = grad[seg_nodes] / counts[:, None]
-        elif aggregator == "sum":
-            scaled = grad[seg_nodes]
-        for s0, s1 in chunk_bounds:
-            e0, e1 = int(seg_starts[s0]), int(seg_ends[s1 - 1])
-            src = sources[e0:e1]
-            tgt = targets[e0:e1]
-            h = _chunk_messages(xd, src, tgt, message_type)
-            h, inputs = _run_steps(h, steps, keep_intermediates=True)
-            local_counts = seg_counts[s0:s1]
-            seg_of_edge = np.repeat(np.arange(s1 - s0), local_counts)
+            seg_grad = seg_grad / seg_counts[:, None].astype(dtype)
+        dx = np.zeros_like(xd) if x.requires_grad else None
+        d_weight = np.zeros_like(weight.data)
+        d_bias = None if bias is None else np.zeros_like(bias.data)
+        for s0, s1 in chunks:
+            src, tgt, msg, pre, h, starts, counts = run_chunk(s0, s1)
             if aggregator in ("sum", "mean"):
-                g = scaled[s0:s1][seg_of_edge]
+                g = np.repeat(seg_grad[s0:s1], counts, axis=0)
             else:
-                winners = (h == out[seg_nodes[s0:s1]][seg_of_edge]).astype(dtype)
-                local_starts = seg_starts[s0:s1] - e0
-                winner_counts = segment_reduce(winners, local_starts, local_counts, "sum")
-                g = winners * (grad[seg_nodes[s0:s1]] / winner_counts)[seg_of_edge]
-            for step, layer_in in zip(reversed(steps), reversed(inputs)):
-                if step[0] == "linear":
-                    _, weight, bias = step
-                    d_weights[id(step)] += layer_in.T @ g
-                    if bias is not None:
-                        d_biases[id(step)] += g.sum(axis=0)
-                    g = g @ weight.data.T
-                else:
-                    g = g * _act_derivative(layer_in, step[1], dtype)
+                winners = (h == np.repeat(out[seg_nodes[s0:s1]], counts, axis=0)).astype(dtype)
+                winner_counts = segment_reduce(winners, starts, counts, "sum")
+                g = winners * np.repeat(seg_grad[s0:s1] / winner_counts, counts, axis=0)
+            if slope == 0.0:
+                g = g * (pre > 0.0).astype(dtype)
+            else:
+                g = g * np.where(pre > 0.0, dtype.type(1.0), dtype.type(slope))
+            d_weight += msg.T @ g
+            if d_bias is not None:
+                d_bias += g.sum(axis=0)
             if dx is not None:
-                _scatter_dmsg(dx, g, src, tgt, message_type, feature_dim)
-        grads: list[np.ndarray | None] = [dx]
-        for step in linear_steps:
-            grads.append(d_weights[id(step)])
-            if step[2] is not None:
-                grads.append(d_biases[id(step)])
-        return grads
+                _scatter_dmsg(dx, g @ weight.data.T, src, tgt, message_type, xd.shape[1])
+        return [dx, d_weight] if bias is None else [dx, d_weight, d_bias]
 
-    if num_edges == 0:
-        # No messages: output is all zeros and every input gets a zero
-        # gradient, matching the materialized path's accumulation.
-        return apply_op(out, parents, lambda grad: [np.zeros_like(p.data) for p in parents])
     return apply_op(out, parents, backward_fn)
-
-
-def fused_aggregate(
-    x: Tensor,
-    edge_index: np.ndarray,
-    message_type: str,
-    aggregator: str,
-    num_nodes: int | None = None,
-    validated: bool = False,
-) -> Tensor:
-    """Fused message construction + aggregation without an MLP.
-
-    The MLP-free counterpart of :func:`fused_edgeconv`, used by the derived
-    models and the supernet whose aggregate ops reduce raw messages.
-    """
-    return fused_edgeconv(
-        x,
-        edge_index,
-        mlp=None,
-        message_type=message_type,
-        aggregator=aggregator,
-        num_nodes=num_nodes,
-        validated=validated,
-    )
 
 
 def propagate(
@@ -391,12 +291,17 @@ def propagate(
 ) -> Tensor:
     """``scatter(mlp(build_messages(x, edge_index)))`` onto ``x``'s nodes.
 
-    Runs :func:`fused_edgeconv` when fused kernels are enabled and
-    :func:`supports_fused` accepts the pair, else the materialized path
-    (counted as ``graph.materialized.dispatch``).  Both are differentiable.
+    With fused kernels enabled, MLP-free :data:`FUSED_MESSAGE_TYPES` run
+    :func:`fused_aggregate` and EdgeConv-shaped MLPs run
+    :func:`fused_edgeconv`.  Everything else takes the materialized path
+    (counted as ``graph.materialized.dispatch``).  All paths are
+    differentiable.
     """
-    if fused_kernels_enabled() and supports_fused(message_type, mlp):
-        return fused_edgeconv(x, edge_index, mlp, message_type=message_type, aggregator=aggregator, validated=validated)
+    if fused_kernels_enabled() and message_type in FUSED_MESSAGE_TYPES:
+        if mlp is None:
+            return fused_aggregate(x, edge_index, message_type, aggregator, validated=validated)
+        if _edgeconv_layers(mlp) is not None:
+            return fused_edgeconv(x, edge_index, mlp, message_type, aggregator, validated=validated)
     get_metrics().count("graph.materialized.dispatch")
     messages = build_messages(x, edge_index, message_type, validated=validated)
     if mlp is not None:

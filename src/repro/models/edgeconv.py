@@ -28,7 +28,6 @@ class EdgeConv(Module):
         self,
         in_dim: int,
         out_dim: int,
-        hidden_dims: tuple[int, ...] = (),
         aggregator: str = "max",
         message_type: str = "target_rel",
         rng: np.random.Generator | None = None,
@@ -43,12 +42,8 @@ class EdgeConv(Module):
         self.aggregator = aggregator
         self.message_type = message_type
         msg_dim = message_dim(message_type, in_dim)
-        self.mlp = MLP(
-            [msg_dim, *hidden_dims, out_dim],
-            activation="leaky_relu",
-            final_activation=True,
-            rng=rng,
-        )
+        # One Linear + LeakyReLU: the shape the fused EdgeConv kernel runs.
+        self.mlp = MLP([msg_dim, out_dim], activation="leaky_relu", final_activation=True, rng=rng)
 
     def forward(self, x: Tensor, edge_index: np.ndarray) -> Tensor:
         """Apply the layer.

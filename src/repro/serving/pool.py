@@ -14,7 +14,7 @@ serves requests through a future-based frontend:
 2. **Dispatch** is least-loaded: each admitted request goes to the live
    worker with the fewest in-flight requests, onto that worker's own task
    queue, where the worker micro-batches whatever has accumulated.
-3. **Results** come back over a shared result queue and resolve
+3. **Results** come back over each worker's own result pipe and resolve
    :class:`concurrent.futures.Future` objects, so callers can block
    (:meth:`WorkerPoolEngine.request`), fan out
    (:meth:`~WorkerPoolEngine.submit_many`), or await them from asyncio
@@ -51,6 +51,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_for_ready
 
 import numpy as np
 
@@ -181,14 +182,14 @@ def _result_payload(result: InferenceResult) -> dict:
     }
 
 
-def _serve_messages(engine, worker_id: int, messages: list, result_queue) -> None:
+def _serve_messages(engine, worker_id: int, messages: list, result_conn) -> None:
     """Serve one micro-batch of ``("req", ...)`` messages through the engine."""
     live: list[tuple] = []
     now = time.time()
     for message in messages:
         _, request_id, _, _, deadline = message
         if deadline is not None and now > deadline:
-            result_queue.put(("err", request_id, worker_id, "DeadlineExceeded", "deadline expired in queue"))
+            result_conn.send(("err", request_id, worker_id, "DeadlineExceeded", "deadline expired in queue"))
         else:
             live.append(message)
     # Group consecutively by model so one engine.submit_many call serves a
@@ -210,16 +211,16 @@ def _serve_messages(engine, worker_id: int, messages: list, result_queue) -> Non
                 try:
                     result = engine.submit(model, message[3])
                 except Exception as error:  # noqa: BLE001 - forwarded to the frontend
-                    result_queue.put(
+                    result_conn.send(
                         ("err", message[1], worker_id, type(error).__name__, str(error))
                     )
                 else:
                     get_metrics().count("serving.worker.served")
-                    result_queue.put(("ok", message[1], worker_id, _result_payload(result)))
+                    result_conn.send(("ok", message[1], worker_id, _result_payload(result)))
             continue
         get_metrics().count("serving.worker.served", len(group))
         for message, result in zip(group, results):
-            result_queue.put(("ok", message[1], worker_id, _result_payload(result)))
+            result_conn.send(("ok", message[1], worker_id, _result_payload(result)))
 
 
 def _worker_main(
@@ -228,7 +229,7 @@ def _worker_main(
     engine_config: EngineConfig,
     dtype: str,
     task_queue,
-    result_queue,
+    result_conn,
     heartbeat_interval_s: float = 0.5,
 ) -> None:
     """Entry point of one worker process: engine loop over the task queue.
@@ -251,14 +252,14 @@ def _worker_main(
         registry = ModelRegistry.load(registry_dir)
         engine = InferenceEngine(registry, engine_config)
     except Exception as error:  # noqa: BLE001 - startup failure, reported then fatal
-        result_queue.put(("fatal", worker_id, f"{type(error).__name__}: {error}"))
+        result_conn.send(("fatal", worker_id, f"{type(error).__name__}: {error}"))
         return
-    result_queue.put(("hb", worker_id))
+    result_conn.send(("hb", worker_id))
     while True:
         try:
             message = task_queue.get(timeout=heartbeat_interval_s)
         except queue_module.Empty:
-            result_queue.put(("hb", worker_id))
+            result_conn.send(("hb", worker_id))
             continue
         if message[0] == "req":
             # Chaos hook: a plan can crash this worker (hard exit, no
@@ -266,22 +267,22 @@ def _worker_main(
             # raise in the serve path — exactly where production faults bite.
             fault_point("serving.worker.serve", worker=worker_id)
             requests, control = _drain_batch(task_queue, message, engine_config.max_batch_size)
-            _serve_messages(engine, worker_id, requests, result_queue)
-            result_queue.put(("hb", worker_id))
+            _serve_messages(engine, worker_id, requests, result_conn)
+            result_conn.send(("hb", worker_id))
             for extra in control:
-                if _handle_control(engine, worker_id, extra, result_queue):
+                if _handle_control(engine, worker_id, extra, result_conn):
                     return
-        elif _handle_control(engine, worker_id, message, result_queue):
+        elif _handle_control(engine, worker_id, message, result_conn):
             return
 
 
-def _handle_control(engine, worker_id: int, message, result_queue) -> bool:
+def _handle_control(engine, worker_id: int, message, result_conn) -> bool:
     """Process a non-request message; returns True when the worker should exit."""
     if message[0] == "stop":
         cache_stats = {name: dataclasses.asdict(stats) for name, stats in engine.cache_stats().items()}
         if engine.shared_cache is not None:
             cache_stats["shared"]["writes"] = engine.shared_cache.writes
-        result_queue.put(
+        result_conn.send(
             (
                 "bye",
                 worker_id,
@@ -318,10 +319,11 @@ class _InFlight:
 class _Worker:
     """Frontend handle of one worker slot (survives process restarts)."""
 
-    def __init__(self, worker_id: int, process, task_queue):
+    def __init__(self, worker_id: int, process, task_queue, results):
         self.worker_id = worker_id
         self.process = process
         self.task_queue = task_queue
+        self.results = results  # read end of the worker's result pipe
         self.inflight = 0
         self.alive = True
         self.finished = False  # sent its shutdown snapshot
@@ -412,17 +414,22 @@ class WorkerPoolEngine:
         self._registry_dir = registry_dir
         self._worker_config = dataclasses.replace(config, admission_control=False)
         self._dtype_str = dtype
-        self._result_queue = self._context.Queue()
         self._workers: list[_Worker] = []
         for worker_id in range(self.pool_config.workers):
-            process, task_queue = self._launch_worker(worker_id)
-            self._workers.append(_Worker(worker_id, process, task_queue))
+            self._workers.append(_Worker(worker_id, *self._launch_worker(worker_id)))
         self._collector = threading.Thread(target=self._collect_loop, name="pool-collector", daemon=True)
         self._collector.start()
 
     def _launch_worker(self, worker_id: int):
-        """Start one worker process; returns ``(process, task_queue)``."""
+        """Start one worker process; returns ``(process, task_queue, results)``.
+
+        Each worker sends on its own pipe, synchronously from its serve loop,
+        so a worker that dies mid-send can tear only its own channel.  (With
+        one shared ``multiprocessing.Queue``, a worker killed while its feeder
+        thread held the queue's write lock silenced every other worker.)
+        """
         task_queue = self._context.Queue()
+        results, worker_end = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_worker_main,
             args=(
@@ -431,13 +438,14 @@ class WorkerPoolEngine:
                 self._worker_config,
                 self._dtype_str,
                 task_queue,
-                self._result_queue,
+                worker_end,
                 self.pool_config.heartbeat_interval_s,
             ),
             daemon=True,
         )
         process.start()
-        return process, task_queue
+        worker_end.close()  # the worker holds the only write end: its exit reads as EOF
+        return process, task_queue, results
 
     # ------------------------------------------------------------------ #
     # Context manager
@@ -552,15 +560,23 @@ class WorkerPoolEngine:
     def _collect_loop(self) -> None:
         last_supervise = 0.0
         while True:
+            readers = [worker.results for worker in self._workers if not worker.results.closed]
             try:
-                message = self._result_queue.get(timeout=self.pool_config.poll_interval_s)
-            except queue_module.Empty:
-                message = None
+                ready = wait_for_ready(readers, timeout=self.pool_config.poll_interval_s)
+            except OSError:  # a reader was closed by a concurrent restart
+                continue
+            for reader in ready:
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):
+                    reader.close()  # the worker exited; _check_workers handles its slot
+                    continue
+                self._dispatch(message)
             # Supervision runs on idle polls *and* (throttled) under load,
             # so a steady request stream cannot starve crash/stall/deadline
             # detection.
             now = time.monotonic()
-            if message is None or now - last_supervise >= self.pool_config.poll_interval_s:
+            if not ready or now - last_supervise >= self.pool_config.poll_interval_s:
                 last_supervise = now
                 self._check_workers()
                 self._expire_overdue()
@@ -568,21 +584,21 @@ class WorkerPoolEngine:
                     self._all_done.set()
                     if self._shutdown:
                         return
-            if message is None:
-                continue
-            kind = message[0]
-            if kind == "ok":
-                self._beat(message[2])
-                self._resolve(message[1], message[2], message[3])
-            elif kind == "err":
-                self._beat(message[2])
-                self._fail(message[1], message[2], message[3], message[4])
-            elif kind == "hb":
-                self._beat(message[1])
-            elif kind == "bye":
-                self._on_bye(message[1], message[2])
-            elif kind == "fatal":
-                self._on_fatal(message[1], message[2])
+
+    def _dispatch(self, message: tuple) -> None:
+        kind = message[0]
+        if kind == "ok":
+            self._beat(message[2])
+            self._resolve(message[1], message[2], message[3])
+        elif kind == "err":
+            self._beat(message[2])
+            self._fail(message[1], message[2], message[3], message[4])
+        elif kind == "hb":
+            self._beat(message[1])
+        elif kind == "bye":
+            self._on_bye(message[1], message[2])
+        elif kind == "fatal":
+            self._on_fatal(message[1], message[2])
 
     def _beat(self, worker_id: int) -> None:
         for worker in self._workers:
@@ -697,13 +713,17 @@ class WorkerPoolEngine:
         worker.restarts += 1
         self.restarts += 1
         get_metrics().count("serving.pool.restarts")
-        process, task_queue = self._launch_worker(worker.worker_id)
+        process, task_queue, results = self._launch_worker(worker.worker_id)
+        worker.results.close()  # the dead process's pipe; its requests were reassigned
         with self._lock:
             worker.process = process
             worker.task_queue = task_queue
+            worker.results = results
             worker.inflight = 0
             worker.last_heartbeat = time.time()
             worker.alive = True
+            if self._shutdown:
+                task_queue.put(("stop",))
         _LOGGER.warning(
             "restarted pool worker %d (restart %d/%d)",
             worker.worker_id,
@@ -778,10 +798,13 @@ class WorkerPoolEngine:
         if self._shutdown:
             return
         self.drain(timeout=timeout)
-        self._shutdown = True
-        for worker in self._workers:
-            if worker.is_running():
-                worker.task_queue.put(("stop",))
+        with self._lock:
+            # Atomic with _restart_worker's swap: a slot restarted concurrently
+            # either is running here or sees the flag and stops itself.
+            self._shutdown = True
+            for worker in self._workers:
+                if worker.is_running():
+                    worker.task_queue.put(("stop",))
         self._all_done.wait(timeout=timeout)
         self._collector.join(timeout=timeout)
         for worker in self._workers:

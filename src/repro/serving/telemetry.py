@@ -1,8 +1,8 @@
 """Per-model serving telemetry, built on the :mod:`repro.obs` primitives.
 
 Tracks, per deployed model, a rolling window of request latencies
-(queueing + batch execution), batch sizes, throughput derived from the
-cumulative busy time of a :class:`repro.utils.timer.Timer`, admission
+(queueing + batch execution), batch sizes, busy time and throughput (both
+from a :class:`repro.utils.timer.Timer` around each batch), admission
 rejections and the peak queue depth.  The engine injects its cache
 counters so one report covers the whole serving stack.
 
@@ -123,8 +123,15 @@ class ModelTelemetry:
 
     @property
     def throughput_rps(self) -> float:
-        """Requests served per second of engine busy time."""
-        return self.served / self.busy.elapsed if self.busy.elapsed > 0 else 0.0
+        """Requests served per second of wall time, from the first batch start to the last batch end.
+
+        The window is on ``time.perf_counter``, one monotonic clock across
+        worker processes on Linux, so after :meth:`merge` it spans the whole
+        fleet and a pool reports its real rate.
+        """
+        start, end = self.busy.first_started_at, self.busy.last_stopped_at
+        window = end - start if start is not None and end is not None else 0.0
+        return self.served / window if window > 0 else 0.0
 
     @property
     def mean_batch_size(self) -> float:
@@ -154,6 +161,8 @@ class ModelTelemetry:
         return {
             "window": self.window,
             "busy_s": self.busy.elapsed,
+            "busy_start": self.busy.first_started_at,
+            "busy_end": self.busy.last_stopped_at,
             "latency": self._latency.snapshot(),
             "queue": self._queue.snapshot(),
             "batch_size": self._batch_size.snapshot(),
@@ -166,8 +175,9 @@ class ModelTelemetry:
     def merge(self, snapshot: Mapping) -> "ModelTelemetry":
         """Fold another worker's :meth:`snapshot` into this telemetry.
 
-        Counts and busy time add exactly; the rolling windows concatenate
-        and truncate to this telemetry's window size.
+        Counts and busy time add exactly; the busy window keeps the earlier
+        start and the later end; the rolling windows concatenate and
+        truncate to this telemetry's window size.
         """
         self._latency.merge(snapshot["latency"])
         self._queue.merge(snapshot["queue"])
@@ -177,6 +187,10 @@ class ModelTelemetry:
         self._rejected.merge(snapshot["rejected"])
         self._batches.merge(snapshot["batches"])
         self.busy.elapsed += float(snapshot.get("busy_s", 0.0))
+        starts = [t for t in (self.busy.first_started_at, snapshot.get("busy_start")) if t is not None]
+        ends = [t for t in (self.busy.last_stopped_at, snapshot.get("busy_end")) if t is not None]
+        self.busy.first_started_at = min(starts, default=None)
+        self.busy.last_stopped_at = max(ends, default=None)
         return self
 
 

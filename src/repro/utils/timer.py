@@ -18,9 +18,15 @@ __all__ = ["Timer", "VirtualClock"]
 
 @dataclass
 class Timer:
-    """A simple cumulative wall-clock timer usable as a context manager."""
+    """A simple cumulative wall-clock timer usable as a context manager.
+
+    Besides the summed :attr:`elapsed` time it records the ``perf_counter``
+    readings of its first start and last stop, the wall window it was busy in.
+    """
 
     elapsed: float = 0.0
+    first_started_at: float | None = field(default=None, init=False)
+    last_stopped_at: float | None = field(default=None, init=False)
     _started_at: float | None = field(default=None, repr=False)
 
     def start(self) -> "Timer":
@@ -33,6 +39,8 @@ class Timer:
         now = time.perf_counter()
         if self._started_at is not None:
             self.elapsed += now - self._started_at
+        elif self.first_started_at is None:
+            self.first_started_at = now
         self._started_at = now
         return self
 
@@ -40,14 +48,15 @@ class Timer:
         """Stop the timer and accumulate the elapsed interval."""
         if self._started_at is None:
             raise RuntimeError("Timer.stop() called before start()")
-        self.elapsed += time.perf_counter() - self._started_at
+        self.last_stopped_at = time.perf_counter()
+        self.elapsed += self.last_stopped_at - self._started_at
         self._started_at = None
         return self.elapsed
 
     def reset(self) -> None:
         """Zero the accumulated time."""
         self.elapsed = 0.0
-        self._started_at = None
+        self.first_started_at = self.last_stopped_at = self._started_at = None
 
     def __enter__(self) -> "Timer":
         return self.start()

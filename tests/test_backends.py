@@ -25,13 +25,16 @@ from repro.backends import (
 from repro.data import collate
 from repro.graph import (
     FUSED_MESSAGE_TYPES,
+    MESSAGE_TYPES,
     build_messages,
     fused_aggregate,
     fused_edgeconv,
     knn_graph,
     message_dim,
+    propagate,
     scatter,
 )
+from repro.graph.fused import _CHUNK_EDGES
 from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.models.edgeconv import EdgeConv
 from repro.nas.architecture import Architecture
@@ -188,12 +191,13 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
     def test_fused_edgeconv_matches_reference(self, backend_name, dtype, message_type, rng):
+        """The EdgeConv kernel (one Linear + LeakyReLU) computes the same under either path setting."""
         points = rng.normal(size=(40, 3)).astype(dtype)
         edge_index = knn_graph(points, 5)
         tol = dict(rtol=1e-4, atol=1e-5) if dtype == "float32" else dict(rtol=1e-9, atol=1e-11)
         for aggregator in AGGREGATORS:
             with default_dtype(dtype):
-                mlp = MLP([message_dim(message_type, 3), 40, 8], activation="leaky_relu",
+                mlp = MLP([message_dim(message_type, 3), 8], activation="leaky_relu",
                           final_activation=True, rng=np.random.default_rng(3))
                 x_ref = Tensor(points.copy(), requires_grad=True)
                 expected = _materialized_reference(x_ref, edge_index, mlp, message_type, aggregator)
@@ -226,8 +230,65 @@ class TestKernelEquivalence:
             out = fused_aggregate(x, edge_index, message_type, aggregator)
             (out * out).sum().backward()
         np.testing.assert_allclose(out.data, expected.data, rtol=1e-12, atol=1e-12)
+        if aggregator in ("max", "min"):
+            # fl(a - c) is monotone in a, so reducing x_j first is exact.
+            np.testing.assert_array_equal(out.data, expected.data)
         np.testing.assert_array_equal(out.data[9:], 0.0)
         np.testing.assert_allclose(x.grad, x_ref.grad, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("message_type", MESSAGE_TYPES)
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("mlp_dims", [None, (6,), (7, 5)], ids=["no_mlp", "edgeconv_mlp", "two_layer_mlp"])
+    def test_propagate_matches_materialized(self, mlp_dims, aggregator, message_type, rng):
+        """Every (message type, aggregator, MLP) case of ``propagate``, forward and all gradients."""
+        points = rng.normal(size=(30, 3))
+        edge_index = knn_graph(points[:26], 4)  # nodes 26..29 receive no messages
+        edge_index = edge_index[:, rng.permutation(edge_index.shape[1])]
+        results = {}
+        with default_dtype("float64"):
+            mlp = None if mlp_dims is None else MLP(
+                [message_dim(message_type, 3), *mlp_dims], activation="leaky_relu",
+                final_activation=True, rng=np.random.default_rng(4))
+            for backend_name in BACKENDS:
+                if mlp is not None:
+                    mlp.zero_grad()
+                x = Tensor(points.copy(), requires_grad=True)
+                with use_backend(backend_name):
+                    out = propagate(x, edge_index, message_type, aggregator, mlp=mlp)
+                (out * out).sum().backward()
+                params = {} if mlp is None else {name: p.grad.copy() for name, p in mlp.named_parameters()}
+                results[backend_name] = out.data, x.grad, params
+        (out, x_grad, params), (ref_out, ref_x_grad, ref_params) = results["numpy"], results["materialized"]
+        tol = dict(rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out, ref_out, **tol)
+        if mlp is None and aggregator in ("max", "min") and message_type in FUSED_MESSAGE_TYPES:
+            np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_allclose(x_grad, ref_x_grad, **tol)
+        assert params.keys() == ref_params.keys()
+        for name, grad in params.items():
+            np.testing.assert_allclose(grad, ref_params[name], **tol, err_msg=name)
+
+    @pytest.mark.parametrize("aggregator", ["max", "mean"])
+    def test_edgeconv_spans_several_chunks(self, aggregator, rng):
+        """An EdgeConv over more than one chunk of edges matches the materialized path."""
+        points = rng.normal(size=(1700, 3))
+        edge_index = knn_graph(points, 20)
+        assert edge_index.shape[1] > _CHUNK_EDGES
+        grads = {}
+        with default_dtype("float64"):
+            conv = EdgeConv(3, 8, aggregator=aggregator, rng=np.random.default_rng(6))
+            for backend_name in BACKENDS:
+                conv.zero_grad()
+                x = Tensor(points.copy(), requires_grad=True)
+                with use_backend(backend_name):
+                    out = conv(x, edge_index)
+                (out * out).sum().backward()
+                grads[backend_name] = out.data, x.grad, {n: p.grad.copy() for n, p in conv.named_parameters()}
+        (out, x_grad, params), (ref_out, ref_x_grad, ref_params) = grads["numpy"], grads["materialized"]
+        np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(x_grad, ref_x_grad, rtol=1e-10, atol=1e-12)
+        for name, grad in params.items():
+            np.testing.assert_allclose(grad, ref_params[name], rtol=1e-10, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_ragged_and_unsorted_graphs(self, backend_name, rng):
@@ -377,7 +438,7 @@ class TestTrainingParity:
         batch = self._batch(tiny_train)
         with default_dtype("float64"):
             supernet = Supernet(SupernetConfig(num_positions=6, hidden_dim=12, k=4, num_classes=4)).eval()
-        for message_type in ("target_rel", "rel_pos"):
+        for message_type in ("target_rel", "rel_pos", "source_rel"):
             path = self._supernet_path(message_type)
             self._assert_parity(supernet, lambda: supernet(batch, path), batch.labels)
 

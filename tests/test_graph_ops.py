@@ -41,8 +41,7 @@ from repro.graph import (
     FUSED_MESSAGE_TYPES,
     fused_aggregate,
     fused_edgeconv,
-    linearize_mlp,
-    supports_fused,
+    propagate,
     validate_index,
 )
 from repro.models.edgeconv import EdgeConv
@@ -394,12 +393,18 @@ class TestScatterDtype:
 
 
 class TestFusedKernels:
-    """Fused CSR/reduceat kernels match the materialized message path."""
+    """Fused gather-reduce and EdgeConv kernels match the materialized message path."""
 
     def _materialized(self, x, edge_index, mlp, message_type, aggregator):
         messages = build_messages(x, edge_index, message_type)
         transformed = mlp(messages) if mlp is not None else messages
         return scatter(transformed, edge_index[1], x.shape[0], aggregator)
+
+    @staticmethod
+    def _edgeconv_mlp(message_type, seed):
+        """EdgeConv's MLP shape: one Linear + LeakyReLU."""
+        return MLP([message_dim(message_type, 3), 6], activation="leaky_relu", final_activation=True,
+                   rng=np.random.default_rng(seed))
 
     @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
     @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
@@ -407,14 +412,12 @@ class TestFusedKernels:
         with default_dtype("float64"):
             points = rng.normal(size=(40, 3))
             edge_index = knn_graph(points, 5)
-            width = message_dim(message_type, 3)
-            mlp = MLP([width, 8, 4], activation="leaky_relu", final_activation=True,
-                      rng=np.random.default_rng(3))
+            mlp = self._edgeconv_mlp(message_type, 3)
             x = Tensor(points)
             expected = self._materialized(x, edge_index, mlp, message_type, aggregator)
-            fused = fused_edgeconv(
-                x, edge_index, mlp, message_type=message_type, aggregator=aggregator
-            )
+            with use_metrics(MetricsRegistry()) as metrics:
+                fused = propagate(x, edge_index, message_type, aggregator, mlp=mlp)
+        assert metrics.counter("graph.fused.dispatch").value == 1
         assert fused.shape == expected.shape
         np.testing.assert_allclose(fused.data, expected.data, rtol=1e-10, atol=1e-12)
 
@@ -424,18 +427,13 @@ class TestFusedKernels:
         with default_dtype("float64"):
             points = rng.normal(size=(30, 3))
             edge_index = knn_graph(points, 4)
-            width = message_dim(message_type, 3)
-            mlp = MLP([width, 6, 4], activation="leaky_relu", final_activation=True,
-                      rng=np.random.default_rng(5))
+            mlp = self._edgeconv_mlp(message_type, 5)
             x_ref = Tensor(points.copy(), requires_grad=True)
             self._materialized(x_ref, edge_index, mlp, message_type, aggregator).sum().backward()
             ref_grads = {name: p.grad.copy() for name, p in mlp.named_parameters()}
             mlp.zero_grad()
             x = Tensor(points.copy(), requires_grad=True)
-            fused_edgeconv(
-                x, edge_index, mlp, message_type=message_type, aggregator=aggregator,
-                chunk_edges=13,  # force several segment-aligned chunks
-            ).sum().backward()
+            propagate(x, edge_index, message_type, aggregator, mlp=mlp).sum().backward()
         np.testing.assert_allclose(x.grad, x_ref.grad, rtol=1e-9, atol=1e-11)
         for name, param in mlp.named_parameters():
             assert param.grad.shape == param.data.shape
@@ -483,22 +481,28 @@ class TestFusedKernels:
         x = Tensor(np.ones((4, 3), dtype=np.float32))
         edge_index = np.array([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
-            fused_edgeconv(x, edge_index, None, message_type="full", aggregator="sum")
+            fused_aggregate(x, edge_index, "full", "sum")
         with pytest.raises(ValueError):
-            fused_edgeconv(x, edge_index, None, message_type="rel_pos", aggregator="median")
-        bn_mlp = Sequential(Linear(3, 3), BatchNorm1d(3))
-        assert linearize_mlp(bn_mlp) is None
-        assert not supports_fused("rel_pos", bn_mlp)
+            fused_aggregate(x, edge_index, "rel_pos", "median")
         with pytest.raises(ValueError):
-            fused_edgeconv(x, edge_index, bn_mlp, message_type="rel_pos", aggregator="sum")
+            fused_edgeconv(x, edge_index, self._edgeconv_mlp("full", 0), message_type="full")
+        # Only EdgeConv's one Linear + activation has a per-edge kernel.
+        for mlp in (None, Sequential(Linear(3, 3), BatchNorm1d(3)),
+                    MLP([3, 4, 2], activation="relu", rng=np.random.default_rng(0))):
+            with pytest.raises(ValueError):
+                fused_edgeconv(x, edge_index, mlp, message_type="rel_pos", aggregator="sum")
 
-    def test_linearize_mlp_dropout(self):
+    def test_dropout_mlp_takes_materialized_path(self, rng):
         dropout_mlp = MLP([3, 4], activation="relu", final_activation=True, dropout=0.5,
-                          rng=np.random.default_rng(0))
-        dropout_mlp.train()
-        assert linearize_mlp(dropout_mlp) is None
-        dropout_mlp.eval()
-        assert linearize_mlp(dropout_mlp) is not None
+                          rng=np.random.default_rng(0)).eval()
+        points = rng.normal(size=(12, 3)).astype(np.float32)
+        edge_index = knn_graph(points, 3)
+        with use_metrics(MetricsRegistry()) as metrics:
+            out = propagate(Tensor(points), edge_index, "rel_pos", "max", mlp=dropout_mlp)
+        assert metrics.counter("graph.fused.dispatch").value == 0
+        assert metrics.counter("graph.materialized.dispatch").value == 1
+        expected = self._materialized(Tensor(points), edge_index, dropout_mlp, "rel_pos", "max")
+        np.testing.assert_array_equal(out.data, expected.data)
 
     def test_edgeconv_dispatches_fused_with_and_without_grad(self, rng):
         conv = EdgeConv(3, 8, aggregator="max", message_type="target_rel",
@@ -524,3 +528,39 @@ class TestFusedKernels:
             fused_aggregate(x, np.array([[0, 9], [1, 0]]), "rel_pos", "sum")
         with pytest.raises(ValueError):
             fused_aggregate(x, np.array([[0, -1], [1, 0]]), "rel_pos", "sum")
+
+    @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
+    def test_fused_aggregate_grad_check(self, message_type, aggregator, rng):
+        """Float64 central differences on a ragged, unsorted graph with empty targets."""
+        # In-degrees 3, 1, 0, 4, 0, 2, 0 (nodes 2, 4 and 6 receive nothing).
+        sources = np.array([2, 4, 6, 3, 0, 1, 5, 6, 2, 1])
+        targets = np.array([0, 0, 0, 1, 3, 3, 3, 3, 5, 5])
+        edge_index = np.stack([sources, targets])[:, rng.permutation(10)]
+        points = rng.normal(size=(7, 2))  # continuous draws: no ties in any segment
+        weights = rng.normal(size=(7, message_dim(message_type, 2)))
+
+        def loss(values):
+            out = fused_aggregate(Tensor(values), edge_index, message_type, aggregator)
+            return float((out.data * weights).sum())
+
+        x = Tensor(points.copy(), requires_grad=True)
+        with default_dtype("float64"):
+            (fused_aggregate(x, edge_index, message_type, aggregator) * weights).sum().backward()
+        expected = finite_difference_grad(loss, points.copy())
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("aggregator", ["max", "min"])
+    def test_tied_sources_split_gradient_equally(self, aggregator):
+        """Duplicate points tie in every channel; each gets half, as in ``scatter_max``."""
+        points = np.array([[0.0, 1.0], [2.0, -1.0], [2.0, -1.0], [0.5, -2.0]])
+        points = points if aggregator == "max" else -points
+        edge_index = np.array([[1, 2, 3, 0], [0, 0, 0, 3]])
+        for message_type in ("source_pos", "rel_pos"):
+            x = Tensor(points.copy(), requires_grad=True)
+            fused_aggregate(x, edge_index, message_type, aggregator).sum().backward()
+            x_ref = Tensor(points.copy(), requires_grad=True)
+            self._materialized(x_ref, edge_index, None, message_type, aggregator).sum().backward()
+            np.testing.assert_allclose(x.grad, x_ref.grad, rtol=1e-12)
+            np.testing.assert_array_equal(x.grad[1], x.grad[2])
+            np.testing.assert_array_equal(x.grad[1], 0.5)

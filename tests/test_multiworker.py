@@ -273,6 +273,23 @@ class TestWorkerPoolEngine:
         finally:
             pool.shutdown()
 
+    def test_restart_racing_shutdown_still_stops_the_worker(self):
+        """A slot restarted after shutdown sent its stop messages still gets one and exits."""
+        pool = WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1))
+        worker = pool._workers[0]
+        try:
+            # Shutdown has begun while the slot was dead, so no stop went to it;
+            # the supervisor then restarts the slot.
+            pool._shutdown = True
+            worker.process.kill()
+            worker.process.join(timeout=5.0)
+            pool._restart_worker(worker)
+            worker.process.join(timeout=10.0)
+            assert not worker.process.is_alive()
+        finally:
+            pool._shutdown = False
+            pool.shutdown()
+
     def test_submit_after_shutdown_rejected(self, rng):
         registry = _make_registry()
         pool = WorkerPoolEngine(registry, EngineConfig(), PoolConfig(workers=1))

@@ -305,6 +305,7 @@ class TestTelemetryOnObsPrimitives:
         telemetry.record_batch(2)
         telemetry.record_rejection()
         telemetry.busy.elapsed = 0.5
+        telemetry.busy.first_started_at, telemetry.busy.last_stopped_at = 10.0, 10.5
         report = telemetry.report()
         assert report == {
             "served": 2,
@@ -332,6 +333,26 @@ class TestTelemetryOnObsPrimitives:
 
     def test_empty_percentiles_golden(self):
         assert ModelTelemetry().latency_percentiles() == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+
+    def test_merged_throughput_is_the_fleet_rate(self):
+        """Two workers busy over the same wall window serve at the sum of their rates."""
+        frontend = ModelTelemetry(window=8)
+        for served, (start, end) in ((4, (10.0, 12.0)), (6, (10.0, 12.0))):
+            worker = ModelTelemetry(window=8)
+            for _ in range(served):
+                worker.record_request(latency_ms=1.0, queue_ms=0.0, from_cache=False)
+            worker.busy.elapsed = end - start
+            worker.busy.first_started_at, worker.busy.last_stopped_at = start, end
+            assert worker.throughput_rps == pytest.approx(served / 2.0)
+            frontend.merge(worker.snapshot())
+        assert frontend.throughput_rps == pytest.approx(2.0 + 3.0)
+        assert frontend.report()["busy_s"] == pytest.approx(4.0)
+        # A partly overlapping window widens the fleet window to its union.
+        late = ModelTelemetry(window=8)
+        late.record_request(latency_ms=1.0, queue_ms=0.0, from_cache=False)
+        late.busy.first_started_at, late.busy.last_stopped_at = 11.0, 13.0
+        frontend.merge(late.snapshot())
+        assert frontend.throughput_rps == pytest.approx(11 / 3.0)
 
     def test_worker_merge(self):
         workers = []

@@ -104,6 +104,20 @@ class TestTimer:
         assert timer.elapsed == before
         timer.stop()
 
+    def test_timer_records_busy_window(self):
+        timer = Timer()
+        with timer:
+            pass
+        first_start = timer.first_started_at
+        time.sleep(0.01)
+        with timer:
+            pass
+        assert timer.first_started_at == first_start
+        window = timer.last_stopped_at - timer.first_started_at
+        assert window >= 0.01 and window >= timer.elapsed
+        timer.reset()
+        assert timer.first_started_at is None and timer.last_stopped_at is None
+
     def test_timer_reset(self):
         timer = Timer()
         with timer:
