@@ -1,12 +1,14 @@
-"""Periodic search checkpoints persisted through the ArtifactStore.
+"""Search checkpoints persisted through the ArtifactStore.
 
 A :class:`SearchCheckpointer` binds one ``(store, key)`` pair — the same
 content-addressed key the final search artifact will be stored under, in
 a separate ``search_ckpt`` stage — and overwrites a single checkpoint
-entry as the search progresses (supernet epoch by epoch, EA generation by
-generation).  The checkpoint carries everything a killed search needs to
-continue *bit-identically*:
+entry as the search progresses: after every supernet epoch and every EA
+generation, in both search strategies.  The checkpoint carries everything
+a killed search needs to continue *bit-identically*:
 
+* the strategy and the search config it belongs to (a search with another
+  strategy or config refuses to resume from it),
 * the shared search RNG state and the (stochastic) latency evaluator's
   RNG state,
 * the virtual clock,
@@ -15,10 +17,10 @@ continue *bit-identically*:
 * the evolutionary-search population/history/counters,
 * the supernet weights and Adam optimiser slots (as arrays).
 
-Any checkpoint is a valid resume point: work after it is recomputed, and
-because everything downstream of the captured state is deterministic the
-recomputation replays the original run exactly.  The entry is discarded
-when the search completes (the final artifact supersedes it).
+Every commit is a valid resume point: because everything downstream of
+the captured state is deterministic, the resumed search replays the
+original run exactly.  The entry is discarded when the search completes
+(the final artifact supersedes it).
 
 ``save`` commits the entry *before* visiting the ``nas.search.checkpoint``
 fault point, so a chaos plan that "kills" the process at a checkpoint
@@ -47,17 +49,10 @@ _LOGGER = get_logger("nas.checkpoint")
 class SearchCheckpointer:
     """One overwritable checkpoint slot for a search run."""
 
-    def __init__(self, store: ArtifactStore, key: str, every: int = 1):
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
+    def __init__(self, store: ArtifactStore, key: str):
         self.store = store
         self.key = key
-        self.every = every
         self.saves = 0
-
-    def accepts(self, progress: int) -> bool:
-        """Whether an epoch/generation index is on the checkpoint cadence."""
-        return self.every == 1 or progress % self.every == 0
 
     def save(self, meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray] | None = None) -> None:
         """Commit a checkpoint (atomic via the store's staged writes)."""

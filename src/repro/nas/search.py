@@ -19,20 +19,24 @@ advanced by modelled costs (supernet training epochs, accuracy evaluations,
 latency queries) so the time-vs-quality plots are deterministic and
 machine-independent.
 
-Both :meth:`HGNAS.run` and :meth:`HGNAS.run_one_stage` accept a
-:class:`~repro.nas.checkpoint.SearchCheckpointer`: progress is committed
-after every supernet epoch and every EA generation, and a search restarted
-from the checkpoint replays the remainder *bit-identically* — the
-checkpoint captures the shared RNG (and evaluator RNG) state, the virtual
-clock, the fitness caches and the EA population, so every random draw and
-every float addition after the resume point repeats the uninterrupted run.
+Both strategies are built from one resumable stage (train a supernet, then
+run an evolutionary search on it): :meth:`HGNAS.run` runs two stages,
+:meth:`HGNAS.run_one_stage` one.  Given a
+:class:`~repro.nas.checkpoint.SearchCheckpointer`, a stage commits after
+every supernet epoch and every EA generation, and a search restarted from
+the checkpoint replays the remainder *bit-identically* — the checkpoint
+captures the shared RNG (and evaluator RNG) state, the virtual clock, the
+fitness caches, the supernet and the EA population, so every random draw
+and every float addition after the resume point repeats the uninterrupted
+run.  A checkpoint is bound to its strategy and config (and one-stage
+``iterations``); resuming under any other raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from repro.data.dataset import InMemoryDataset
 from repro.nas.architecture import Architecture
 from repro.nas.checkpoint import SearchCheckpointer
 from repro.nas.design_space import DesignSpace, DesignSpaceConfig
-from repro.nas.evolution import EvolutionConfig, EvolutionarySearch, HistoryPoint
+from repro.nas.evolution import EvolutionConfig, EvolutionarySearch, EvolutionResult, HistoryPoint
 from repro.nas.latency_eval import (
     EvaluatorRequest,
     LatencyEvaluator,
@@ -67,14 +71,6 @@ def _prefixed(arrays: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.nda
 
 def _subset(arrays: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
     return {name[len(prefix):]: array for name, array in arrays.items() if name.startswith(prefix)}
-
-
-def _history_docs(history: list[HistoryPoint]) -> list[dict]:
-    return [dataclasses.asdict(point) for point in history]
-
-
-def _history_from_docs(documents: list[dict]) -> list[HistoryPoint]:
-    return [HistoryPoint(**document) for document in documents]
 
 
 @dataclass(frozen=True)
@@ -134,6 +130,14 @@ class HGNASConfig:
             raise ValueError("epoch counts must be positive")
         if self.paths_per_function_eval <= 0 or self.eval_max_batches <= 0:
             raise ValueError("evaluation budgets must be positive")
+
+    def key_dict(self) -> dict:
+        """The fields that decide a search's outcome.
+
+        ``batched_evaluation`` is left out: batched and sequential scoring
+        are bit-identical by contract.
+        """
+        return {name: value for name, value in dataclasses.asdict(self).items() if name != "batched_evaluation"}
 
     def design_space_config(self) -> DesignSpaceConfig:
         """Derived design-space configuration."""
@@ -254,9 +258,6 @@ class HGNAS:
         evaluator = make_latency_evaluator(latency_oracle, request)
         return cls(config, train_dataset, val_dataset, evaluator, objective=objective, rng=rng, clock=clock)
 
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
     def _default_latency_scale(self) -> float:
         """Normalise the latency term by DGCNN's latency on the target device."""
         from repro.nas.presets import dgcnn_architecture
@@ -265,52 +266,8 @@ class HGNAS:
         scale = self.latency_evaluator.evaluate(reference)
         return max(float(scale), 1e-6)
 
-    def _train_supernet(
-        self,
-        supernet: Supernet,
-        path_sampler,
-        epochs: int,
-        *,
-        checkpointer: SearchCheckpointer | None = None,
-        phase: str | None = None,
-        strategy: str | None = None,
-        results: dict | None = None,
-        start_epoch: int = 0,
-        optimizer_state: dict[str, np.ndarray] | None = None,
-    ) -> None:
-        # Clock invariant: the training charge is added once, after the
-        # epoch loop.  Per-epoch checkpoints therefore carry the
-        # *pre-training* clock value, and a resumed run — which restores
-        # that value, finishes the remaining epochs and then performs the
-        # same single advance — lands on a bit-identical clock.
-        on_epoch = None
-        if checkpointer is not None and phase is not None:
-
-            def on_epoch(epoch: int, optimizer) -> None:
-                if not checkpointer.accepts(epoch):
-                    return
-                meta = self._capture_meta(phase, epoch, strategy=strategy, results=results)
-                meta["supernet_rng"] = supernet.rng_state()
-                arrays = _prefixed(supernet.state_dict(), "supernet.")
-                arrays.update(_prefixed(optimizer.state_dict(), "optimizer."))
-                checkpointer.save(meta, arrays)
-
-        train_supernet(
-            supernet,
-            self.train_dataset,
-            path_sampler,
-            epochs=epochs,
-            batch_size=self.config.batch_size,
-            lr=self.config.learning_rate,
-            rng=self.rng,
-            start_epoch=start_epoch,
-            optimizer_state=optimizer_state,
-            on_epoch=on_epoch,
-        )
-        self.clock.advance(epochs * self.config.epoch_cost_s)
-
     # ------------------------------------------------------------------ #
-    # Checkpoint capture / restore
+    # Checkpoint restore
     # ------------------------------------------------------------------ #
     def _encode_arch_cache(self, cache: dict[tuple, float]) -> list:
         return [[self._arch_by_key[key].to_dict(), float(value)] for key, value in cache.items()]
@@ -324,27 +281,23 @@ class HGNAS:
             cache[key] = float(value)
         return cache
 
-    def _capture_meta(
-        self, phase: str, progress: int, *, strategy: str | None, results: dict | None
-    ) -> dict:
-        """Scalar search state at a checkpoint (arrays travel separately)."""
-        meta = {
-            "phase": phase,
-            "progress": int(progress),
-            "strategy": strategy,
-            "results": dict(results or {}),
-            "rng_state": self.rng.bit_generator.state,
-            "clock_s": float(self.clock.now),
-            "accuracy_cache": self._encode_arch_cache(self._accuracy_cache),
-            "latency_cache": self._encode_arch_cache(self._latency_cache),
-            "prefetched_latencies": self._encode_arch_cache(self._prefetched_latencies),
-        }
-        evaluator_rng = getattr(self.latency_evaluator, "rng", None)
-        if evaluator_rng is not None:
-            meta["evaluator_rng_state"] = evaluator_rng.bit_generator.state
-        return meta
+    def _resume(
+        self, checkpointer: SearchCheckpointer | None, identity: dict
+    ) -> tuple[dict, dict[str, np.ndarray]]:
+        """Restore the committed checkpoint's search state; ``({}, {})`` if there is none.
 
-    def _restore_meta(self, meta: dict) -> None:
+        ``identity`` (strategy and config binding) must match the one the
+        checkpoint was committed under.
+        """
+        restored = checkpointer.load() if checkpointer is not None else None
+        if restored is None:
+            return {}, {}
+        meta, arrays = restored
+        if {name: meta.get(name) for name in identity} != identity:
+            raise ValueError(
+                f"checkpoint {checkpointer.key!r} belongs to another search (a {meta.get('strategy')!r} run), "
+                f"cannot resume a {identity['strategy']!r} search with this config from it"
+            )
         self.rng.bit_generator.state = meta["rng_state"]
         self.clock.now = float(meta["clock_s"])
         evaluator_rng = getattr(self.latency_evaluator, "rng", None)
@@ -352,64 +305,11 @@ class HGNAS:
             evaluator_rng.bit_generator.state = meta["evaluator_rng_state"]
         self._accuracy_cache = self._decode_arch_cache(meta["accuracy_cache"])
         self._latency_cache = self._decode_arch_cache(meta["latency_cache"])
-        self._prefetched_latencies = self._decode_arch_cache(meta["prefetched_latencies"])
-
-    def _load_checkpoint(
-        self, checkpointer: SearchCheckpointer | None, strategy: str, phases: tuple[str, ...]
-    ) -> tuple[dict, dict[str, np.ndarray], int, int]:
-        """Restore a committed checkpoint; ``phase_index == -1`` means none."""
-        if checkpointer is None:
-            return {}, {}, -1, -1
-        restored = checkpointer.load()
-        if restored is None:
-            return {}, {}, -1, -1
-        meta, arrays = restored
-        if meta.get("strategy") != strategy:
-            raise ValueError(
-                f"checkpoint {checkpointer.key!r} belongs to a {meta.get('strategy')!r} run, "
-                f"cannot resume a {strategy!r} search from it"
-            )
-        self._restore_meta(meta)
-        phase_index = phases.index(meta["phase"])
-        progress = int(meta["progress"])
         _LOGGER.info(
             "resuming %s search from checkpoint: phase=%s progress=%d clock=%.1fs",
-            strategy,
-            meta["phase"],
-            progress,
-            self.clock.now,
+            identity["strategy"], meta["phase"], meta["progress"], self.clock.now,
         )
-        return meta, arrays, phase_index, progress
-
-    def _generation_hook(
-        self,
-        checkpointer: SearchCheckpointer | None,
-        phase: str,
-        strategy: str,
-        results: dict,
-        supernet: Supernet,
-        search: EvolutionarySearch,
-        encode,
-    ):
-        """Per-generation checkpoint callback for :meth:`EvolutionarySearch.run`."""
-        if checkpointer is None:
-            return None
-
-        def hook(iteration: int) -> None:
-            if not checkpointer.accepts(iteration):
-                return
-            meta = self._capture_meta(phase, iteration, strategy=strategy, results=results)
-            meta["supernet_rng"] = supernet.rng_state()
-            meta["ea_state"] = search.state_dict(encode)
-            checkpointer.save(meta, _prefixed(supernet.state_dict(), "supernet."))
-
-        return hook
-
-    @staticmethod
-    def _restore_supernet(supernet: Supernet, meta: dict, arrays: Mapping[str, np.ndarray]) -> None:
-        """Rebuild a checkpointed supernet: weights plus internal RNG streams."""
-        supernet.load_state_dict(_subset(arrays, "supernet."))
-        supernet.set_rng_state(meta["supernet_rng"])
+        return meta, arrays
 
     @staticmethod
     def _encode_pair(pair: tuple[FunctionSet, FunctionSet]) -> dict:
@@ -495,9 +395,11 @@ class HGNAS:
         )
 
     # ------------------------------------------------------------------ #
-    # Stage 1: function search
+    # Evolutionary searches
     # ------------------------------------------------------------------ #
     def _function_search(self, supernet: Supernet) -> EvolutionarySearch:
+        """Stage 1: pairs of shared (upper, lower) function sets, scored by accuracy."""
+
         def initialize(rng: np.random.Generator) -> tuple[FunctionSet, FunctionSet]:
             return (random_function_set(rng), random_function_set(rng))
 
@@ -538,9 +440,6 @@ class HGNAS:
             clock=self.clock,
         )
 
-    # ------------------------------------------------------------------ #
-    # Candidate validation (repro.analysis)
-    # ------------------------------------------------------------------ #
     def _architecture_validator(self):
         """Static accept/reject hook for architecture-genotype searches.
 
@@ -567,16 +466,20 @@ class HGNAS:
 
         return validate
 
-    # ------------------------------------------------------------------ #
-    # Stage 2: operation search
-    # ------------------------------------------------------------------ #
-    def _operation_search(
-        self, supernet: Supernet, upper: FunctionSet, lower: FunctionSet
+    def _architecture_search(
+        self, supernet: Supernet, upper: FunctionSet | None = None, lower: FunctionSet | None = None
     ) -> EvolutionarySearch:
+        """Eq. 3 search over architectures: operations only with fixed
+        function sets (stage 2), operations and functions jointly without
+        them (one-stage baseline)."""
+        joint = upper is None
+
         def initialize(rng: np.random.Generator) -> Architecture:
             return self.design_space.random_architecture(rng, upper, lower)
 
         def mutate(architecture: Architecture, rng: np.random.Generator, num: int) -> Architecture:
+            if joint and rng.random() >= 0.5:
+                return self.design_space.mutate_functions(architecture, rng, num)
             return self.design_space.mutate_operations(architecture, rng, num)
 
         def crossover(a: Architecture, b: Architecture, rng: np.random.Generator) -> Architecture:
@@ -602,132 +505,126 @@ class HGNAS:
         )
 
     # ------------------------------------------------------------------ #
-    # Full runs
+    # Resumable stages and full runs
     # ------------------------------------------------------------------ #
+    def _stage(
+        self,
+        phases: tuple[str, str],
+        epochs: int,
+        functions: tuple[FunctionSet | None, FunctionSet | None],
+        make_search: Callable[[Supernet], EvolutionarySearch],
+        iterations: int,
+        codec: tuple[Callable, Callable],
+        checkpointer: SearchCheckpointer | None,
+        identity: dict,
+        restored: tuple[dict, dict[str, np.ndarray]],
+    ) -> tuple[Supernet, EvolutionResult]:
+        """Train a fresh supernet, then run an EA on it; commit after every
+        epoch and generation.
+
+        ``phases`` names the training and the EA phase.  Supernet paths
+        keep ``functions`` fixed where given.  A ``restored`` checkpoint
+        committed in one of ``phases`` is resumed: mid-training (weights,
+        optimiser slots, next epoch; after the last epoch only the clock
+        charge remains) or mid-EA (weights and population).  ``identity``
+        (strategy, config binding and earlier stages' ``results``) travels
+        in every commit's meta; ``codec`` encodes/decodes one EA genotype.
+        """
+        train_phase, search_phase = phases
+        meta, arrays = restored
+        phase = meta.get("phase")
+        supernet = Supernet(self.config.supernet_config())
+        if phase in phases:
+            supernet.load_state_dict(_subset(arrays, "supernet."))
+            supernet.set_rng_state(meta["supernet_rng"])
+        encode, decode = codec
+
+        def commit(progress: int, optimizer=None) -> None:
+            # Training commits pass the optimiser, EA commits do not.
+            if checkpointer is None:
+                return
+            state = dict(
+                identity,
+                phase=search_phase if optimizer is None else train_phase,
+                progress=int(progress),
+                rng_state=self.rng.bit_generator.state,
+                clock_s=float(self.clock.now),
+                accuracy_cache=self._encode_arch_cache(self._accuracy_cache),
+                latency_cache=self._encode_arch_cache(self._latency_cache),
+                supernet_rng=supernet.rng_state(),
+            )
+            evaluator_rng = getattr(self.latency_evaluator, "rng", None)
+            if evaluator_rng is not None:
+                state["evaluator_rng_state"] = evaluator_rng.bit_generator.state
+            state_arrays = _prefixed(supernet.state_dict(), "supernet.")
+            if optimizer is None:
+                state["ea_state"] = search.state_dict(encode)
+            else:
+                state_arrays.update(_prefixed(optimizer.state_dict(), "optimizer."))
+            checkpointer.save(state, state_arrays)
+
+        if phase != search_phase:
+            _LOGGER.info("%s: training the supernet for %d epochs", train_phase, epochs)
+            # A new supernet makes every cached path accuracy stale.
+            self._accuracy_cache.clear()
+            resumed = phase == train_phase
+            with get_tracer().span(f"nas.search.{train_phase}", epochs=epochs):
+                train_supernet(
+                    supernet,
+                    self.train_dataset,
+                    lambda rng: supernet.random_path(rng, *functions),
+                    epochs=epochs,
+                    batch_size=self.config.batch_size,
+                    lr=self.config.learning_rate,
+                    rng=self.rng,
+                    start_epoch=int(meta["progress"]) + 1 if resumed else 0,
+                    optimizer_state=_subset(arrays, "optimizer.") if resumed else None,
+                    on_epoch=commit,
+                )
+                # Clock invariant: training is charged once, after the
+                # epoch loop, so epoch commits carry the pre-training clock
+                # and a resumed run lands on the same single addition.
+                self.clock.advance(epochs * self.config.epoch_cost_s)
+
+        _LOGGER.info("%s: evolutionary search for %d generations", search_phase, iterations)
+        with get_tracer().span(f"nas.search.{search_phase}", iterations=iterations) as span:
+            search = make_search(supernet)
+            if phase == search_phase:
+                search.load_state_dict(meta["ea_state"], decode)
+            result = search.run(iterations, on_generation=commit)
+            span.attributes.update(best_score=float(result.best_score), evaluations=result.evaluations)
+        return supernet, result
+
     def run(self, checkpointer: SearchCheckpointer | None = None) -> SearchResult:
         """Run the multi-stage hierarchical search (Alg. 1).
 
         With a ``checkpointer``, progress is committed after every supernet
         epoch and every EA generation, and a run constructed identically
         (same config, datasets, evaluator, fresh ``rng``/``clock``) resumes
-        from the committed state bit-identically.  The checkpoint entry is
-        cleared once the search completes.
+        from the committed state bit-identically.  A checkpoint of another
+        strategy or config is refused.  The checkpoint entry is cleared
+        once the search completes.
         """
-        tracer = get_tracer()
-        phases = ("stage1_supernet", "stage1_functions", "stage2_supernet", "stage2_operations")
-        meta, arrays, phase_index, progress = self._load_checkpoint(checkpointer, "multi-stage", phases)
-        results: dict = dict(meta.get("results", {}))
-
-        supernet = Supernet(self.config.supernet_config())
-        if phase_index <= 0:
-            _LOGGER.info("stage 1: training supernet for function search")
-            with tracer.span("nas.search.stage1_supernet", epochs=self.config.function_epochs):
-                start_epoch = 0
-                optimizer_state = None
-                if phase_index == 0:
-                    self._restore_supernet(supernet, meta, arrays)
-                    optimizer_state = _subset(arrays, "optimizer.")
-                    start_epoch = progress + 1
-                self._train_supernet(
-                    supernet,
-                    lambda rng: supernet.random_path(rng),
-                    self.config.function_epochs,
-                    checkpointer=checkpointer,
-                    phase="stage1_supernet",
-                    strategy="multi-stage",
-                    results=results,
-                    start_epoch=start_epoch,
-                    optimizer_state=optimizer_state,
-                )
-        elif phase_index == 1:
-            # Interrupted mid stage-1 EA: the weights come from the
-            # checkpoint and the restored clock already carries the
-            # training charge — no training, no advance.
-            self._restore_supernet(supernet, meta, arrays)
-
-        if phase_index <= 1:
-            _LOGGER.info("stage 1: evolutionary function search")
-            with tracer.span("nas.search.stage1_functions") as span:
-                search = self._function_search(supernet)
-                if phase_index == 1:
-                    search.load_state_dict(meta["ea_state"], self._decode_pair)
-                hook = self._generation_hook(
-                    checkpointer, "stage1_functions", "multi-stage", results,
-                    supernet, search, self._encode_pair,
-                )
-                result = search.run(self.config.function_iterations, on_generation=hook)
-                upper, lower = result.best
-                stage1_history = result.history
-                span.attributes.update(best_score=float(stage1_history[-1].best_score))
-            results = {
-                "upper": upper.to_dict(),
-                "lower": lower.to_dict(),
-                "stage1_history": _history_docs(stage1_history),
-            }
-        else:
-            upper = FunctionSet.from_dict(results["upper"])
-            lower = FunctionSet.from_dict(results["lower"])
-            stage1_history = _history_from_docs(results["stage1_history"])
-
-        supernet = Supernet(self.config.supernet_config())
-        if phase_index <= 2:
-            _LOGGER.info("stage 2: re-training supernet with fixed functions")
-            with tracer.span("nas.search.stage2_supernet", epochs=self.config.operation_epochs):
-                start_epoch = 0
-                optimizer_state = None
-                if phase_index == 2:
-                    self._restore_supernet(supernet, meta, arrays)
-                    optimizer_state = _subset(arrays, "optimizer.")
-                    start_epoch = progress + 1
-                else:
-                    self._accuracy_cache.clear()
-                self._train_supernet(
-                    supernet,
-                    lambda rng: supernet.random_path(rng, upper_functions=upper, lower_functions=lower),
-                    self.config.operation_epochs,
-                    checkpointer=checkpointer,
-                    phase="stage2_supernet",
-                    strategy="multi-stage",
-                    results=results,
-                    start_epoch=start_epoch,
-                    optimizer_state=optimizer_state,
-                )
-        else:
-            self._restore_supernet(supernet, meta, arrays)
-
-        _LOGGER.info("stage 2: multi-objective operation search")
-        with tracer.span("nas.search.stage2_operations") as span:
-            search = self._operation_search(supernet, upper, lower)
-            if phase_index == 3:
-                search.load_state_dict(meta["ea_state"], Architecture.from_dict)
-            hook = self._generation_hook(
-                checkpointer, "stage2_operations", "multi-stage", results,
-                supernet, search, lambda arch: arch.to_dict(),
+        identity = {"strategy": "multi-stage", "config": self.config.key_dict()}
+        restored = self._resume(checkpointer, identity)
+        # Stage-1 outcome; present in checkpoints committed during stage 2.
+        results = restored[0].get("results", {})
+        if not results:
+            _, stage1 = self._stage(
+                ("stage1_supernet", "stage1_functions"), self.config.function_epochs, (None, None),
+                self._function_search, self.config.function_iterations, (self._encode_pair, self._decode_pair),
+                checkpointer, dict(identity, results={}), restored,
             )
-            result = search.run(self.config.operation_iterations, on_generation=hook)
-            best = result.best
-            best_score = result.best_score
-            stage2_history = result.history
-            evaluations = result.evaluations
-            span.attributes.update(best_score=float(best_score), evaluations=evaluations)
-
-        best_latency = self._latency(best)
-        best_accuracy = self._path_accuracy(supernet, best)
-        if checkpointer is not None:
-            checkpointer.clear()
-        return SearchResult(
-            best_architecture=best,
-            best_score=best_score,
-            best_accuracy=best_accuracy,
-            best_latency_ms=best_latency,
-            upper_functions=upper,
-            lower_functions=lower,
-            stage1_history=stage1_history,
-            stage2_history=stage2_history,
-            search_time_s=self.clock.now,
-            evaluations=evaluations,
-            strategy="multi-stage",
+            history = [dataclasses.asdict(point) for point in stage1.history]
+            results = {**self._encode_pair(stage1.best), "stage1_history": history}
+        upper, lower = self._decode_pair(results)
+        supernet, stage2 = self._stage(
+            ("stage2_supernet", "stage2_operations"), self.config.operation_epochs, (upper, lower),
+            lambda supernet: self._architecture_search(supernet, upper, lower), self.config.operation_iterations,
+            (Architecture.to_dict, Architecture.from_dict), checkpointer, dict(identity, results=results), restored,
         )
+        stage1_history = [HistoryPoint(**point) for point in results["stage1_history"]]
+        return self._finish(checkpointer, supernet, stage2, stage1_history, "multi-stage")
 
     def run_one_stage(
         self, iterations: int | None = None, checkpointer: SearchCheckpointer | None = None
@@ -737,87 +634,45 @@ class HGNAS:
         Used for the Fig. 9(b) ablation.  The supernet is trained once with
         fully random paths (same total epoch budget as the two stages of the
         hierarchical strategy) and a single EA explores the joint space.
-        Checkpoint/resume semantics match :meth:`run` (a resumed run must
-        pass the same ``iterations``).
+        Checkpoint/resume semantics match :meth:`run`; ``iterations`` is
+        part of the checkpoint's binding.
         """
-        tracer = get_tracer()
-        phases = ("one_stage_supernet", "one_stage_search")
-        meta, arrays, phase_index, progress = self._load_checkpoint(checkpointer, "one-stage", phases)
         iterations = iterations or (self.config.function_iterations + self.config.operation_iterations)
-        total_epochs = self.config.function_epochs + self.config.operation_epochs
-        supernet = Supernet(self.config.supernet_config())
-        if phase_index <= 0:
-            with tracer.span("nas.search.one_stage_supernet", epochs=total_epochs):
-                start_epoch = 0
-                optimizer_state = None
-                if phase_index == 0:
-                    self._restore_supernet(supernet, meta, arrays)
-                    optimizer_state = _subset(arrays, "optimizer.")
-                    start_epoch = progress + 1
-                self._train_supernet(
-                    supernet,
-                    lambda rng: supernet.random_path(rng),
-                    total_epochs,
-                    checkpointer=checkpointer,
-                    phase="one_stage_supernet",
-                    strategy="one-stage",
-                    start_epoch=start_epoch,
-                    optimizer_state=optimizer_state,
-                )
-        else:
-            self._restore_supernet(supernet, meta, arrays)
-
-        def initialize(rng: np.random.Generator) -> Architecture:
-            return self.design_space.random_architecture(rng)
-
-        def mutate(architecture: Architecture, rng: np.random.Generator, num: int) -> Architecture:
-            if rng.random() < 0.5:
-                return self.design_space.mutate_operations(architecture, rng, num)
-            return self.design_space.mutate_functions(architecture, rng, num)
-
-        def crossover(a: Architecture, b: Architecture, rng: np.random.Generator) -> Architecture:
-            return self.design_space.crossover_operations(a, b, rng)
-
-        def evaluate(architecture: Architecture) -> float:
-            return self._objective(supernet, architecture)
-
-        def evaluate_many(architectures: list[Architecture]) -> np.ndarray:
-            return self._objective_many(supernet, architectures)
-
-        search = EvolutionarySearch(
-            EvolutionConfig(population_size=self.config.population_size),
-            initialize=initialize,
-            mutate=mutate,
-            evaluate=evaluate,
-            crossover=crossover,
-            key=lambda arch: arch.key(),
-            rng=self.rng,
-            clock=self.clock,
-            evaluate_many=evaluate_many if self.config.batched_evaluation else None,
-            validate=self._architecture_validator(),
+        identity = {"strategy": "one-stage", "config": dict(self.config.key_dict(), iterations=iterations)}
+        supernet, result = self._stage(
+            ("one_stage_supernet", "one_stage_search"), self.config.function_epochs + self.config.operation_epochs,
+            (None, None), self._architecture_search, iterations, (Architecture.to_dict, Architecture.from_dict),
+            checkpointer, dict(identity, results={}), self._resume(checkpointer, identity),
         )
-        if phase_index == 1:
-            search.load_state_dict(meta["ea_state"], Architecture.from_dict)
-        with tracer.span("nas.search.one_stage_search", iterations=iterations) as span:
-            hook = self._generation_hook(
-                checkpointer, "one_stage_search", "one-stage", {},
-                supernet, search, lambda arch: arch.to_dict(),
-            )
-            result = search.run(iterations, on_generation=hook)
-            span.attributes.update(best_score=float(result.best_score), evaluations=result.evaluations)
+        return self._finish(checkpointer, supernet, result, [], "one-stage")
+
+    def _finish(
+        self,
+        checkpointer: SearchCheckpointer | None,
+        supernet: Supernet,
+        result: EvolutionResult,
+        stage1_history: list[HistoryPoint],
+        strategy: str,
+    ) -> SearchResult:
+        """Score the winner, clear the checkpoint and assemble the result.
+
+        The winner carries its function sets: stage 2 keeps stage 1's fixed.
+        """
         best = result.best
+        best_latency = self._latency(best)
+        best_accuracy = self._path_accuracy(supernet, best)
         if checkpointer is not None:
             checkpointer.clear()
         return SearchResult(
             best_architecture=best,
             best_score=result.best_score,
-            best_accuracy=self._path_accuracy(supernet, best),
-            best_latency_ms=self._latency(best),
+            best_accuracy=best_accuracy,
+            best_latency_ms=best_latency,
             upper_functions=best.upper_functions,
             lower_functions=best.lower_functions,
-            stage1_history=[],
+            stage1_history=stage1_history,
             stage2_history=result.history,
             search_time_s=self.clock.now,
             evaluations=result.evaluations,
-            strategy="one-stage",
+            strategy=strategy,
         )

@@ -320,7 +320,6 @@ class Workspace:
         fresh: bool = False,
         resume: bool = False,
         checkpoint: bool | None = None,
-        checkpoint_every: int = 1,
     ) -> SearchResult:
         """Run (or load the cached) hardware-aware search for this device.
 
@@ -333,13 +332,13 @@ class Workspace:
         restarts.
 
         Fault tolerance: with ``checkpoint`` on (the default for rooted
-        workspaces), progress is committed after every supernet epoch and
-        EA generation under the same content key, and ``resume=True`` picks
-        the committed checkpoint up after a crash — the resumed search is
-        bit-identical to an uninterrupted one.  Without ``resume``, any
+        workspaces), either strategy commits its progress after every
+        supernet epoch and EA generation under the same content key, and
+        ``resume=True`` picks the committed checkpoint up after a crash —
+        the resumed search is bit-identical to an uninterrupted one.  The
+        checkpoint is bound to the search config it was written under; the
+        content key already covers that config.  Without ``resume``, any
         stale checkpoint is discarded and the search starts over.
-        ``checkpoint_every`` thins the commit cadence (resume then replays
-        the uncommitted tail deterministically).
         """
         seed = self.defaults.seed if seed is None else seed
         oracle = latency_oracle.strip().lower()
@@ -354,19 +353,13 @@ class Workspace:
         # predictor factory when no explicit predictor is given, so the
         # factory's knobs are part of the result's identity in that case.
         may_use_workspace_predictor = predictor is None
-        # The evaluation path (batched vs sequential) is excluded from the
-        # key: it is bit-identical by contract, so both produce the same
-        # artifact (and pre-existing cached results keep their identity).
-        config_key = {
-            field: value
-            for field, value in dataclasses.asdict(config).items()
-            if field != "batched_evaluation"
-        }
         key = self.store.key_for(
             "search",
             {
                 "device": self._device_key(),
-                "config": config_key,
+                # Batched and sequential scoring share one artifact (see
+                # HGNASConfig.key_dict), so cached results keep their identity.
+                "config": config.key_dict(),
                 "oracle": oracle,
                 "strategy": strategy,
                 "seed": seed,
@@ -425,7 +418,7 @@ class Workspace:
             use_checkpoint = checkpoint if checkpoint is not None else self.store.root is not None
             checkpointer = None
             if use_checkpoint or resume:
-                checkpointer = SearchCheckpointer(self.store, key, every=checkpoint_every)
+                checkpointer = SearchCheckpointer(self.store, key)
                 if not resume:
                     checkpointer.clear()
             result = (

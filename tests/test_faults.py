@@ -23,11 +23,13 @@ from repro.faults import (
     reset_faults,
     use_faults,
 )
+from repro.data.synthetic_modelnet import make_synthetic_modelnet
 from repro.hardware import get_device
-from repro.nas import HGNAS, HGNASConfig, OracleLatencyEvaluator
+from repro.nas import HGNAS, HGNASConfig, MeasurementLatencyEvaluator, OracleLatencyEvaluator
 from repro.nas.checkpoint import CHECKPOINT_STAGE, SearchCheckpointer
 from repro.serving import CircuitBreaker, CircuitOpenError, RetryPolicy, SharedArrayCache
 from repro.serving.frontend import AsyncServingFrontend, FrontendTimeoutError, request_over_tcp
+from repro.utils.serialization import to_jsonable
 from repro.workspace.store import ArtifactStore
 
 
@@ -367,13 +369,6 @@ class TestTcpTimeouts:
 # Search checkpointing and resume
 # ---------------------------------------------------------------------- #
 class TestSearchCheckpointer:
-    def test_cadence(self, tmp_path):
-        checkpointer = SearchCheckpointer(ArtifactStore(tmp_path), "key", every=3)
-        assert [epoch for epoch in range(7) if checkpointer.accepts(epoch)] == [0, 3, 6]
-        assert SearchCheckpointer(ArtifactStore(tmp_path), "key").accepts(5)
-        with pytest.raises(ValueError):
-            SearchCheckpointer(ArtifactStore(tmp_path), "key", every=0)
-
     def test_save_load_clear_round_trip(self, tmp_path):
         checkpointer = SearchCheckpointer(ArtifactStore(tmp_path), "key")
         assert checkpointer.load() is None
@@ -397,57 +392,127 @@ class TestSearchCheckpointer:
         assert meta["progress"] == 0
 
 
-class TestSearchResume:
-    def _make_search(self, tiny_train, tiny_test):
-        config = HGNASConfig(
-            num_positions=6,
-            hidden_dim=12,
-            supernet_k=4,
-            num_classes=4,
-            population_size=4,
-            function_iterations=2,
-            operation_iterations=2,
-            function_epochs=1,
-            operation_epochs=1,
-            batch_size=5,
-            eval_max_batches=1,
-            paths_per_function_eval=1,
-            seed=0,
-        )
-        evaluator = OracleLatencyEvaluator(get_device("jetson-tx2"), num_points=256, k=10, num_classes=4)
-        return HGNAS(config, tiny_train, tiny_test, evaluator, rng=np.random.default_rng(0))
+#: Base search for the resume tests.  Its commit count per strategy is the
+#: number of ``FaultSpec(after=n)`` kill points, so every commit is covered:
+#: multi-stage 1 + 3 + 1 + 4 (epoch, generations, epoch, generations) and
+#: one-stage 2 + 6.
+_RESUME_CONFIG = dict(
+    num_positions=6,
+    hidden_dim=8,
+    supernet_k=4,
+    num_classes=4,
+    population_size=3,
+    function_iterations=2,
+    operation_iterations=3,
+    function_epochs=1,
+    operation_epochs=1,
+    batch_size=12,
+    eval_max_batches=1,
+    paths_per_function_eval=1,
+    seed=0,
+)
+_RESUME_COMMITS = {"run": 9, "run_one_stage": 8}
 
-    def test_kill_and_resume_is_bit_identical(self, tiny_train, tiny_test, tmp_path):
-        baseline = self._make_search(tiny_train, tiny_test).run()
+
+def _result_fields(result) -> tuple:
+    """Every :class:`SearchResult` field, in a form ``==`` compares bit-exactly."""
+    return (
+        result.best_architecture.to_dict(),
+        result.best_score,
+        result.best_accuracy,
+        result.best_latency_ms,
+        result.upper_functions.to_dict(),
+        result.lower_functions.to_dict(),
+        [(p.iteration, p.evaluations, p.best_score, p.clock_s) for p in result.stage1_history],
+        [(p.iteration, p.evaluations, p.best_score, p.clock_s) for p in result.stage2_history],
+        result.search_time_s,
+        result.evaluations,
+        result.strategy,
+    )
+
+
+@pytest.fixture(scope="module")
+def resume_data():
+    return make_synthetic_modelnet(num_classes=4, samples_per_class=3, num_points=16, seed=0)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(resume_data):
+    """Memoized uninterrupted result per (strategy, evaluator)."""
+    results: dict = {}
+
+    def get(strategy: str, evaluator: str):
+        if (strategy, evaluator) not in results:
+            checkpointer = SearchCheckpointer(ArtifactStore(), "run")
+            search = TestSearchResume.make_search(resume_data, evaluator)
+            results[strategy, evaluator] = getattr(search, strategy)(checkpointer=checkpointer)
+            assert checkpointer.saves == _RESUME_COMMITS[strategy]
+        return results[strategy, evaluator]
+
+    return get
+
+
+class TestSearchResume:
+    @staticmethod
+    def make_search(data, evaluator: str = "oracle", **overrides):
+        device = get_device("jetson-tx2")
+        if evaluator == "oracle":
+            latency = OracleLatencyEvaluator(device, num_points=256, k=10, num_classes=4)
+        else:
+            latency = MeasurementLatencyEvaluator(
+                device, num_points=256, k=10, num_classes=4, rng=np.random.default_rng(0)
+            )
+        config = HGNASConfig(**{**_RESUME_CONFIG, **overrides})
+        return HGNAS(config, *data, latency, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "strategy, evaluator, commit",
+        [
+            (strategy, evaluator, commit)
+            for strategy, commits in _RESUME_COMMITS.items()
+            for evaluator in ("oracle", "measurement")
+            for commit in range(commits)
+        ],
+    )
+    def test_kill_and_resume_is_bit_identical(self, resume_data, uninterrupted, strategy, evaluator, commit):
         # Interrupted run: an error spec at the checkpoint fault point
-        # simulates a kill landing right after the third commit.
-        plan = FaultPlan.of(FaultSpec(point="nas.search.checkpoint", action="error", after=2, times=1))
+        # simulates a kill landing right after commit ``commit``.
+        store = ArtifactStore()
+        killed = getattr(self.make_search(resume_data, evaluator), strategy)
+        plan = FaultPlan.of(FaultSpec(point="nas.search.checkpoint", action="error", after=commit, times=1))
         with use_faults(plan):
             with pytest.raises(InjectedFault):
-                self._make_search(tiny_train, tiny_test).run(
-                    checkpointer=SearchCheckpointer(ArtifactStore(tmp_path), "run")
-                )
-        # Resume with a fresh search object and a fresh store (disk only).
-        checkpointer = SearchCheckpointer(ArtifactStore(tmp_path), "run")
-        resumed = self._make_search(tiny_train, tiny_test).run(checkpointer=checkpointer)
-        assert resumed.best_architecture.key() == baseline.best_architecture.key()
-        assert resumed.best_score == baseline.best_score
-        assert resumed.best_accuracy == baseline.best_accuracy
-        assert resumed.search_time_s == baseline.search_time_s
-        assert [point.best_score for point in resumed.history] == [
-            point.best_score for point in baseline.history
-        ]
+                killed(checkpointer=SearchCheckpointer(store, "run"))
+        # Resume with a fresh search object from what a store on disk would
+        # hand back: the meta document after a JSON round trip.
+        meta, arrays = SearchCheckpointer(store, "run").load()
+        resumed_store = ArtifactStore()
+        resumed_store.save(CHECKPOINT_STAGE, "run", json.loads(json.dumps(to_jsonable(meta))), arrays)
+        checkpointer = SearchCheckpointer(resumed_store, "run")
+        resumed = getattr(self.make_search(resume_data, evaluator), strategy)(checkpointer=checkpointer)
+        assert _result_fields(resumed) == _result_fields(uninterrupted(strategy, evaluator))
         # The checkpoint slot is cleared once the search completes.
         assert checkpointer.load() is None
-        assert ArtifactStore(tmp_path).keys(CHECKPOINT_STAGE) == []
+        assert resumed_store.keys(CHECKPOINT_STAGE) == []
 
-    def test_strategy_mismatch_rejected(self, tiny_train, tiny_test, tmp_path):
+    @pytest.mark.parametrize(
+        "strategy, resume_strategy, overrides, resume_kwargs",
+        [
+            pytest.param("run", "run_one_stage", {}, {}, id="strategy"),
+            pytest.param("run", "run", {"beta": 3.0}, {}, id="beta"),
+            pytest.param("run", "run", {"population_size": 6}, {}, id="population_size"),
+            pytest.param("run_one_stage", "run_one_stage", {}, {"iterations": 2}, id="iterations"),
+        ],
+    )
+    def test_strategy_mismatch_rejected(
+        self, resume_data, tmp_path, strategy, resume_strategy, overrides, resume_kwargs
+    ):
         checkpointer = SearchCheckpointer(ArtifactStore(tmp_path), "run")
         plan = FaultPlan.of(FaultSpec(point="nas.search.checkpoint", action="error", times=1))
         with use_faults(plan):
             with pytest.raises(InjectedFault):
-                self._make_search(tiny_train, tiny_test).run(checkpointer=checkpointer)
+                getattr(self.make_search(resume_data), strategy)(checkpointer=checkpointer)
         with pytest.raises(ValueError, match="cannot resume"):
-            self._make_search(tiny_train, tiny_test).run_one_stage(
-                checkpointer=SearchCheckpointer(ArtifactStore(tmp_path), "run")
+            getattr(self.make_search(resume_data, **overrides), resume_strategy)(
+                checkpointer=SearchCheckpointer(ArtifactStore(tmp_path), "run"), **resume_kwargs
             )
