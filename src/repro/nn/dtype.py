@@ -48,9 +48,11 @@ _DEFAULT_DTYPE = np.dtype(np.float32)
 #: The wide accumulator dtype for *scalar bookkeeping*, not tensor compute:
 #: metric/telemetry accumulation, fitness and ranking statistics, content
 #: hashing and cache keys — places that must match Python ``float``
-#: arithmetic bit-for-bit regardless of the compute policy above.  This is
-#: the only sanctioned float64 spelling outside this module (the
-#: ``dtype-literal`` lint rule flags raw ``np.float64`` literals).
+#: arithmetic bit-for-bit regardless of the compute policy above.  KNN
+#: ranking keys (:mod:`repro.graph.knn`'s dense search) are built in it too,
+#: so float32 features rank their neighbours as an exact-distance KD-tree
+#: would.  This is the only sanctioned float64 spelling outside this module
+#: (the ``dtype-literal`` lint rule flags raw ``np.float64`` literals).
 WIDE_DTYPE = np.dtype(np.float64)
 
 

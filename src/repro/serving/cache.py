@@ -175,7 +175,9 @@ class CachingGraphBuilder:
             if local is None and self.shared is not None:
                 local = self.shared.get(key)
             if local is None:
-                local = self._build_local(method, cloud, k, key)
+                # Cache entries hold int32 local indices, half the bytes of
+                # int64; ``node_ids[local]`` below still yields int64 edges.
+                local = self._build_local(method, cloud, k, key).astype(np.int32)
                 if self.shared is not None:
                     self.shared.put_if_absent(key, local)
             if self.cache is not None and key not in self.cache:

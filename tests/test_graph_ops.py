@@ -141,6 +141,69 @@ class TestKNN:
         np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-9)
 
 
+def _brute_force_knn(points: np.ndarray, k: int, include_self: bool) -> np.ndarray:
+    """Each row's ``k`` nearest points in (squared distance, index) order."""
+    n = points.shape[0]
+    k_eff = min(k, n if include_self else n - 1)
+    rows = []
+    for i in range(n):
+        candidates = np.arange(n) if include_self else np.delete(np.arange(n), i)
+        sq_dist = ((points[candidates] - points[i]) ** 2).sum(axis=1)
+        rows.append(candidates[np.lexsort((candidates, sq_dist))][:k_eff])
+    return np.array(rows)
+
+
+def _kd_tree_knn(points: np.ndarray, k: int) -> np.ndarray:
+    """``cKDTree``'s k nearest neighbours of every point, self excluded."""
+    from scipy.spatial import cKDTree
+
+    _, idx = cKDTree(points).query(points, k=k + 1)
+    return np.array([[j for j in row if j != i][:k] for i, row in enumerate(idx)])
+
+
+class TestDenseKNN:
+    """Wide or small inputs take the blocked Gram-matrix path."""
+
+    @staticmethod
+    def _tied_features(rng, n: int, dims: int) -> np.ndarray:
+        # Small integers keep every float64 Gram entry exact, so exact ties
+        # (duplicate rows, an all-zero block) really are ties in the key.
+        points = rng.integers(-2, 3, size=(n, dims)).astype(np.float32)
+        points[n // 4 : n // 4 + min(n // 3, 40)] = 0.0
+        duplicates = rng.integers(0, n, size=n // 5)
+        points[duplicates] = points[rng.integers(0, n, size=duplicates.size)]
+        return points
+
+    @pytest.mark.parametrize("dims", [16, 64])
+    @pytest.mark.parametrize("n,k", [(2, 1), (2, 5), (7, 20), (60, 8), (300, 20), (600, 12)])
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_matches_brute_force_tie_order(self, rng, dims, n, k, include_self):
+        points = self._tied_features(rng, n, dims)
+        np.testing.assert_array_equal(
+            knn_indices(points, k, include_self=include_self),
+            _brute_force_knn(points.astype(np.float64), k, include_self),
+        )
+
+    def test_all_zero_rows_list_lowest_indices_first(self):
+        points = np.zeros((40, 16), dtype=np.float32)
+        points[:5] = np.arange(1, 6, dtype=np.float32)[:, None]
+        idx = knn_indices(points, 4)
+        np.testing.assert_array_equal(idx[10], [5, 6, 7, 8])
+        np.testing.assert_array_equal(idx[5], [6, 7, 8, 9])
+
+    @pytest.mark.parametrize("dims", [16, 64, 256])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_matches_kd_tree_on_float32_features(self, rng, dims, relu):
+        points = rng.standard_normal((1024, dims)).astype(np.float32)
+        if relu:
+            points = np.maximum(points, 0.0)
+        np.testing.assert_array_equal(knn_indices(points, 20), _kd_tree_knn(points, 20))
+
+    def test_small_low_dimensional_clouds_match_kd_tree(self, rng):
+        points = rng.standard_normal((64, 3))
+        np.testing.assert_array_equal(knn_indices(points, 20), _kd_tree_knn(points, 20))
+
+
 class TestSampling:
     def test_random_graph_shape(self, rng):
         ei = random_graph(10, 3, rng)

@@ -97,7 +97,7 @@ class TestCloudFingerprint:
 
 class TestCachingGraphBuilder:
     def test_matches_uncached_and_counts_hits(self, rng):
-        from repro.graph.batching import pack_clouds
+        from repro.graph.batching import batched_knn_graph, pack_clouds
 
         clouds = _clouds(rng, 3, num_points=12)
         points, batch = pack_clouds(clouds)
@@ -110,6 +110,11 @@ class TestCachingGraphBuilder:
         assert np.array_equal(first, again)
         assert np.array_equal(first, plain)
         assert cache.stats().hits == 3  # second pass hits all three clouds
+        # Entries are stored as int32; the stacked edges stay int64 and
+        # equal the plain batched KNN graph.
+        assert all(entry.dtype == np.int32 for entry in cache._entries.values())
+        assert first.dtype == again.dtype == np.int64
+        assert np.array_equal(first, batched_knn_graph(points, batch, 4))
 
     def test_random_sampling_is_deterministic_per_cloud(self, rng):
         from repro.graph.batching import pack_clouds
