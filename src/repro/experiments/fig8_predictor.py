@@ -16,9 +16,11 @@ import numpy as np
 
 from repro.experiments.common import resolve_devices
 from repro.nas.design_space import DesignSpace, DesignSpaceConfig
+from repro.predictor.batch import predict_latencies
 from repro.predictor.dataset import generate_predictor_dataset
+from repro.predictor.metrics import compute_metrics
 from repro.predictor.model import LatencyPredictor, PredictorConfig
-from repro.predictor.train import PredictorTrainingConfig, evaluate_predictor, train_predictor
+from repro.predictor.train import PredictorTrainingConfig, train_predictor
 
 __all__ = ["PredictorExperimentResult", "run_fig8"]
 
@@ -66,9 +68,9 @@ def run_fig8(
             or PredictorConfig(gcn_dims=(32, 48, 48), mlp_dims=(32, 16), num_points=1024, k=20, seed=seed)
         )
         train_predictor(predictor, train_split, val_split, training)
-        metrics = evaluate_predictor(predictor, val_split)
-        predicted = np.array([predictor.predict_from_graph(s.graph) for s in val_split.samples])
+        predicted = predict_latencies(predictor, [sample.graph for sample in val_split.samples])
         measured = val_split.latencies()
+        metrics = compute_metrics(predicted, measured)
         results.append(
             PredictorExperimentResult(
                 device=device.name,

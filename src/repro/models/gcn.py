@@ -41,7 +41,7 @@ class DenseGCNLayer(Module):
         """Apply the layer.
 
         Args:
-            x: Node features ``(N, in_dim)``, or a padded batch
+            x: Node features ``(N, in_dim)``, or a stacked batch
                 ``(B, M, in_dim)``.
             adj: Dense aggregation operator ``(N, N)`` (e.g. ``A + I``), or a
                 stacked batch ``(B, M, M)`` applied graph-by-graph.

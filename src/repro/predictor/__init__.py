@@ -1,7 +1,7 @@
 """GNN-based hardware performance predictor (paper Sec. III-D)."""
 
 from repro.predictor.arch_graph import ArchitectureGraph, architecture_to_graph
-from repro.predictor.batch import GraphBatch, collate_graphs, forward_graph_batch, predict_latencies
+from repro.predictor.batch import forward_graphs, predict_latencies
 from repro.predictor.dataset import PredictorDataset, PredictorSample, generate_predictor_dataset
 from repro.predictor.encoding import (
     FEATURE_DIM,
@@ -27,9 +27,7 @@ from repro.predictor.train import (
 __all__ = [
     "ArchitectureGraph",
     "architecture_to_graph",
-    "GraphBatch",
-    "collate_graphs",
-    "forward_graph_batch",
+    "forward_graphs",
     "predict_latencies",
     "PredictorDataset",
     "PredictorSample",

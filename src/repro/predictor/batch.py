@@ -1,151 +1,89 @@
-"""Batched (vectorized) evaluation of architecture graphs.
+"""Batched forward of the latency predictor over many architecture graphs.
 
-The search evaluates whole populations of candidate architectures per
-generation (paper Alg. 1: population 20 x 1000 iterations), so scoring them
-one graph at a time wastes most of the wall clock on per-call Python and
-autograd overhead.  This module pads a list of
-:class:`~repro.predictor.arch_graph.ArchitectureGraph` objects into one
-stacked batch and runs a *single* GCN + MLP forward for all of them.
+The search scores whole populations of candidate architectures per
+generation (paper Alg. 1: population 20 x 1000 iterations), and predictor
+training fits minibatches of labelled graphs, so running the predictor one
+graph at a time spends most of the wall clock on per-call Python and
+autograd overhead.  :func:`forward_graphs` is the one batched forward: it
+groups a list of :class:`~repro.predictor.arch_graph.ArchitectureGraph`
+objects by node count and runs one GCN + MLP forward per group.  Training
+(:func:`~repro.predictor.train.train_predictor`, with autograd on),
+validation and search scoring (:func:`predict_latencies`) all run it.
 
 Bit-exactness contract
 ----------------------
-:func:`predict_latencies` produces the **same floats** as running the
-predictor graph-by-graph, which keeps search results independent of the
-evaluation path.  Three properties make this hold:
+:func:`forward_graphs` produces the **same floats** as running
+:meth:`~repro.predictor.model.LatencyPredictor.forward_graph` graph by
+graph, with or without autograd, which keeps search results independent of
+the evaluation path and training losses equal to the per-graph reference.
+Three properties make this hold:
 
-* Graphs are grouped by node count and each group is stacked *without
-  padding*, so every batched matmul slice has exactly the shapes of the
-  sequential per-graph call and BLAS picks the same kernel.  (Zero padding
-  is mathematically exact, but changing the contraction length can switch
-  BLAS kernels whose different sum associations drift in the last ulp —
-  observed in practice when padding 9-node graphs to 16.)
-* Pooling uses the scatter kernels (``np.add.at`` / ``np.maximum.at``) over
-  the valid rows in graph order, accumulating in the same order as the
-  sequential ``sum(axis=0)`` / ``max(axis=0)`` reductions.
+* Each node-count group is stacked *without padding*, so every batched
+  matmul slice has exactly the shapes of the per-graph call and BLAS picks
+  the same kernel.  (Zero padding is mathematically exact, but changing the
+  contraction length can switch BLAS kernels whose different sum
+  associations drift in the last ulp — observed in practice when padding
+  9-node graphs to 16.)
+* Pooling is a per-slice ``sum`` / ``max`` over the node axis, accumulating
+  in the same order as the per-graph ``sum(axis=0)`` / ``max(axis=0)``.
 * The MLP runs on a ``(B, 1, F)`` stack of row vectors rather than a
   ``(B, F)`` matrix, so BLAS applies the same single-row kernel as the
-  sequential path (a ``(B, F) @ (F, out)`` GEMM may reassociate sums
+  per-graph path (a ``(B, F) @ (F, out)`` GEMM may reassociate sums
   differently from the per-row GEMV and drift in the last ulp).
 
-:func:`collate_graphs` / :func:`forward_graph_batch` still accept
-mixed-size batches (padded, mask-pooled) for callers that prefer one fused
-forward over exactness — e.g. batched training.
+Parameter gradients are sums over the graphs of a group, so they agree
+with the per-graph reference to rounding, not bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.graph.scatter import scatter_max, scatter_sum
 from repro.nn.dtype import WIDE_DTYPE
 from repro.nn.tensor import Tensor, concatenate, no_grad
 from repro.obs.metrics import get_metrics
 from repro.predictor.arch_graph import ArchitectureGraph
 
-__all__ = ["GraphBatch", "collate_graphs", "forward_graph_batch", "predict_latencies"]
+__all__ = ["forward_graphs", "predict_latencies"]
 
 
-@dataclass(frozen=True)
-class GraphBatch:
-    """A population of architecture graphs padded into one dense batch."""
-
-    features: np.ndarray  #: ``(B, M, FEATURE_DIM)`` zero-padded node features.
-    aggregation: np.ndarray  #: ``(B, M, M)`` zero-padded ``A + I`` operators.
-    node_counts: np.ndarray  #: ``(B,)`` true node count of every graph.
-    flat_rows: np.ndarray  #: Indices of valid rows in the flattened ``(B * M)`` node set.
-    segment_ids: np.ndarray  #: Graph id of every valid row (sorted ascending).
-
-    @property
-    def num_graphs(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def max_nodes(self) -> int:
-        return self.features.shape[1]
-
-
-def collate_graphs(graphs: Sequence[ArchitectureGraph]) -> GraphBatch:
-    """Pad-and-stack architecture graphs into one :class:`GraphBatch`.
-
-    Args:
-        graphs: Non-empty sequence of graphs (node counts may differ).
-
-    Returns:
-        The stacked batch; padded rows/columns are zero, so they are inert
-        under the GCN's masked aggregation and excluded from pooling.
-    """
-    if not graphs:
-        raise ValueError("cannot collate an empty list of graphs")
-    counts = np.array([graph.num_nodes for graph in graphs], dtype=np.int64)
-    num_graphs = len(graphs)
-    max_nodes = int(counts.max())
-    feature_dim = graphs[0].features.shape[1]
-    dtype = graphs[0].features.dtype
-    features = np.zeros((num_graphs, max_nodes, feature_dim), dtype=dtype)
-    aggregation = np.zeros((num_graphs, max_nodes, max_nodes), dtype=dtype)
-    for index, graph in enumerate(graphs):
-        if graph.features.shape[1] != feature_dim:
-            raise ValueError(
-                f"graph {index} has feature dim {graph.features.shape[1]}, expected {feature_dim}"
-            )
-        n = graph.num_nodes
-        features[index, :n] = graph.features
-        aggregation[index, :n, :n] = graph.adjacency
-    # Self-loops (the predictor's A + I sum aggregation) added in one bulk
-    # write; the extra 1 on padded diagonals multiplies zero feature rows.
-    diagonal = np.arange(max_nodes)
-    aggregation[:, diagonal, diagonal] += 1.0
-    segment_ids = np.repeat(np.arange(num_graphs, dtype=np.int64), counts)
-    offsets = np.repeat(np.arange(num_graphs, dtype=np.int64) * max_nodes, counts)
-    local = np.concatenate([np.arange(n, dtype=np.int64) for n in counts])
-    return GraphBatch(
-        features=features,
-        aggregation=aggregation,
-        node_counts=counts,
-        flat_rows=offsets + local,
-        segment_ids=segment_ids,
-    )
-
-
-def forward_graph_batch(predictor, batch: GraphBatch) -> Tensor:
-    """Standardised log1p-latency predictions for a whole batch.
+def forward_graphs(predictor, graphs: Sequence[ArchitectureGraph]) -> Tensor:
+    """Standardised log1p-latency predictions for ``graphs``, in input order.
 
     Args:
         predictor: A :class:`~repro.predictor.model.LatencyPredictor` (typed
             loosely to avoid a circular import); its GCN must accept batched
             ``(B, M, M)`` aggregation operators.
-        batch: Output of :func:`collate_graphs`.
+        graphs: Non-empty sequence of graphs (node counts may differ).
 
     Returns:
-        Tensor of shape ``(B,)`` with the same floats as per-graph
+        Tensor of shape ``(len(graphs),)``, differentiable when autograd is
+        on, with the same floats as per-graph
         :meth:`~repro.predictor.model.LatencyPredictor.forward_graph` calls.
     """
-    node_embeddings = predictor.gcn(Tensor(batch.features), batch.aggregation)
-    hidden = node_embeddings.shape[-1]
-    if batch.flat_rows.size == batch.num_graphs * batch.max_nodes:
-        # Uniform-size batch (the bit-exact fast path): no padding rows, so
-        # pooling is a plain per-slice reduction — same accumulation order
-        # as the sequential ``sum(axis=0)`` / ``max(axis=0)``.
-        pooled = concatenate(
-            [node_embeddings.sum(axis=1), node_embeddings.max(axis=1)],
-            axis=1,
-        )
-    else:
-        valid = node_embeddings.reshape(batch.num_graphs * batch.max_nodes, hidden)[batch.flat_rows]
-        pooled = concatenate(
-            [
-                scatter_sum(valid, batch.segment_ids, batch.num_graphs),
-                scatter_max(valid, batch.segment_ids, batch.num_graphs),
-            ],
-            axis=1,
-        )
-    # One row vector per graph: BLAS then uses the same single-row kernel as
-    # the sequential path, keeping the outputs bit-identical.
-    out = predictor.mlp(pooled.reshape(batch.num_graphs, 1, 2 * hidden))
-    return out.reshape(batch.num_graphs)
+    if not graphs:
+        raise ValueError("cannot run the predictor on an empty list of graphs")
+    groups: dict[int, list[int]] = {}
+    for index, graph in enumerate(graphs):
+        groups.setdefault(graph.num_nodes, []).append(index)
+    outputs = []
+    for num_nodes, indices in groups.items():
+        features = np.stack([graphs[index].features for index in indices])
+        aggregation = np.stack([graphs[index].adjacency for index in indices])
+        aggregation = aggregation.astype(features.dtype, copy=False)
+        # Self-loops (the predictor's A + I sum aggregation) in one bulk write.
+        diagonal = np.arange(num_nodes)
+        aggregation[:, diagonal, diagonal] += 1.0
+        node_embeddings = predictor.gcn(Tensor(features), aggregation)
+        pooled = concatenate([node_embeddings.sum(axis=1), node_embeddings.max(axis=1)], axis=1)
+        # One row vector per graph: BLAS then uses the same single-row kernel
+        # as the per-graph path, keeping the outputs bit-identical.
+        out = predictor.mlp(pooled.reshape(len(indices), 1, pooled.shape[1]))
+        outputs.append(out.reshape(len(indices)))
+    grouped_order = np.concatenate(list(groups.values()))
+    return concatenate(outputs, axis=0)[np.argsort(grouped_order)]
 
 
 def predict_latencies(predictor, graphs: Sequence[ArchitectureGraph]) -> np.ndarray:
@@ -153,27 +91,19 @@ def predict_latencies(predictor, graphs: Sequence[ArchitectureGraph]) -> np.ndar
 
     Bit-identical to mapping
     :meth:`~repro.predictor.model.LatencyPredictor.predict_from_graph` over
-    ``graphs``: the graphs are grouped by node count and every group is
-    scored with one fused unpadded forward (see the module docstring for
-    why unpadded shapes are what makes the floats exact).
+    ``graphs``: :func:`forward_graphs` without autograd, denormalised in
+    float64.
     """
     if not graphs:
         return np.zeros(0, dtype=WIDE_DTYPE)  # latency milliseconds: metric bookkeeping
-    groups: dict[int, list[int]] = {}
-    for index, graph in enumerate(graphs):
-        groups.setdefault(graph.num_nodes, []).append(index)
     metrics = get_metrics()
     metrics.count("predictor.batch.calls")
     metrics.count("predictor.batch.graphs", len(graphs))
-    metrics.count("predictor.batch.groups", len(groups))
+    metrics.count("predictor.batch.groups", len({graph.num_nodes for graph in graphs}))
     metrics.observe("predictor.batch.size", float(len(graphs)))
-    latencies = np.empty(len(graphs), dtype=WIDE_DTYPE)
     with no_grad():
-        for indices in groups.values():
-            batch = collate_graphs([graphs[index] for index in indices])
-            # The sequential path denormalizes a Python float (``.item()``
-            # upcasts the network output to float64); match it exactly by
-            # denormalizing in float64 regardless of the compute dtype.
-            standardised = forward_graph_batch(predictor, batch).numpy().astype(WIDE_DTYPE)
-            latencies[indices] = predictor.denormalize_to_ms(standardised)
-    return latencies
+        standardised = forward_graphs(predictor, graphs).numpy()
+    # The per-graph path denormalizes a Python float (``.item()`` upcasts the
+    # network output to float64); match it exactly by denormalizing in
+    # float64 regardless of the compute dtype.
+    return predictor.denormalize_to_ms(standardised.astype(WIDE_DTYPE))

@@ -85,7 +85,12 @@ class LatencyPredictor(Module):
         self.target_std = float(std)
 
     def forward_graph(self, graph: ArchitectureGraph) -> Tensor:
-        """Predict the standardised log1p-latency for one architecture graph."""
+        """Predict the standardised log1p-latency for one architecture graph.
+
+        The bit-exact per-graph reference for
+        :func:`~repro.predictor.batch.forward_graphs`, which training,
+        validation and search scoring run.
+        """
         features = Tensor(graph.features)
         aggregation = graph.aggregation_matrix()
         node_embeddings = self.gcn(features, aggregation)
@@ -136,9 +141,9 @@ class LatencyPredictor(Module):
     def predict_many_graphs(self, graphs: list[ArchitectureGraph]) -> np.ndarray:
         """Latency predictions (ms) for several encoded graphs in one forward.
 
-        The graphs are padded into one batch (see
-        :mod:`repro.predictor.batch`) and scored with a single GCN + MLP
-        forward; the result is bit-identical to mapping
+        The graphs are grouped by node count (see
+        :mod:`repro.predictor.batch`) and each group is scored with one
+        GCN + MLP forward; the result is bit-identical to mapping
         :meth:`predict_from_graph` over ``graphs``.
         """
         return predict_latencies(self, graphs)

@@ -17,7 +17,9 @@ import numpy as np
 
 from repro.nn.loss import huber_loss
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.tensor import Tensor
+from repro.obs.tracer import get_tracer
+from repro.predictor.batch import forward_graphs, predict_latencies
 from repro.predictor.dataset import PredictorDataset
 from repro.predictor.metrics import PredictorMetrics, compute_metrics
 from repro.predictor.model import LatencyPredictor
@@ -72,6 +74,10 @@ def train_predictor(
 ) -> PredictorTrainingHistory:
     """Train a latency predictor.
 
+    Every minibatch runs one :func:`~repro.predictor.batch.forward_graphs`
+    call with autograd on, and each epoch is one ``predictor.train.epoch``
+    span carrying the mean loss (and the validation MAPE when validating).
+
     Args:
         predictor: Model to train (modified in place; its target
             normalisation constants are set from the training labels).
@@ -94,37 +100,31 @@ def train_predictor(
     std = float(log_targets.std())
     predictor.set_target_normalization(mean, std if std > 1e-9 else 1.0)
     standardised = (log_targets - predictor.target_mean) / predictor.target_std
-    samples = train_dataset.samples
+    graphs = [sample.graph for sample in train_dataset.samples]
 
-    for _ in range(config.epochs):
-        predictor.train()
-        order = rng.permutation(len(samples))
-        epoch_losses: list[float] = []
-        for start in range(0, len(order), config.batch_size):
-            batch_indices = order[start : start + config.batch_size]
-            predictions = [predictor.forward_graph(samples[int(i)].graph) for i in batch_indices]
-            targets = standardised[batch_indices]
-            stacked = concatenate(predictions, axis=0)
-            loss = huber_loss(stacked, Tensor(targets), delta=1.0)
-            predictor.zero_grad()
-            loss.backward()
-            clip_grad_norm(predictor.parameters(), config.grad_clip)
-            optimizer.step()
-            epoch_losses.append(loss.item())
-        history.train_losses.append(float(np.mean(epoch_losses)))
-        if val_dataset is not None and len(val_dataset) > 0:
-            history.val_mape.append(evaluate_predictor(predictor, val_dataset).mape)
+    predictor.train()
+    for epoch in range(config.epochs):
+        with get_tracer().span("predictor.train.epoch", epoch=epoch) as span:
+            order = rng.permutation(len(graphs))
+            epoch_losses: list[float] = []
+            for start in range(0, len(order), config.batch_size):
+                batch_indices = order[start : start + config.batch_size]
+                predictions = forward_graphs(predictor, [graphs[int(i)] for i in batch_indices])
+                loss = huber_loss(predictions, Tensor(standardised[batch_indices]), delta=1.0)
+                predictor.zero_grad()
+                loss.backward()
+                clip_grad_norm(predictor.parameters(), config.grad_clip)
+                optimizer.step()
+                epoch_losses.append(loss.item())
+            history.train_losses.append(float(np.mean(epoch_losses)))
+            span.attributes["loss"] = history.train_losses[-1]
+            if val_dataset is not None and len(val_dataset) > 0:
+                history.val_mape.append(evaluate_predictor(predictor, val_dataset).mape)
+                span.attributes["val_mape"] = history.val_mape[-1]
     return history
 
 
 def evaluate_predictor(predictor: LatencyPredictor, dataset: PredictorDataset) -> PredictorMetrics:
     """Evaluate a predictor on raw latencies: MAPE, bounded accuracy, ranking."""
-    predictor.eval()
-    predictions = []
-    measured = []
-    with no_grad():
-        for sample in dataset.samples:
-            predictions.append(predictor.predict_from_graph(sample.graph))
-            measured.append(sample.latency_ms)
-    predictor.train()
-    return compute_metrics(np.array(predictions), np.array(measured))
+    predicted = predict_latencies(predictor, [sample.graph for sample in dataset.samples])
+    return compute_metrics(predicted, dataset.latencies())

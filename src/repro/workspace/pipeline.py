@@ -54,6 +54,12 @@ __all__ = ["PredictorBundle", "PoolServeReport", "ServeReport", "Workspace"]
 
 _LOGGER = get_logger("workspace")
 
+#: Names how predictors are trained.  Weights trained one graph at a time are
+#: not bit-identical to the node-count-grouped minibatch forward's, so the
+#: predictor and search artifact keys carry it: artifacts written by an older
+#: training path are retrained instead of served as current results.
+PREDICTOR_TRAINING_PATH = "node-count-grouped-minibatch"
+
 
 @dataclass
 class PredictorBundle:
@@ -256,6 +262,7 @@ class Workspace:
                     "predictor_config": dataclasses.asdict(predictor_config),
                     "training_config": dataclasses.asdict(training_config),
                     "seed": seed,
+                    "training_path": PREDICTOR_TRAINING_PATH,
                     # Fused and materialized paths are only allclose-equivalent,
                     # so artifacts from the two must not alias each other.
                     "backend": active_backend_name(),
@@ -373,6 +380,7 @@ class Workspace:
                     {
                         "num_samples": predictor_num_samples,
                         "epochs": predictor_epochs,
+                        "training_path": PREDICTOR_TRAINING_PATH,
                         "defaults": self.defaults.key_dict(),
                     }
                     if may_use_workspace_predictor

@@ -1,7 +1,7 @@
 """Tests for the batched population-evaluation fast path (PR 3).
 
 Covers the predictor's batched forward (bit-identical to the sequential
-path), the evolution engine's ``evaluate_many`` hook, the two bugfixes
+path, with autograd on as in training), the evolution engine's ``evaluate_many`` hook, the two bugfixes
 (``knn_indices`` self-loop padding, degenerate ``num_parents``) and the
 batched-vs-sequential equivalence of a full HGNAS search.
 """
@@ -22,7 +22,9 @@ from repro.nas.latency_eval import (
     evaluate_latencies,
     make_latency_evaluator,
 )
-from repro.predictor.batch import collate_graphs, forward_graph_batch
+from repro.nn.loss import huber_loss
+from repro.nn.tensor import Tensor, concatenate
+from repro.predictor.batch import forward_graphs
 from repro.predictor.evaluator import PredictorLatencyEvaluator
 from repro.predictor.model import LatencyPredictor, PredictorConfig
 from repro.utils.timer import VirtualClock
@@ -59,38 +61,42 @@ class TestBatchedPredictor:
         assert single.shape == (1,)
         assert single[0] == predictor.predict_latency_ms(architectures[0])
 
-    def test_collate_shapes_and_padding(self, population):
+    def test_forward_graphs_with_grad_bit_identical(self, population):
+        # The training forward: autograd on, mixed node counts, input order.
         architectures, predictor = population
         graphs = [predictor.encode(arch) for arch in architectures]
-        batch = collate_graphs(graphs)
-        counts = np.array([graph.num_nodes for graph in graphs])
-        assert batch.num_graphs == len(graphs)
-        assert batch.max_nodes == counts.max()
-        np.testing.assert_array_equal(batch.node_counts, counts)
-        assert batch.flat_rows.shape == (counts.sum(),)
-        # Padded feature rows stay zero; valid rows match the originals.
-        for index, graph in enumerate(graphs):
-            n = graph.num_nodes
-            np.testing.assert_array_equal(batch.features[index, :n], graph.features)
-            assert not batch.features[index, n:].any()
-
-    def test_collate_empty_raises(self):
-        with pytest.raises(ValueError):
-            collate_graphs([])
-
-    def test_mixed_size_forward_close(self, population):
-        # The padded mixed-size forward (used when callers skip the
-        # size-grouped path) is numerically equivalent, though not
-        # guaranteed bit-exact across BLAS kernels.
-        architectures, predictor = population
-        graphs = [predictor.encode(arch) for arch in architectures]
-        batch = collate_graphs(graphs)
-        from repro.nn.tensor import no_grad
-
-        with no_grad():
-            batched = forward_graph_batch(predictor, batch).numpy()
+        assert len({graph.num_nodes for graph in graphs}) > 1
+        batched = forward_graphs(predictor, graphs)
+        assert batched.requires_grad
         sequential = np.array([predictor.forward_graph(graph).item() for graph in graphs])
-        np.testing.assert_allclose(batched, sequential, rtol=1e-9)
+        np.testing.assert_array_equal(batched.numpy(), sequential)
+
+    def test_minibatch_loss_and_gradients_match_per_graph(self, population):
+        architectures, predictor = population
+        graphs = [predictor.encode(arch) for arch in architectures[:32]]
+        targets = Tensor(np.random.default_rng(0).normal(size=len(graphs)))
+        parameters = predictor.parameters()
+
+        def loss_and_grads(predictions):
+            loss = huber_loss(predictions, targets, delta=1.0)
+            predictor.zero_grad()
+            loss.backward()
+            grads = [parameter.grad.copy() for parameter in parameters]
+            predictor.zero_grad()
+            return loss.item(), grads
+
+        reference_loss, reference_grads = loss_and_grads(
+            concatenate([predictor.forward_graph(graph) for graph in graphs], axis=0)
+        )
+        loss, grads = loss_and_grads(forward_graphs(predictor, graphs))
+        assert loss == reference_loss
+        for grad, reference in zip(grads, reference_grads):
+            assert np.abs(grad - reference).max() <= 1e-5 * np.abs(reference).max()
+
+    def test_forward_graphs_empty_raises(self, population):
+        _, predictor = population
+        with pytest.raises(ValueError):
+            forward_graphs(predictor, [])
 
     def test_predictor_evaluator_batch(self, population):
         architectures, predictor = population

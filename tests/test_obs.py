@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.hardware import get_device
+from repro.nas.design_space import DesignSpace, DesignSpaceConfig
 from repro.nas.evolution import EvolutionConfig, EvolutionarySearch
 from repro.obs import (
     MetricsRegistry,
@@ -24,6 +26,13 @@ from repro.obs import (
     use_tracer,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.predictor import (
+    LatencyPredictor,
+    PredictorConfig,
+    PredictorTrainingConfig,
+    generate_predictor_dataset,
+    train_predictor,
+)
 from repro.serving.telemetry import ModelTelemetry, TelemetryStore
 from repro.utils.timer import VirtualClock
 from repro.workspace.store import ArtifactStore
@@ -295,6 +304,23 @@ class TestEvolutionInstrumentation:
         assert snapshot["nas.evolution.generations"]["value"] == 4
         assert snapshot["nas.evolution.evaluations"]["value"] == search.evaluations
         assert snapshot["nas.evolution.best_fitness"]["value"] == result.best_score
+
+
+class TestPredictorTrainingInstrumentation:
+    def test_per_epoch_spans(self):
+        rng = np.random.default_rng(0)
+        space = DesignSpace(DesignSpaceConfig(num_positions=4))
+        dataset = generate_predictor_dataset(space, get_device("jetson-tx2"), 24, rng)
+        train, val = dataset.split(0.75, rng)
+        predictor = LatencyPredictor(PredictorConfig(gcn_dims=(8, 8, 8), mlp_dims=(8,)))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            history = train_predictor(predictor, train, val, PredictorTrainingConfig(epochs=3, batch_size=8))
+        spans = [span for span in tracer.spans if span.name == "predictor.train.epoch"]
+        assert [span.attributes["epoch"] for span in spans] == [0, 1, 2]
+        assert [span.attributes["loss"] for span in spans] == history.train_losses
+        assert all(np.isfinite(span.attributes["loss"]) for span in spans)
+        assert [span.attributes["val_mape"] for span in spans] == history.val_mape
 
 
 class TestTelemetryOnObsPrimitives:
