@@ -16,7 +16,6 @@ paths share) are attached as ``extra_info`` for context.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 
@@ -40,16 +39,7 @@ def _population(num: int = POPULATION) -> tuple[list, LatencyPredictor]:
     return architectures, predictor
 
 
-def _best_of(fn, rounds: int = ROUNDS) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_population_scoring_speedup(benchmark):
+def test_population_scoring_speedup(benchmark, ab_medians):
     """Batched population scoring: >=3x the sequential path, same floats."""
     architectures, predictor = _population()
     graphs = [predictor.encode(arch) for arch in architectures]
@@ -58,21 +48,28 @@ def test_population_scoring_speedup(benchmark):
     batched = predictor.predict_many_graphs(graphs)
     np.testing.assert_array_equal(batched, sequential)
 
-    sequential_s = _best_of(lambda: [predictor.predict_from_graph(graph) for graph in graphs])
-    batched_s = _best_of(lambda: predictor.predict_many_graphs(graphs))
-    end_to_end_sequential_s = _best_of(
-        lambda: [predictor.predict_latency_ms(arch) for arch in architectures]
+    scoring, _ = ab_medians(
+        {
+            "sequential": lambda: [predictor.predict_from_graph(graph) for graph in graphs],
+            "batched": lambda: predictor.predict_many_graphs(graphs),
+        },
+        rounds=ROUNDS,
     )
-    end_to_end_batched_s = _best_of(lambda: predictor.predict_many(architectures))
+    end_to_end, _ = ab_medians(
+        {
+            "sequential": lambda: [predictor.predict_latency_ms(arch) for arch in architectures],
+            "batched": lambda: predictor.predict_many(architectures),
+        },
+        rounds=ROUNDS,
+    )
+    sequential_s, batched_s = scoring["sequential"], scoring["batched"]
 
     benchmark.pedantic(lambda: predictor.predict_many_graphs(graphs), rounds=3, iterations=1)
     benchmark.extra_info["population"] = POPULATION
     benchmark.extra_info["sequential_ms"] = round(sequential_s * 1e3, 3)
     benchmark.extra_info["batched_ms"] = round(batched_s * 1e3, 3)
     benchmark.extra_info["speedup"] = round(sequential_s / batched_s, 2)
-    benchmark.extra_info["end_to_end_speedup"] = round(
-        end_to_end_sequential_s / end_to_end_batched_s, 2
-    )
+    benchmark.extra_info["end_to_end_speedup"] = round(end_to_end["sequential"] / end_to_end["batched"], 2)
 
     assert sequential_s >= MIN_SPEEDUP * batched_s, (
         f"batched population scoring only {sequential_s / batched_s:.2f}x faster"

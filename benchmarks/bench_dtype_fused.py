@@ -18,14 +18,12 @@ The acceptance claims of the dtype/fusion work, quantified:
   1.2x faster on the fused path than on the materialized one, with
   allclose parameter gradients.
 
-Both models run the same eval batches.  Inference timings are best-of-N to
-suppress scheduler noise, mirroring ``bench_batched_eval.py``; training
-steps alternate the two paths round by round and compare medians.
+Both models run the same eval batches.  Every timing alternates the two
+configurations round by round after a warm-up round (the ``ab_medians``
+timer) and compares medians.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -61,16 +59,21 @@ def _build(dtype: str) -> tuple[DGCNN, DerivedModel, Batch]:
     return dgcnn.eval(), derived.eval(), batch
 
 
-def _best_of(fn, rounds: int = ROUNDS) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _on(backend: str, fn, *args):
+    """A deferred call of ``fn(*args)`` on ``backend``."""
+
+    def call():
+        with use_backend(backend):
+            return fn(*args)
+
+    return call
 
 
-def test_float32_fused_speedup_and_parity(benchmark):
+def _logits(model, batch: Batch) -> np.ndarray:
+    return model(batch).numpy()
+
+
+def test_float32_fused_speedup_and_parity(benchmark, ab_medians):
     """float32+fused inference: >=1.5x the float64 baseline, same answers."""
     dgcnn64, derived64, batch64 = _build("float64")
     dgcnn32, derived32, batch32 = _build("float32")
@@ -78,39 +81,38 @@ def test_float32_fused_speedup_and_parity(benchmark):
     with no_grad():
         # The two dtype pipelines share the seed, so the float32 weights and
         # data are rounded copies of the float64 ones.
-        with use_backend("materialized"):
-            logits64_dgcnn = dgcnn64(batch64).numpy()
-            logits64_derived = derived64(batch64).numpy()
-            baseline_dgcnn_s = _best_of(lambda: dgcnn64(batch64))
-            baseline_derived_s = _best_of(lambda: derived64(batch64))
+        seconds, logits = ab_medians(
+            {
+                "dgcnn64": _on("materialized", _logits, dgcnn64, batch64),
+                "dgcnn32": _on("numpy", _logits, dgcnn32, batch32),
+                "derived64": _on("materialized", _logits, derived64, batch64),
+                "derived32": _on("numpy", _logits, derived32, batch32),
+            },
+            rounds=ROUNDS,
+        )
         with use_backend("numpy"):
-            logits32_dgcnn = dgcnn32(batch32).numpy()
-            logits32_derived = derived32(batch32).numpy()
-            fused_dgcnn_s = _best_of(lambda: dgcnn32(batch32))
-            fused_derived_s = _best_of(lambda: derived32(batch32))
             benchmark.pedantic(lambda: derived32(batch32), rounds=3, iterations=1)
-            # Within one dtype, fused and materialized are interchangeable.
-            with use_backend("materialized"):
-                logits32_materialized = derived32(batch32).numpy()
+        # Within one dtype, fused and materialized are interchangeable.
+        logits32_materialized = _on("materialized", _logits, derived32, batch32)()
 
-    assert logits32_dgcnn.dtype == np.float32 and logits64_dgcnn.dtype == np.float64
-    np.testing.assert_allclose(logits32_materialized, logits32_derived, rtol=1e-4, atol=1e-4)
-    np.testing.assert_allclose(logits32_dgcnn, logits64_dgcnn, rtol=5e-3, atol=5e-3)
-    np.testing.assert_allclose(logits32_derived, logits64_derived, rtol=5e-3, atol=5e-3)
+    assert logits["dgcnn32"].dtype == np.float32 and logits["dgcnn64"].dtype == np.float64
+    np.testing.assert_allclose(logits32_materialized, logits["derived32"], rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(logits["dgcnn32"], logits["dgcnn64"], rtol=5e-3, atol=5e-3)
+    np.testing.assert_allclose(logits["derived32"], logits["derived64"], rtol=5e-3, atol=5e-3)
 
     labels = batch64.labels
-    acc64 = accuracy(logits64_dgcnn, labels), accuracy(logits64_derived, labels)
-    acc32 = accuracy(logits32_dgcnn, labels), accuracy(logits32_derived, labels)
+    acc64 = accuracy(logits["dgcnn64"], labels), accuracy(logits["derived64"], labels)
+    acc32 = accuracy(logits["dgcnn32"], labels), accuracy(logits["derived32"], labels)
     assert abs(acc64[0] - acc32[0]) <= 1e-9, "DGCNN top-1 accuracy diverged under float32"
     assert abs(acc64[1] - acc32[1]) <= 1e-9, "derived-model top-1 accuracy diverged under float32"
 
-    dgcnn_speedup = baseline_dgcnn_s / fused_dgcnn_s
-    derived_speedup = baseline_derived_s / fused_derived_s
-    benchmark.extra_info["dgcnn_baseline_ms"] = round(baseline_dgcnn_s * 1e3, 2)
-    benchmark.extra_info["dgcnn_fused_ms"] = round(fused_dgcnn_s * 1e3, 2)
+    dgcnn_speedup = seconds["dgcnn64"] / seconds["dgcnn32"]
+    derived_speedup = seconds["derived64"] / seconds["derived32"]
+    benchmark.extra_info["dgcnn_baseline_ms"] = round(seconds["dgcnn64"] * 1e3, 2)
+    benchmark.extra_info["dgcnn_fused_ms"] = round(seconds["dgcnn32"] * 1e3, 2)
     benchmark.extra_info["dgcnn_speedup"] = round(dgcnn_speedup, 2)
-    benchmark.extra_info["derived_baseline_ms"] = round(baseline_derived_s * 1e3, 2)
-    benchmark.extra_info["derived_fused_ms"] = round(fused_derived_s * 1e3, 2)
+    benchmark.extra_info["derived_baseline_ms"] = round(seconds["derived64"] * 1e3, 2)
+    benchmark.extra_info["derived_fused_ms"] = round(seconds["derived32"] * 1e3, 2)
     benchmark.extra_info["derived_speedup"] = round(derived_speedup, 2)
     benchmark.extra_info["accuracy"] = acc32[0]
 
@@ -122,29 +124,26 @@ def test_float32_fused_speedup_and_parity(benchmark):
     )
 
 
-def _train_step(model, batch: Batch) -> tuple[float, dict[str, np.ndarray]]:
-    """One forward + backward; returns its wall time and the gradients."""
+def _train_step(model, batch: Batch) -> dict[str, np.ndarray]:
+    """One forward + backward; returns the gradients."""
     model.zero_grad()
-    start = time.perf_counter()
     cross_entropy(model(batch), batch.labels).backward()
-    elapsed = time.perf_counter() - start
-    return elapsed, {name: param.grad for name, param in model.named_parameters() if param.grad is not None}
+    return {name: param.grad for name, param in model.named_parameters() if param.grad is not None}
 
 
-def test_float32_fused_train_step_speedup_and_parity(benchmark):
+def test_float32_fused_train_step_speedup_and_parity(benchmark, ab_medians):
     """Fused training steps: >=1.2x the materialized path, allclose gradients."""
     dgcnn, derived, batch = _build("float32")
     for name, model in (("dgcnn", dgcnn), ("derived", derived)):
         # eval() keeps dropout inert so both paths see identical networks;
         # grad stays enabled, so this is a full training forward + backward.
-        times: dict[str, list[float]] = {"numpy": [], "materialized": []}
-        grads: dict[str, dict[str, np.ndarray]] = {}
-        for round_index in range(TRAIN_ROUNDS):
-            order = ("numpy", "materialized") if round_index % 2 == 0 else ("materialized", "numpy")
-            for backend in order:
-                with use_backend(backend):
-                    elapsed, grads[backend] = _train_step(model, batch)
-                times[backend].append(elapsed)
+        times, grads = ab_medians(
+            {
+                "numpy": _on("numpy", _train_step, model, batch),
+                "materialized": _on("materialized", _train_step, model, batch),
+            },
+            rounds=TRAIN_ROUNDS,
+        )
 
         assert grads["numpy"].keys() == grads["materialized"].keys()
         for param, grad in grads["numpy"].items():
@@ -153,8 +152,7 @@ def test_float32_fused_train_step_speedup_and_parity(benchmark):
                 grad, reference, rtol=1e-4, atol=1e-4 * float(np.abs(reference).max()), err_msg=param
             )
 
-        fused_s = float(np.median(times["numpy"]))
-        materialized_s = float(np.median(times["materialized"]))
+        fused_s, materialized_s = times["numpy"], times["materialized"]
         speedup = materialized_s / fused_s
         benchmark.extra_info[f"{name}_train_materialized_ms"] = round(materialized_s * 1e3, 2)
         benchmark.extra_info[f"{name}_train_fused_ms"] = round(fused_s * 1e3, 2)

@@ -11,13 +11,12 @@ rule rests on, at DGCNN's serving shape (1024 points, k=20):
   search;
 * both searches return the same neighbour sets at both shapes.
 
-The two searches alternate round by round and the gate compares medians,
-so a transient load spike hits both alike.
+The two searches alternate round by round after a warm-up round (the
+``ab_medians`` timer) and the gate compares medians, so a transient load
+spike hits both alike.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -30,18 +29,11 @@ MIN_DENSE_SPEEDUP_WIDE = 2.0
 SEARCHES = {"dense": knn._dense_knn, "kd_tree": knn._kd_tree_knn}
 
 
-def _median_ms(searches: dict, points: np.ndarray) -> dict[str, float]:
+def _median_ms(ab_medians, points: np.ndarray) -> dict[str, float]:
     """Median wall time of each search over alternating rounds."""
-    times: dict[str, list[float]] = {name: [] for name in searches}
-    for search in searches.values():  # warm-up
-        search(points, K, False)
-    for round_index in range(ROUNDS):
-        names = list(searches) if round_index % 2 == 0 else list(reversed(searches))
-        for name in names:
-            start = time.perf_counter()
-            searches[name](points, K, False)
-            times[name].append((time.perf_counter() - start) * 1e3)
-    return {name: float(np.median(samples)) for name, samples in times.items()}
+    runs = {name: (lambda search=search: search(points, K, False)) for name, search in SEARCHES.items()}
+    medians, _ = ab_medians(runs, rounds=ROUNDS)
+    return {name: seconds * 1e3 for name, seconds in medians.items()}
 
 
 def _points(dims: int) -> np.ndarray:
@@ -53,9 +45,9 @@ def _same_neighbour_sets(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(np.sort(a, axis=1), np.sort(b, axis=1))
 
 
-def test_dense_wins_on_wide_features(benchmark):
+def test_dense_wins_on_wide_features(benchmark, ab_medians):
     points = _points(256)
-    ms = _median_ms(SEARCHES, points)
+    ms = _median_ms(ab_medians, points)
     benchmark.pedantic(lambda: knn.knn_indices(points, K), rounds=1, iterations=1)
     benchmark.extra_info.update({f"{name}_ms": round(value, 2) for name, value in ms.items()})
 
@@ -65,9 +57,9 @@ def test_dense_wins_on_wide_features(benchmark):
     assert ms["kd_tree"] >= MIN_DENSE_SPEEDUP_WIDE * ms["dense"], ms
 
 
-def test_kd_tree_wins_on_3d_clouds(benchmark):
+def test_kd_tree_wins_on_3d_clouds(benchmark, ab_medians):
     points = _points(3)
-    ms = _median_ms(SEARCHES, points)
+    ms = _median_ms(ab_medians, points)
     benchmark.pedantic(lambda: knn.knn_indices(points, K), rounds=1, iterations=1)
     benchmark.extra_info.update({f"{name}_ms": round(value, 2) for name, value in ms.items()})
 

@@ -10,13 +10,12 @@ This benchmark times the same fused float32 DGCNN forward as
 * with both the process tracer and metrics registry disabled via
   ``observability_disabled()`` (the default untraced configuration).
 
-Timings are best-of-N to suppress scheduler noise; the traced/untraced
-ratio must stay below ``MAX_OVERHEAD``.
+The two configurations alternate round by round after a warm-up round
+(the ``ab_medians`` timer), and the ratio of their median forward times
+must stay below ``MAX_OVERHEAD``.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.backends import use_backend
 from repro.data.dataset import Batch, collate
@@ -44,16 +43,7 @@ def _build() -> tuple[DGCNN, Batch]:
     return model.eval(), batch
 
 
-def _best_of(fn, rounds: int = ROUNDS) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_tracing_overhead_under_gate(benchmark):
+def test_tracing_overhead_under_gate(benchmark, ab_medians):
     """Traced fused DGCNN forward stays within 5% of the untraced forward."""
     model, batch = _build()
     reset_observability()
@@ -62,12 +52,14 @@ def test_tracing_overhead_under_gate(benchmark):
         with trace_span("bench.forward"):
             model(batch)
 
-    with no_grad(), use_backend("numpy"):
-        model(batch)  # warm caches before either timing pass
+    def untraced_forward():
         with observability_disabled():
-            untraced_s = _best_of(lambda: model(batch))
-        traced_s = _best_of(traced_forward)
+            model(batch)
+
+    with no_grad(), use_backend("numpy"):
+        medians, _ = ab_medians({"untraced": untraced_forward, "traced": traced_forward}, rounds=ROUNDS)
         benchmark.pedantic(traced_forward, rounds=3, iterations=1)
+    untraced_s, traced_s = medians["untraced"], medians["traced"]
 
     # The traced pass actually recorded: spans landed and the fused kernels
     # bumped their dispatch counter.

@@ -9,8 +9,6 @@ and the content-addressed caches serve repeated inputs without recomputing
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.hardware import get_device
@@ -56,19 +54,9 @@ def _repeated_stream() -> list[np.ndarray]:
     return [unique[int(i)] for i in rng.integers(0, NUM_UNIQUE, size=NUM_REQUESTS)]
 
 
-def _timed_throughput(run) -> tuple[float, list]:
-    """Requests/s of one ``run()`` and its results."""
-    start = time.perf_counter()
-    results = run()
-    return len(results) / (time.perf_counter() - start), results
-
-
-def test_batched_beats_sequential(benchmark):
+def test_batched_beats_sequential(benchmark, ab_medians):
     """Micro-batching must strictly out-serve one-by-one submission."""
     stream = _unique_stream()
-    # Warm the process (numpy/scipy lazy initialisation) so neither
-    # measurement absorbs first-call costs.
-    _make_engine(max_batch_size=4, cache_capacity=0).submit_many("bench", stream[:8])
 
     def sequential_run():
         engine = _make_engine(max_batch_size=1, cache_capacity=0)
@@ -78,18 +66,15 @@ def test_batched_beats_sequential(benchmark):
         engine = _make_engine(max_batch_size=BATCH_SIZE, cache_capacity=0)
         return lambda: engine.submit_many("bench", stream)
 
-    # Alternate the two modes round by round (each round on fresh engines)
-    # and compare medians, so a transient load spike hits both modes alike.
-    make_runs = {"sequential": sequential_run, "batched": batched_run}
-    rates: dict[str, list[float]] = {mode: [] for mode in make_runs}
-    results: dict[str, list] = {}
-    for round_index in range(ROUNDS):
-        order = ("sequential", "batched") if round_index % 2 == 0 else ("batched", "sequential")
-        for mode in order:
-            rps, results[mode] = _timed_throughput(make_runs[mode]())
-            rates[mode].append(rps)
-    sequential_rps = float(np.median(rates["sequential"]))
-    batched_rps = float(np.median(rates["batched"]))
+    # Alternate the two modes round by round, each round on fresh engines
+    # built outside the timing, after one warm-up round (numpy/scipy lazy
+    # initialisation), and compare medians, so a transient load spike hits
+    # both modes alike.
+    medians, results = ab_medians(
+        {"sequential": sequential_run, "batched": batched_run}, rounds=ROUNDS, fresh=True
+    )
+    sequential_rps = len(stream) / medians["sequential"]
+    batched_rps = len(stream) / medians["batched"]
     # Benchmark timing on a fresh engine so pytest-benchmark reports the
     # batched serving path without warm-process effects from above.
     bench_engine = _make_engine(max_batch_size=BATCH_SIZE, cache_capacity=0)

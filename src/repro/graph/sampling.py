@@ -13,7 +13,44 @@ import numpy as np
 from repro.graph.edge_index import validate_edge_index
 from repro.nn.dtype import as_float_array
 
-__all__ = ["random_graph", "farthest_point_sampling", "subsample_points"]
+__all__ = ["SAMPLER_VERSION", "random_graph", "farthest_point_sampling", "subsample_points"]
+
+#: Names :func:`random_graph`'s draw.  Its RNG stream differs from the
+#: per-node loop it replaced, so every artifact and edge-cache key that
+#: depends on random graphs carries it: entries drawn from another stream
+#: are rebuilt, never served as current.
+SAMPLER_VERSION = "block-redraw"
+
+#: A block draw redraws colliding rows only while a row is duplicate-free
+#: with at least this probability; denser draws rank random keys instead.
+_MIN_ACCEPT = 0.5
+#: Redraw rounds before the rows still colliding fall back to the ranking.
+_MAX_REDRAWS = 8
+
+
+def _uniform_subsets(rows: int, pool: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """``rows`` independent uniform ``k``-subsets of ``range(pool)``, shape ``(rows, k)``.
+
+    Sparse draws take an ``(rows, k)`` block with replacement and redraw
+    every row holding a duplicate: an accepted row is a uniform ordered
+    draw without replacement.  Dense draws (and rows still colliding after
+    :data:`_MAX_REDRAWS` rounds) keep the ``k`` smallest of ``pool``
+    uniform keys, so the work stays bounded as ``k`` approaches ``pool``.
+    """
+    out = np.empty((rows, k), dtype=np.int64)
+    pending = np.arange(rows)
+    if np.prod(1.0 - np.arange(k) / pool) >= _MIN_ACCEPT:
+        for _ in range(_MAX_REDRAWS):
+            block = rng.integers(0, pool, size=(len(pending), k))
+            ordered = np.sort(block, axis=1)
+            clash = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            out[pending[~clash]] = block[~clash]
+            pending = pending[clash]
+            if not len(pending):
+                return out
+    keys = rng.random((len(pending), pool))
+    out[pending] = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    return out
 
 
 def random_graph(
@@ -22,7 +59,11 @@ def random_graph(
     rng: np.random.Generator,
     include_self: bool = False,
 ) -> np.ndarray:
-    """Connect every node to ``k`` uniformly random other nodes.
+    """Connect every node to ``k`` uniformly random distinct other nodes.
+
+    Every node's sources are a uniform ``k_eff``-subset of the other nodes
+    (of all nodes with ``include_self``), drawn for all nodes at once.  A
+    single node gets its self-loop, the only edge it can have.
 
     Args:
         num_nodes: Number of nodes in the cloud.
@@ -37,16 +78,14 @@ def random_graph(
         raise ValueError(f"num_nodes must be positive, got {num_nodes}")
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    max_k = num_nodes if include_self else max(num_nodes - 1, 1)
-    k_eff = min(k, max_k)
-    sources = np.empty((num_nodes, k_eff), dtype=np.int64)
-    for target in range(num_nodes):
-        if include_self or num_nodes == 1:
-            candidates = rng.integers(0, num_nodes, size=k_eff)
-        else:
-            candidates = rng.choice(num_nodes - 1, size=k_eff, replace=k_eff > num_nodes - 1)
-            candidates = candidates + (candidates >= target)
-        sources[target] = candidates
+    if include_self or num_nodes == 1:
+        k_eff = min(k, num_nodes)
+        sources = _uniform_subsets(num_nodes, num_nodes, k_eff, rng)
+    else:
+        k_eff = min(k, num_nodes - 1)
+        sources = _uniform_subsets(num_nodes, num_nodes - 1, k_eff, rng)
+        # Shift each row's draw from range(n - 1) past its own node.
+        sources += sources >= np.arange(num_nodes)[:, None]
     targets = np.repeat(np.arange(num_nodes, dtype=np.int64), k_eff)
     edge_index = np.stack([sources.reshape(-1), targets], axis=0)
     return validate_edge_index(edge_index, num_nodes)

@@ -17,6 +17,13 @@ a killed search needs to continue *bit-identically*:
 * the evolutionary-search population/history/counters,
 * the supernet weights and Adam optimiser slots (as arrays).
 
+Only a supernet epoch changes the weights, so only a training commit
+writes arrays (uncompressed ``arrays.npz``).  An EA-generation commit is
+meta-only: it atomically replaces ``meta.json`` and keeps the entry's
+committed arrays and their checksum, which every load still verifies.  A
+search therefore writes arrays once per supernet epoch, not once per
+commit.
+
 Every commit is a valid resume point: because everything downstream of
 the captured state is deterministic, the resumed search replays the
 original run exactly.  The entry is discarded when the search completes
@@ -55,8 +62,12 @@ class SearchCheckpointer:
         self.saves = 0
 
     def save(self, meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray] | None = None) -> None:
-        """Commit a checkpoint (atomic via the store's staged writes)."""
-        self.store.save(CHECKPOINT_STAGE, self.key, meta, arrays)
+        """Commit a checkpoint (atomic via the store's staged writes).
+
+        Without ``arrays`` the commit is meta-only: the slot keeps the
+        arrays it last committed (none, if it is empty).
+        """
+        self.store.save(CHECKPOINT_STAGE, self.key, meta, arrays, keep_arrays=arrays is None)
         self.saves += 1
         get_metrics().count("nas.search.checkpoints")
         fault_point(

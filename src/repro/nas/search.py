@@ -28,8 +28,11 @@ the checkpoint replays the remainder *bit-identically* — the checkpoint
 captures the shared RNG (and evaluator RNG) state, the virtual clock, the
 fitness caches, the supernet and the EA population, so every random draw
 and every float addition after the resume point repeats the uninterrupted
-run.  A checkpoint is bound to its strategy and config (and one-stage
-``iterations``); resuming under any other raises ``ValueError``.
+run.  Only training commits write the supernet weights and optimiser
+slots; no EA generation changes them, so its commit is meta-only and keeps
+the weights of the stage's last epoch.  A checkpoint is bound to its
+strategy and config (and one-stage ``iterations``); resuming under any
+other raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -540,7 +543,9 @@ class HGNAS:
         encode, decode = codec
 
         def commit(progress: int, optimizer=None) -> None:
-            # Training commits pass the optimiser, EA commits do not.
+            # Training commits pass the optimiser and write the weights; EA
+            # commits do not, and keep the weights of the last training
+            # commit, which no EA generation changes.
             if checkpointer is None:
                 return
             state = dict(
@@ -556,12 +561,13 @@ class HGNAS:
             evaluator_rng = getattr(self.latency_evaluator, "rng", None)
             if evaluator_rng is not None:
                 state["evaluator_rng_state"] = evaluator_rng.bit_generator.state
-            state_arrays = _prefixed(supernet.state_dict(), "supernet.")
             if optimizer is None:
                 state["ea_state"] = search.state_dict(encode)
+                checkpointer.save(state)
             else:
+                state_arrays = _prefixed(supernet.state_dict(), "supernet.")
                 state_arrays.update(_prefixed(optimizer.state_dict(), "optimizer."))
-            checkpointer.save(state, state_arrays)
+                checkpointer.save(state, state_arrays)
 
         if phase != search_phase:
             _LOGGER.info("%s: training the supernet for %d epochs", train_phase, epochs)

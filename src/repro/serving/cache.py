@@ -27,7 +27,7 @@ from typing import Any, Hashable, Iterable
 import numpy as np
 
 from repro.graph.knn import knn_graph
-from repro.graph.sampling import random_graph
+from repro.graph.sampling import SAMPLER_VERSION, random_graph
 from repro.nn.dtype import WIDE_DTYPE, as_float_array
 
 __all__ = ["CacheStats", "LRUCache", "cloud_fingerprint", "CachingGraphBuilder"]
@@ -132,9 +132,10 @@ class CachingGraphBuilder:
     """Per-cloud graph construction with content-addressed edge reuse.
 
     Implements the :data:`repro.nas.derived.GraphBuilder` protocol.  Each
-    cloud of the batch is hashed (quantised features + method + ``k``); the
-    local edge index is fetched from the LRU cache or built fresh and then
-    offset into the stacked node set.  Random sampling is seeded from the
+    cloud of the batch is hashed (quantised features + method + ``k``, plus
+    the sampler version for random edges); the local edge index is fetched
+    from the LRU cache or built fresh and then offset into the stacked node
+    set.  Random sampling is seeded from the
     fingerprint, which makes the builder fully deterministic: identical
     inputs yield identical graphs whether or not the cache is enabled — the
     property behind the engine's bit-identical cached/uncached results.
@@ -166,11 +167,14 @@ class CachingGraphBuilder:
         # internally so cache keys stay dtype-independent.
         features = as_float_array(features)
         batch_vector = np.asarray(batch_vector, dtype=np.int64)
+        # Random edges also depend on the sampler's stream, so a persisted
+        # shared tier never serves edges drawn by another sampler version.
+        extra = (method, k, SAMPLER_VERSION) if method == "random" else (method, k)
         edges: list[np.ndarray] = []
         for graph_id in np.unique(batch_vector):
             node_ids = np.flatnonzero(batch_vector == graph_id)
             cloud = features[node_ids]
-            key = cloud_fingerprint(cloud, self.decimals, extra=(method, k))
+            key = cloud_fingerprint(cloud, self.decimals, extra=extra)
             local = self.cache.get(key) if self.cache is not None else None
             if local is None and self.shared is not None:
                 local = self.shared.get(key)

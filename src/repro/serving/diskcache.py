@@ -32,6 +32,7 @@ import uuid
 import numpy as np
 
 from repro.faults import fault_point
+from repro.graph.sampling import SAMPLER_VERSION
 from repro.serving.cache import CacheStats
 from repro.utils.logging import get_logger
 
@@ -45,12 +46,12 @@ def deployment_fingerprint(entry, backend: str) -> str:
 
     Covers everything that determines the logits a deployment produces for
     a given cloud: the genotype, the head configuration, the actual weight
-    bytes and the message-passing path.  Unlike the registry's ``generation``
-    counter (a per-process monotonic stamp), this hash is identical across
-    worker processes that loaded the same registry snapshot — the property
-    a cross-process cache key needs — while any redeploy that changes the
-    weights or architecture changes the key, so a shared cache can never
-    serve logits of a replaced model.
+    bytes, the message-passing path and the random-graph sampler.  Unlike
+    the registry's ``generation`` counter (a per-process monotonic stamp),
+    this hash is identical across worker processes that loaded the same
+    registry snapshot — the property a cross-process cache key needs —
+    while any redeploy that changes the weights or architecture changes
+    the key, so a shared cache can never serve logits of a replaced model.
     """
     digest = hashlib.blake2b(digest_size=16)
     identity = {
@@ -59,6 +60,8 @@ def deployment_fingerprint(entry, backend: str) -> str:
         "k": entry.k,
         "embed_dim": entry.embed_dim,
         "backend": backend,
+        # Random-sampling layers draw their edges from the sampler's stream.
+        "sampler": SAMPLER_VERSION,
     }
     digest.update(json.dumps(identity, sort_keys=True, separators=(",", ":")).encode())
     state = entry.model.state_dict()

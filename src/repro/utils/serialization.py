@@ -38,12 +38,18 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialise object of type {type(obj).__name__}")
 
 
-def save_json(path: str | pathlib.Path, obj: Any, indent: int = 2) -> pathlib.Path:
-    """Serialise ``obj`` to JSON at ``path``, creating parent directories."""
+def save_json(path: str | pathlib.Path, obj: Any, indent: int | None = 2) -> pathlib.Path:
+    """Serialise ``obj`` to JSON at ``path``, creating parent directories.
+
+    ``indent=None`` writes compact JSON through the C encoder, several
+    times faster than the indented form.
+    """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # json.dumps, not json.dump: only the one-shot encoder runs in C.
+    text = json.dumps(to_jsonable(obj), indent=indent, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_jsonable(obj), handle, indent=indent, sort_keys=True)
+        handle.write(text)
     return path
 
 
@@ -54,10 +60,14 @@ def load_json(path: str | pathlib.Path) -> Any:
 
 
 def save_npz(path: str | pathlib.Path, arrays: Mapping[str, np.ndarray]) -> pathlib.Path:
-    """Save a mapping of named arrays to a compressed ``.npz`` file."""
+    """Save a mapping of named arrays to an uncompressed ``.npz`` file.
+
+    Search checkpoints commit their weights every supernet epoch; zlib
+    took longer than the rest of such a commit.
+    """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **{k: np.asarray(v) for k, v in arrays.items()})
+    np.savez(path, **{k: np.asarray(v) for k, v in arrays.items()})
     return path
 
 

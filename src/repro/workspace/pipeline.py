@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.backends import active_backend_name
 from repro.data.dataset import InMemoryDataset
+from repro.graph.sampling import SAMPLER_VERSION
 from repro.hardware.device import DeviceSpec, get_device
 from repro.hardware.profiler import ProfileResult, profile_workload
 from repro.nas.architecture import Architecture
@@ -386,6 +387,9 @@ class Workspace:
                     if may_use_workspace_predictor
                     else None
                 ),
+                # Supernet paths sample random graphs: another sampler's
+                # stream is another search.
+                "sampler": SAMPLER_VERSION,
                 "backend": active_backend_name(),
             },
         )
@@ -488,6 +492,7 @@ class Workspace:
                     "train_data": dataset_fingerprint(train_dataset),
                     "train_epochs": train_epochs,
                     "train_batch_size": train_batch_size,
+                    "sampler": SAMPLER_VERSION,
                     "backend": active_backend_name(),
                 },
             )

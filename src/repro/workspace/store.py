@@ -200,18 +200,42 @@ class ArtifactStore:
         self.misses += 1
         return None
 
+    @staticmethod
+    def _committed_stamp(directory: pathlib.Path) -> dict:
+        """The committed entry's array stamp: ``{"arrays": bool}`` plus its ``checksum``."""
+        try:
+            document = load_json(directory / "meta.json")
+        except (FileNotFoundError, ValueError):
+            return {"arrays": False}
+        if document.get("format") != _FORMAT or not document.get("arrays"):
+            return {"arrays": False}
+        return {name: document[name] for name in ("arrays", "checksum") if name in document}
+
     def save(
         self,
         stage: str,
         key: str,
         meta: Mapping[str, object],
         arrays: Mapping[str, np.ndarray] | None = None,
+        keep_arrays: bool = False,
     ) -> Artifact:
-        """Persist a stage result under ``(stage, key)``, overwriting any old entry."""
+        """Persist a stage result under ``(stage, key)``, overwriting any old entry.
+
+        With ``keep_arrays`` the commit replaces only the meta document: the
+        entry keeps its committed arrays and their checksum (an empty slot
+        commits none), so an unchanged set of weights is never rewritten.
+        """
         meta = dict(meta)
-        # Copy the arrays so later in-place mutation of live model weights
-        # cannot corrupt the cached artifact.
-        arrays = {name: np.array(value) for name, value in (arrays or {}).items()}
+        previous = self._memory.get((stage, key))
+        if keep_arrays:
+            if arrays:
+                raise ValueError("keep_arrays commits the meta document only; pass no arrays")
+            arrays = previous.arrays if previous is not None else {}
+        else:
+            # Copy the arrays so later in-place mutation of live model
+            # weights cannot corrupt the cached artifact.
+            arrays = {name: np.array(value) for name, value in (arrays or {}).items()}
+        memoize = True
         path = None
         if self.root is not None:
             directory = self._entry_dir(stage, key)
@@ -223,28 +247,30 @@ class ArtifactStore:
             # (uuid, not a fixed ".tmp"), any number of processes may race
             # a save of the same key — each commit is one writer's complete
             # bytes, last write wins, a concurrent reader sees some complete
-            # version, never a torn one.
+            # version, never a torn one.  A meta-only commit renames just
+            # meta.json, stamped with the arrays it keeps.
             for attempt in range(_SAVE_ATTEMPTS):
                 try:
                     token = uuid.uuid4().hex
                     arrays_path = directory / "arrays.npz"
-                    checksum = None
-                    if arrays:
+                    if keep_arrays:
+                        stamp = self._committed_stamp(directory)
+                    elif arrays:
                         # np.savez appends ".npz" to names missing it, so the
                         # temp name keeps the suffix for os.replace to find it.
                         staging_arrays = directory / f".{token}.tmp.npz"
                         save_npz(staging_arrays, arrays)
                         # Stamp the exact committed bytes; load() verifies the
                         # digest before trusting the arrays.
-                        checksum = _file_checksum(staging_arrays)
+                        stamp = {"arrays": True, "checksum": _file_checksum(staging_arrays)}
                         os.replace(staging_arrays, arrays_path)
-                    elif arrays_path.exists():
+                    else:
+                        stamp = {"arrays": False}
+                    if not stamp["arrays"] and arrays_path.exists():
                         arrays_path.unlink()
                     staging_meta = directory / f".{token}.meta.tmp"
-                    document = {"format": _FORMAT, "stage": stage, "key": key, "meta": meta, "arrays": bool(arrays)}
-                    if checksum is not None:
-                        document["checksum"] = checksum
-                    save_json(staging_meta, document)
+                    document = {"format": _FORMAT, "stage": stage, "key": key, "meta": meta, **stamp}
+                    save_json(staging_meta, document, indent=None)
                     os.replace(staging_meta, directory / "meta.json")
                     break
                 except (FileNotFoundError, FileExistsError):
@@ -255,8 +281,14 @@ class ArtifactStore:
                     if attempt == _SAVE_ATTEMPTS - 1:
                         raise
             path = directory
+            # Where the kept arrays are not (or no longer) the memory layer's,
+            # the disk entry is the truth: the next load() reads it there.
+            memoize = not keep_arrays or bool(arrays) == stamp["arrays"]
         artifact = Artifact(stage=stage, key=key, meta=meta, arrays=arrays, path=path)
-        self._memory[(stage, key)] = artifact
+        if memoize:
+            self._memory[(stage, key)] = artifact
+        else:
+            self._memory.pop((stage, key), None)
         return artifact
 
     def discard(self, stage: str, key: str) -> bool:

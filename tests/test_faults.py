@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro.faults.injector as injector_module
+import repro.workspace.store as store_module
 from repro.faults import (
     ENV_VAR,
     FaultInjector,
@@ -374,12 +375,30 @@ class TestSearchCheckpointer:
         assert checkpointer.load() is None
         checkpointer.save({"phase": "stage1_supernet", "progress": 2}, {"w": np.arange(3.0)})
         assert checkpointer.saves == 1
-        # A later save overwrites the single slot.
+        # A later meta-only save overwrites the single slot's meta and keeps
+        # its committed arrays.
         checkpointer.save({"phase": "stage1_functions", "progress": 0})
-        meta, arrays = SearchCheckpointer(ArtifactStore(tmp_path), "key").load()
-        assert meta["phase"] == "stage1_functions" and arrays == {}
+        for reader in (checkpointer, SearchCheckpointer(ArtifactStore(tmp_path), "key")):
+            meta, arrays = reader.load()
+            assert meta["phase"] == "stage1_functions"
+            assert arrays.keys() == {"w"} and np.array_equal(arrays["w"], np.arange(3.0))
         checkpointer.clear()
         assert checkpointer.load() is None
+        # A meta-only save on an empty slot commits no arrays.
+        checkpointer.save({"phase": "stage1_functions", "progress": 1})
+        meta, arrays = SearchCheckpointer(ArtifactStore(tmp_path), "key").load()
+        assert meta["progress"] == 1 and arrays == {}
+
+    def test_meta_only_commit_still_verifies_the_kept_arrays(self, tmp_path):
+        checkpointer = SearchCheckpointer(ArtifactStore(tmp_path), "key")
+        checkpointer.save({"phase": "stage1_supernet", "progress": 0}, {"w": np.arange(3.0)})
+        checkpointer.save({"phase": "stage1_functions", "progress": 0})
+        # Swap in a well-formed npz with other weights: only the checksum the
+        # meta-only commit kept can tell.
+        np.savez(tmp_path / CHECKPOINT_STAGE / "key" / "arrays.npz", w=np.zeros(3))
+        store = ArtifactStore(tmp_path)
+        assert SearchCheckpointer(store, "key").load() is None
+        assert store.corrupt == 1
 
     def test_kill_at_checkpoint_leaves_committed_entry(self, tmp_path):
         checkpointer = SearchCheckpointer(ArtifactStore(tmp_path), "key")
@@ -516,3 +535,51 @@ class TestSearchResume:
             getattr(self.make_search(resume_data, **overrides), resume_strategy)(
                 checkpointer=SearchCheckpointer(ArtifactStore(tmp_path), "run"), **resume_kwargs
             )
+
+    def test_ea_commit_keeps_the_committed_arrays_on_disk(self, resume_data, tmp_path, monkeypatch):
+        """EA-generation commits are meta-only: arrays.npz is written once per
+        supernet epoch, an EA kill leaves it untouched, and the search resumed
+        from disk replays the uninterrupted one bit-identically."""
+        overrides = dict(function_epochs=2, operation_epochs=2)
+        epochs = overrides["function_epochs"] + overrides["operation_epochs"]
+        writes: list[tuple] = []
+        real_save_npz = store_module.save_npz
+
+        def recording_save_npz(path, arrays):
+            real_save_npz(path, arrays)
+            stat = path.stat()  # os.replace keeps the inode and mtime
+            writes.append((store_module._file_checksum(path), stat.st_ino, stat.st_mtime_ns))
+
+        monkeypatch.setattr(store_module, "save_npz", recording_save_npz)
+        baseline = self.make_search(resume_data, **overrides).run(
+            checkpointer=SearchCheckpointer(ArtifactStore(tmp_path / "a"), "run")
+        )
+        assert len(writes) == epochs
+
+        writes.clear()
+        store = ArtifactStore(tmp_path / "b")
+        plan = FaultPlan.of(
+            FaultSpec(
+                point="nas.search.checkpoint", action="error", after=1, match={"phase": "stage2_operations"}
+            )
+        )
+        with use_faults(plan):
+            with pytest.raises(InjectedFault):
+                self.make_search(resume_data, **overrides).run(checkpointer=SearchCheckpointer(store, "run"))
+        # Every supernet epoch wrote the arrays; the two stage-2 EA commits
+        # before the kill rewrote only meta.json, stamped with the checksum of
+        # the last epoch's arrays.
+        assert len(writes) == epochs
+        entry = tmp_path / "b" / CHECKPOINT_STAGE / "run"
+        document = json.loads((entry / "meta.json").read_text())
+        assert document["meta"]["phase"] == "stage2_operations" and document["meta"]["progress"] == 1
+        stat = (entry / "arrays.npz").stat()
+        assert (document["checksum"], stat.st_ino, stat.st_mtime_ns) == writes[-1]
+        assert store_module._file_checksum(entry / "arrays.npz") == writes[-1][0]
+
+        writes.clear()
+        resumed_checkpointer = SearchCheckpointer(ArtifactStore(tmp_path / "b"), "run")
+        resumed = self.make_search(resume_data, **overrides).run(checkpointer=resumed_checkpointer)
+        assert writes == []  # the rest of stage 2's EA commits no arrays
+        assert _result_fields(resumed) == _result_fields(baseline)
+        assert not entry.exists()

@@ -214,6 +214,65 @@ class TestSampling:
         ei = random_graph(5, 2, rng, include_self=True)
         assert ei.shape == (2, 10)
 
+    @staticmethod
+    def _rows(edge_index: np.ndarray, n: int) -> np.ndarray:
+        """Each node's sampled sources, one row per node."""
+        assert np.array_equal(edge_index[1], np.repeat(np.arange(n), edge_index.shape[1] // n))
+        return edge_index[0].reshape(n, -1)
+
+    @pytest.mark.parametrize("n, k", [(64, 6), (64, 20), (64, 40), (300, 8), (9, 7)])
+    def test_random_graph_rows_are_distinct_non_self(self, rng, n, k):
+        rows = self._rows(random_graph(n, k, rng), n)
+        assert rows.shape == (n, k)
+        assert not np.any(rows == np.arange(n)[:, None])
+        assert all(len(np.unique(row)) == k for row in rows)
+        assert rows.min() >= 0 and rows.max() < n
+
+    def test_random_graph_full_neighbourhood(self, rng):
+        for k in (9, 50):  # k_eff clamps to n - 1
+            rows = self._rows(random_graph(10, k, rng), 10)
+            for node, row in enumerate(rows):
+                assert np.array_equal(np.sort(row), np.delete(np.arange(10), node))
+
+    def test_random_graph_one_and_two_nodes(self, rng):
+        # A lone node keeps its self-loop, the only edge it can have.
+        assert np.array_equal(random_graph(1, 5, rng), [[0], [0]])
+        assert np.array_equal(random_graph(2, 5, rng), [[1, 0], [0, 1]])
+
+    def test_random_graph_include_self_draws_subsets_of_all_nodes(self, rng):
+        rows = self._rows(random_graph(6, 4, rng, include_self=True), 6)
+        assert all(len(np.unique(row)) == 4 for row in rows)
+        rows = self._rows(random_graph(6, 10, rng, include_self=True), 6)
+        assert all(np.array_equal(np.sort(row), np.arange(6)) for row in rows)
+        # A node samples itself at rate k / n.
+        rows = np.concatenate([self._rows(random_graph(10, 4, rng, include_self=True), 10) for _ in range(2000)])
+        nodes = np.tile(np.arange(10), 2000)
+        assert np.mean(np.any(rows == nodes[:, None], axis=1)) == pytest.approx(0.4, abs=0.02)
+
+    def test_random_graph_dense_draw_completes(self, rng):
+        rows = self._rows(random_graph(512, 511, rng), 512)
+        others = np.arange(511)[None, :] + (np.arange(511)[None, :] >= np.arange(512)[:, None])
+        assert np.array_equal(np.sort(rows, axis=1), others)
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (8, 6), (40, 5)])
+    def test_random_graph_pairs_are_uniform(self, n, k):
+        """Chi-square smoke: each (node, other) pair appears at rate k / (n - 1)."""
+        rng = np.random.default_rng(1234)
+        draws = 4000
+        counts = np.zeros((n, n))
+        for _ in range(draws):
+            edge_index = random_graph(n, k, rng)
+            np.add.at(counts, (edge_index[1], edge_index[0]), 1)
+        assert np.all(np.diag(counts) == 0)
+        rate = k / (n - 1)
+        observed = counts[~np.eye(n, dtype=bool)]
+        assert np.allclose(observed / draws, rate, atol=0.05)
+        # Normalised by the without-replacement variance, the statistic has
+        # mean n * (n - 1) and variance about twice that.
+        statistic = float(np.sum((observed - draws * rate) ** 2) / (draws * rate * (1 - rate)))
+        mean = n * (n - 1)
+        assert statistic < mean + 5 * np.sqrt(2 * mean), (statistic, mean)
+
     def test_random_graph_invalid(self, rng):
         with pytest.raises(ValueError):
             random_graph(0, 2, rng)

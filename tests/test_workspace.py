@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.serving.cache as cache_module
+import repro.serving.diskcache as diskcache_module
 import repro.workspace.pipeline as pipeline_module
 from repro import api
 from repro.hardware import DeviceSpec, get_device, list_devices, register_device, unregister_device
@@ -20,7 +22,8 @@ from repro.nas import (
     unregister_latency_evaluator,
 )
 from repro.nas.latency_eval import EvaluatorRequest
-from repro.serving import ModelRegistry
+from repro.serving import CachingGraphBuilder, LRUCache, ModelRegistry
+from repro.serving.diskcache import deployment_fingerprint
 from repro.workspace import (
     DEFAULTS,
     ArtifactStore,
@@ -380,6 +383,65 @@ class TestDeriveDeployServe:
         assert entry.k == DEFAULTS.k
         assert entry.embed_dim == DEFAULTS.embed_dim
         assert entry.model.k == DEFAULTS.k
+
+
+class _KeyComputed(Exception):
+    """Stops a stage right after its artifact key is computed."""
+
+
+class TestSamplerVersionKeys:
+    """Every key whose entries depend on random graphs changes with the sampler."""
+
+    @staticmethod
+    def _stage_key(monkeypatch, stage: str, run) -> str:
+        keys = []
+        real_key_for = ArtifactStore.key_for
+
+        def key_for(self, name, inputs):
+            key = real_key_for(self, name, inputs)
+            if name == stage:
+                keys.append(key)
+                raise _KeyComputed
+            return key
+
+        with monkeypatch.context() as patch, pytest.raises(_KeyComputed):
+            patch.setattr(ArtifactStore, "key_for", key_for)
+            run()
+        return keys[0]
+
+    @staticmethod
+    def _edge_key(method: str) -> str:
+        builder = CachingGraphBuilder(cache=LRUCache(4))
+        builder(method, np.random.default_rng(0).standard_normal((16, 3)), np.zeros(16, dtype=np.int64), 4)
+        (key,) = builder.cache._entries
+        return key
+
+    def _keys(self, monkeypatch, tiny_train, tiny_test) -> dict[str, str]:
+        ws = Workspace(device="tx2")
+        config = tiny_search_config(tiny_train.num_classes)
+        return {
+            "search": self._stage_key(monkeypatch, "search", lambda: ws.search(tiny_train, tiny_test, config=config)),
+            "derived": self._stage_key(
+                monkeypatch,
+                "derived",
+                lambda: ws.derive(tx2_fast_architecture(), 4, k=4, embed_dim=16, train_dataset=tiny_train),
+            ),
+            "random_edges": self._edge_key("random"),
+            "knn_edges": self._edge_key("knn"),
+            "deployment": deployment_fingerprint(
+                ModelRegistry().register("m", tx2_fast_architecture(), get_device("tx2"), num_classes=4), "numpy"
+            ),
+        }
+
+    def test_each_key_changes_with_the_sampler_version(self, monkeypatch, tiny_train, tiny_test):
+        before = self._keys(monkeypatch, tiny_train, tiny_test)
+        for module in (pipeline_module, cache_module, diskcache_module):
+            monkeypatch.setattr(module, "SAMPLER_VERSION", "another-sampler")
+        after = self._keys(monkeypatch, tiny_train, tiny_test)
+        for name in ("search", "derived", "random_edges", "deployment"):
+            assert before[name] != after[name], name
+        # KNN edges never touch the sampler: their cached entries stay valid.
+        assert before["knn_edges"] == after["knn_edges"]
 
 
 class TestModelRegistryAdd:
