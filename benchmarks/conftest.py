@@ -28,11 +28,11 @@ def bench_scale() -> ExperimentScale:
 
 
 def interleaved_medians(
-    runs: Mapping[str, Callable[[], Any]], rounds: int, warmup: int = 1, fresh: bool = False
+    runs: Mapping[str, Callable[[], Any]], rounds: int, fresh: bool = False
 ) -> tuple[dict[str, float], dict[str, Any]]:
     """Median wall seconds of each named run over interleaved rounds.
 
-    ``warmup`` untimed rounds come first.  Every round calls each run once,
+    One untimed warm-up round comes first.  Every round calls each run once,
     in an order that reverses from one round to the next.  With ``fresh``
     each run is a factory, called untimed before every round to build the
     callable that is timed.  Returns the median seconds per name and each
@@ -41,13 +41,13 @@ def interleaved_medians(
     names = list(runs)
     times: dict[str, list[float]] = {name: [] for name in names}
     last: dict[str, Any] = {}
-    for index in range(warmup + rounds):
+    for index in range(1 + rounds):
         for name in names if index % 2 == 0 else reversed(names):
             call = runs[name]() if fresh else runs[name]
             start = time.perf_counter()
             last[name] = call()
             elapsed = time.perf_counter() - start
-            if index >= warmup:
+            if index >= 1:
                 times[name].append(elapsed)
     return {name: float(np.median(samples)) for name, samples in times.items()}, last
 

@@ -19,38 +19,25 @@ __all__ = ["SAMPLER_VERSION", "random_graph", "farthest_point_sampling", "subsam
 #: per-node loop it replaced, so every artifact and edge-cache key that
 #: depends on random graphs carries it: entries drawn from another stream
 #: are rebuilt, never served as current.
-SAMPLER_VERSION = "block-redraw"
-
-#: A block draw redraws colliding rows only while a row is duplicate-free
-#: with at least this probability; denser draws rank random keys instead.
-_MIN_ACCEPT = 0.5
-#: Redraw rounds before the rows still colliding fall back to the ranking.
-_MAX_REDRAWS = 8
+SAMPLER_VERSION = "floyd"
 
 
 def _uniform_subsets(rows: int, pool: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """``rows`` independent uniform ``k``-subsets of ``range(pool)``, shape ``(rows, k)``.
 
-    Sparse draws take an ``(rows, k)`` block with replacement and redraw
-    every row holding a duplicate: an accepted row is a uniform ordered
-    draw without replacement.  Dense draws (and rows still colliding after
-    :data:`_MAX_REDRAWS` rounds) keep the ``k`` smallest of ``pool``
-    uniform keys, so the work stays bounded as ``k`` approaches ``pool``.
+    Floyd's algorithm, run for all rows at once: column ``j`` draws from
+    ``range(pool - k + j + 1)`` and takes its top value instead where the
+    draw is already in the row.  The work is ``k`` vectorized steps
+    whatever ``k`` is, with no rejection.
     """
-    out = np.empty((rows, k), dtype=np.int64)
-    pending = np.arange(rows)
-    if np.prod(1.0 - np.arange(k) / pool) >= _MIN_ACCEPT:
-        for _ in range(_MAX_REDRAWS):
-            block = rng.integers(0, pool, size=(len(pending), k))
-            ordered = np.sort(block, axis=1)
-            clash = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-            out[pending[~clash]] = block[~clash]
-            pending = pending[clash]
-            if not len(pending):
-                return out
-    keys = rng.random((len(pending), pool))
-    out[pending] = np.argpartition(keys, k - 1, axis=1)[:, :k]
-    return out
+    tops = np.arange(pool - k, pool)
+    draws = rng.integers(0, tops + 1, size=(rows, k))
+    picked = np.zeros(rows * pool, dtype=bool)
+    offsets = np.arange(rows) * pool
+    for column, top in zip(draws.T, tops):
+        column[picked[offsets + column]] = top
+        picked[offsets + column] = True
+    return draws
 
 
 def random_graph(

@@ -63,7 +63,8 @@ def save_npz(path: str | pathlib.Path, arrays: Mapping[str, np.ndarray]) -> path
     """Save a mapping of named arrays to an uncompressed ``.npz`` file.
 
     Search checkpoints commit their weights every supernet epoch; zlib
-    took longer than the rest of such a commit.
+    took longer than the rest of such a commit, and float32 weights shrink
+    by only about 8% under it.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

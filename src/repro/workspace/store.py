@@ -224,18 +224,19 @@ class ArtifactStore:
         With ``keep_arrays`` the commit replaces only the meta document: the
         entry keeps its committed arrays and their checksum (an empty slot
         commits none), so an unchanged set of weights is never rewritten.
+        A rooted store keeps them on disk only, and the artifact it returns
+        carries none: the next :meth:`load` reads and verifies them.
         """
         meta = dict(meta)
-        previous = self._memory.get((stage, key))
         if keep_arrays:
             if arrays:
                 raise ValueError("keep_arrays commits the meta document only; pass no arrays")
-            arrays = previous.arrays if previous is not None else {}
+            previous = self._memory.get((stage, key))
+            arrays = previous.arrays if previous is not None and self.root is None else {}
         else:
             # Copy the arrays so later in-place mutation of live model
             # weights cannot corrupt the cached artifact.
             arrays = {name: np.array(value) for name, value in (arrays or {}).items()}
-        memoize = True
         path = None
         if self.root is not None:
             directory = self._entry_dir(stage, key)
@@ -281,14 +282,13 @@ class ArtifactStore:
                     if attempt == _SAVE_ATTEMPTS - 1:
                         raise
             path = directory
-            # Where the kept arrays are not (or no longer) the memory layer's,
-            # the disk entry is the truth: the next load() reads it there.
-            memoize = not keep_arrays or bool(arrays) == stamp["arrays"]
         artifact = Artifact(stage=stage, key=key, meta=meta, arrays=arrays, path=path)
-        if memoize:
-            self._memory[(stage, key)] = artifact
-        else:
+        if keep_arrays and path is not None:
+            # The disk entry holds the kept arrays: the next load() reads
+            # them there and verifies their checksum.
             self._memory.pop((stage, key), None)
+        else:
+            self._memory[(stage, key)] = artifact
         return artifact
 
     def discard(self, stage: str, key: str) -> bool:
