@@ -11,7 +11,12 @@ rule rests on, at DGCNN's serving shape (1024 points, k=20):
   search;
 * both searches return the same neighbour sets at both shapes.
 
-The two searches alternate round by round after a warm-up round (the
+A third gate covers ``batched_knn_graph`` at the search's batch shape
+(8 clouds x 64 points x 32 dims): one stacked search over the equal-size
+clouds is at least 1.2x faster than the per-cloud loop and returns the
+same edges.
+
+The searches alternate round by round after a warm-up round (the
 ``ab_medians`` timer) and the gate compares medians, so a transient load
 spike hits both alike.
 """
@@ -21,11 +26,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph import knn
+from repro.graph.batching import batched_knn_graph
 
 NUM_POINTS = 1024
 K = 20
 ROUNDS = 7
 MIN_DENSE_SPEEDUP_WIDE = 2.0
+#: (clouds, points per cloud, dims) of the stacked-search gate.
+STACKED_SHAPE = (8, 64, 32)
+MIN_STACKED_SPEEDUP = 1.2
+#: Calls per timed round of the stacked gate: one call takes about a millisecond.
+STACKED_CALLS = 10
 SEARCHES = {"dense": knn._dense_knn, "kd_tree": knn._kd_tree_knn}
 
 
@@ -67,3 +78,28 @@ def test_kd_tree_wins_on_3d_clouds(benchmark, ab_medians):
     assert _same_neighbour_sets(dense, kd_tree)
     assert np.array_equal(knn.knn_indices(points, K), kd_tree)  # dispatched to the KD-tree
     assert ms["kd_tree"] < ms["dense"], ms
+
+
+def test_stacked_knn_beats_per_cloud_loop(benchmark, ab_medians):
+    clouds, n, dims = STACKED_SHAPE
+    points = np.random.default_rng(5).standard_normal((clouds * n, dims)).astype(np.float32)
+    batch = np.repeat(np.arange(clouds), n)
+
+    def per_cloud_loop():
+        return np.concatenate(
+            [knn.knn_graph(points[g * n:(g + 1) * n], K) + g * n for g in range(clouds)], axis=1
+        )
+
+    def repeated(build):
+        return lambda: [build() for _ in range(STACKED_CALLS)][-1]
+
+    medians, last = ab_medians(
+        {"stacked": repeated(lambda: batched_knn_graph(points, batch, K)), "loop": repeated(per_cloud_loop)},
+        rounds=3 * ROUNDS,
+    )
+    ms = {name: seconds * 1e3 / STACKED_CALLS for name, seconds in medians.items()}
+    benchmark.pedantic(lambda: batched_knn_graph(points, batch, K), rounds=1, iterations=1)
+    benchmark.extra_info.update({f"{name}_ms": round(value, 3) for name, value in ms.items()})
+
+    assert np.array_equal(last["stacked"], last["loop"])
+    assert ms["loop"] >= MIN_STACKED_SPEEDUP * ms["stacked"], ms

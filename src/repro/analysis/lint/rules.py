@@ -428,7 +428,7 @@ class BackendPrimitiveRule(LintRule):
     name = "backend-primitive"
     description = (
         "reduceat / ufunc .at calls belong in repro.backends; call its "
-        "segment_reduce / scatter_add / scatter_extreme kernels instead"
+        "segment_reduce / index_sum kernels instead"
     )
 
     #: Ufunc receivers whose unbuffered ``.at`` form is a scatter primitive.
@@ -456,7 +456,8 @@ class BackendPrimitiveRule(LintRule):
                     self.name,
                     node,
                     f"{chain} is an unbuffered scatter primitive; call "
-                    "repro.backends.scatter_add/scatter_extreme instead",
+                    "repro.backends.index_sum (a row sum by index) or "
+                    "segment_reduce (sorted segments) instead",
                 )
 
     def _is_ufunc_receiver(self, receiver: ast.AST) -> bool:

@@ -12,11 +12,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.knn import knn_graph
+from repro.backends import segment_reduce
+from repro.graph.knn import knn_graph, stacked_knn_indices
 from repro.graph.sampling import random_graph
-from repro.graph.scatter import scatter_max, scatter_mean, scatter_sum
 from repro.nn.dtype import as_float_array, get_default_dtype
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, apply_op, as_tensor
 
 __all__ = [
     "batched_knn_graph",
@@ -27,6 +27,13 @@ __all__ = [
     "pack_clouds",
     "unpack_clouds",
 ]
+
+#: Largest cloud that :func:`batched_knn_graph` stacks into one search.
+#: Measured at k=20 on a 2-core host with one BLAS thread, stacked against
+#: the per-cloud loop: 0.87 vs 1.61 ms at 8 clouds x 64 points x 32 dims,
+#: 2.56 vs 3.42 ms at 8 x 128 x 64, but no faster at 256 points (12.2 vs
+#: 12.3 ms at 64 dims, 12.7 vs 10.5 ms at 3 dims).
+_STACKED_MAX_POINTS = 128
 
 
 def _check_batch(num_nodes: int, batch: np.ndarray) -> np.ndarray:
@@ -107,8 +114,17 @@ def batched_knn_graph(points: np.ndarray, batch: np.ndarray, k: int) -> np.ndarr
     """
     points = as_float_array(points)
     batch = _check_batch(points.shape[0], batch)
+    graph_ids, sizes = np.unique(batch, return_counts=True)
+    if points.ndim == 2 and graph_ids.size and 1 < sizes[0] <= _STACKED_MAX_POINTS and np.all(sizes == sizes[0]):
+        # Equal-size small clouds: one stacked search instead of a loop.
+        num_graphs, n = graph_ids.size, int(sizes[0])
+        idx = stacked_knn_indices(points.reshape(num_graphs, n, points.shape[1]), k)
+        k_eff = idx.shape[2]
+        sources = (idx + (np.arange(num_graphs, dtype=np.int64) * n)[:, None, None]).reshape(-1)
+        targets = np.repeat(np.arange(num_graphs * n, dtype=np.int64), k_eff)
+        return np.stack([sources, targets], axis=0)
     edges = []
-    for graph_id in np.unique(batch):
+    for graph_id in graph_ids:
         node_ids = np.flatnonzero(batch == graph_id)
         local_edges = knn_graph(points[node_ids], k)
         edges.append(node_ids[local_edges])
@@ -144,16 +160,78 @@ def _pool_batch(x: Tensor, batch: np.ndarray, num_graphs: int) -> np.ndarray:
     return batch
 
 
+def _ordered_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum ``rows`` over axis -2, adding the rows one after another.
+
+    numpy reduces a C-contiguous array over an outer axis row by row, the
+    order of sequential accumulation; over a single column the axis becomes
+    the inner one and numpy sums pairwise, so that case takes ``cumsum``.
+    """
+    if rows.shape[-1] == 1:
+        return np.cumsum(rows, axis=-2)[..., -1, :]
+    return rows.sum(axis=-2)
+
+
+def _global_pool(x: Tensor, batch: np.ndarray, num_graphs: int, aggregator: str) -> Tensor:
+    """Reduce each cloud's rows of ``x`` to one row; empty clouds yield zero.
+
+    The batch vector is sorted, so every cloud is one contiguous segment.
+    ``max``/``min`` run :func:`~repro.backends.segment_reduce` (a reshape
+    when the clouds have one size).  ``sum``/``mean`` add each cloud's rows
+    in order, so a batch pools exactly as its clouds do one at a time, and
+    never use ``reduceat``, whose float32 sums differ from sequential
+    addition.  As in :func:`~repro.graph.scatter.scatter_max`, a non-finite
+    max/min reads as zero and takes no gradient; tied winners share it.
+    """
+    x = as_tensor(x)
+    if x.ndim != 2:
+        raise ValueError(f"global pooling expects 2-D node features, got shape {x.shape}")
+    counts = np.bincount(_pool_batch(x, batch, num_graphs), minlength=num_graphs)
+    xd = np.ascontiguousarray(x.data)
+    dtype = xd.dtype
+    present = np.flatnonzero(counts)
+    seg_counts = counts[present]
+    out = np.zeros((num_graphs, xd.shape[1]), dtype=dtype)
+    if aggregator in ("max", "min"):
+        seg_starts = np.cumsum(seg_counts) - seg_counts
+        out[present] = segment_reduce(xd, seg_starts, seg_counts, aggregator)
+        finite = np.isfinite(out)
+        out[~finite] = 0.0
+    elif seg_counts.size and np.all(seg_counts == seg_counts[0]):
+        out[present] = _ordered_sum(xd.reshape(present.size, int(seg_counts[0]), xd.shape[1]))
+    else:
+        bounds = np.cumsum(counts)
+        for graph in present:
+            out[graph] = _ordered_sum(xd[bounds[graph] - counts[graph] : bounds[graph]])
+    if aggregator == "mean":
+        safe_counts = np.maximum(counts, 1).astype(dtype)[:, None]
+        out /= safe_counts
+
+    def backward_fn(grad: np.ndarray) -> list[np.ndarray]:
+        grad = np.asarray(grad, dtype=dtype)
+        if aggregator == "sum":
+            return [np.repeat(grad, counts, axis=0)]
+        if aggregator == "mean":
+            return [np.repeat(grad / safe_counts, counts, axis=0)]
+        winners = (xd == np.repeat(out, counts, axis=0)) & np.repeat(finite, counts, axis=0)
+        winner_counts = np.maximum(segment_reduce(winners.astype(dtype), seg_starts, seg_counts, "sum"), 1.0)
+        shares = np.zeros_like(out)
+        shares[present] = grad[present] / winner_counts
+        return [winners * np.repeat(shares, counts, axis=0)]
+
+    return apply_op(out, (x,), backward_fn)
+
+
 def global_max_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
     """Per-cloud elementwise maximum over node features."""
-    return scatter_max(x, _pool_batch(x, batch, num_graphs), num_graphs, validated=True)
+    return _global_pool(x, batch, num_graphs, "max")
 
 
 def global_mean_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
     """Per-cloud mean over node features."""
-    return scatter_mean(x, _pool_batch(x, batch, num_graphs), num_graphs, validated=True)
+    return _global_pool(x, batch, num_graphs, "mean")
 
 
 def global_sum_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
     """Per-cloud sum over node features."""
-    return scatter_sum(x, _pool_batch(x, batch, num_graphs), num_graphs, validated=True)
+    return _global_pool(x, batch, num_graphs, "sum")

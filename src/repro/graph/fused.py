@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import fused_kernels_enabled, scatter_add, segment_reduce
+from repro.backends import fused_kernels_enabled, index_sum, segment_reduce
 from repro.graph.edge_index import validate_edge_index
 from repro.graph.message import build_messages
 from repro.graph.scatter import scatter
 from repro.nn.layers import MLP, LeakyReLU, Linear, ReLU
-from repro.nn.tensor import Tensor, apply_op, as_tensor, concatenate
+from repro.nn.tensor import Tensor, apply_op, as_tensor, concatenate, leaky_relu_slopes, leaky_relu_values
 from repro.obs.metrics import get_metrics
 
 __all__ = ["FUSED_MESSAGE_TYPES", "fused_aggregate", "fused_edgeconv", "propagate"]
@@ -113,9 +113,7 @@ def _gather_reduce(x: Tensor, sources, seg_nodes, seg_starts, seg_counts, aggreg
             edge_grad = winners * np.repeat(seg_grad / winner_counts, seg_counts, axis=0)
         else:
             edge_grad = np.repeat(seg_grad, seg_counts, axis=0)
-        dx = np.zeros_like(xd)
-        scatter_add(dx, sources, edge_grad)
-        return [dx]
+        return [index_sum(sources, edge_grad, xd.shape[0])]
 
     return apply_op(out, (x,), backward_fn)
 
@@ -175,22 +173,28 @@ def _chunk_messages(xd, src, tgt, message_type):
     return np.concatenate([xd[src] if message_type == "source_rel" else xd[tgt], relative], axis=1)
 
 
-def _scatter_dmsg(dx, dmsg, src, tgt, message_type, feature_dim):
+def _scatter_dmsg(dx, dmsg, src, nodes, starts, counts, message_type, feature_dim):
+    """Add a chunk's message gradient to ``dx``: each edge's source row and target row.
+
+    Targets are the chunk's sorted segments (``nodes``/``starts``/``counts``),
+    so their part is a segment sum; sources are unordered and go through
+    :func:`~repro.backends.index_sum`.
+    """
+    d_centre, d_rel = dmsg[:, :feature_dim], dmsg[:, feature_dim:]
     if message_type == "source_pos":
-        scatter_add(dx, src, dmsg)
+        d_source, d_target = dmsg, None
     elif message_type == "target_pos":
-        scatter_add(dx, tgt, dmsg)
+        d_source, d_target = None, dmsg
     elif message_type == "rel_pos":
-        scatter_add(dx, src, dmsg)
-        scatter_add(dx, tgt, -dmsg)
-    elif message_type == "target_rel":
-        d_centre, d_rel = dmsg[:, :feature_dim], dmsg[:, feature_dim:]
-        scatter_add(dx, tgt, d_centre - d_rel)
-        scatter_add(dx, src, d_rel)
+        d_source, d_target = dmsg, -dmsg
+    elif message_type == "target_rel":  # [x_i, x_j - x_i]
+        d_source, d_target = d_rel, d_centre - d_rel
     else:  # source_rel: [x_j, x_j - x_i]
-        d_source, d_rel = dmsg[:, :feature_dim], dmsg[:, feature_dim:]
-        scatter_add(dx, src, d_source + d_rel)
-        scatter_add(dx, tgt, -d_rel)
+        d_source, d_target = d_centre + d_rel, -d_rel
+    if d_source is not None:
+        dx += index_sum(src, d_source, dx.shape[0])
+    if d_target is not None:
+        dx[nodes] += segment_reduce(d_target, starts, counts, "sum")
 
 
 def fused_edgeconv(
@@ -243,8 +247,8 @@ def fused_edgeconv(
         pre = msg @ weight.data
         if bias is not None:
             pre = pre + bias.data
-        h = np.maximum(pre, 0.0) if slope == 0.0 else np.where(pre > 0.0, pre, slope * pre)
-        return src, tgt, msg, pre, h, seg_starts[s0:s1] - e0, seg_counts[s0:s1]
+        h = np.maximum(pre, 0.0) if slope == 0.0 else leaky_relu_values(pre, slope)
+        return src, msg, pre, h, seg_starts[s0:s1] - e0, seg_counts[s0:s1]
 
     for s0, s1 in chunks:
         *_, h, starts, counts = run_chunk(s0, s1)
@@ -260,22 +264,21 @@ def fused_edgeconv(
         d_weight = np.zeros_like(weight.data)
         d_bias = None if bias is None else np.zeros_like(bias.data)
         for s0, s1 in chunks:
-            src, tgt, msg, pre, h, starts, counts = run_chunk(s0, s1)
+            src, msg, pre, h, starts, counts = run_chunk(s0, s1)
             if aggregator in ("sum", "mean"):
                 g = np.repeat(seg_grad[s0:s1], counts, axis=0)
             else:
                 winners = (h == np.repeat(out[seg_nodes[s0:s1]], counts, axis=0)).astype(dtype)
                 winner_counts = segment_reduce(winners, starts, counts, "sum")
                 g = winners * np.repeat(seg_grad[s0:s1] / winner_counts, counts, axis=0)
-            if slope == 0.0:
-                g = g * (pre > 0.0).astype(dtype)
-            else:
-                g = g * np.where(pre > 0.0, dtype.type(1.0), dtype.type(slope))
+            g *= leaky_relu_slopes(pre, slope)
             d_weight += msg.T @ g
             if d_bias is not None:
                 d_bias += g.sum(axis=0)
             if dx is not None:
-                _scatter_dmsg(dx, g @ weight.data.T, src, tgt, message_type, xd.shape[1])
+                _scatter_dmsg(
+                    dx, g @ weight.data.T, src, seg_nodes[s0:s1], starts, counts, message_type, xd.shape[1]
+                )
         return [dx, d_weight] if bias is None else [dx, d_weight, d_bias]
 
     return apply_op(out, parents, backward_fn)

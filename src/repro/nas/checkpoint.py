@@ -18,11 +18,12 @@ a killed search needs to continue *bit-identically*:
 * the supernet weights and Adam optimiser slots (as arrays).
 
 Only a supernet epoch changes the weights, so only a training commit
-writes arrays (uncompressed ``arrays.npz``).  An EA-generation commit is
-meta-only: it atomically replaces ``meta.json`` and keeps the entry's
-committed arrays and their checksum, which every load still verifies.  A
-search therefore writes arrays once per supernet epoch, not once per
-commit.
+writes arrays: one flat ``arrays.bin`` of raw bytes, whose manifest and
+checksum live in ``meta.json`` (see :mod:`repro.workspace.store`).  An
+EA-generation commit is meta-only: it atomically replaces ``meta.json``
+and keeps the entry's committed arrays, manifest and checksum, which
+every load still verifies.  A search therefore writes arrays once per
+supernet epoch, not once per commit.
 
 Every commit is a valid resume point: because everything downstream of
 the captured state is deterministic, the resumed search replays the

@@ -33,7 +33,15 @@ import numpy as np
 
 from repro.nn.dtype import as_float_array
 
-__all__ = ["Tensor", "as_tensor", "apply_op", "no_grad", "is_grad_enabled"]
+__all__ = [
+    "Tensor",
+    "as_tensor",
+    "apply_op",
+    "no_grad",
+    "is_grad_enabled",
+    "leaky_relu_values",
+    "leaky_relu_slopes",
+]
 
 _GRAD_ENABLED = True
 
@@ -150,10 +158,17 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` to the stored gradient, allocating it on first use."""
+        """Add ``grad`` to the stored gradient, in place after the first call.
+
+        ``grad`` has this tensor's shape (callers unbroadcast it).  The
+        first call stores a copy: the incoming array may be shared by other
+        nodes (``x + x`` hands the same array to both parents) or be a
+        read-only view, so it is never aliased.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.array(grad, dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | float | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
@@ -443,11 +458,11 @@ class Tensor:
         return out
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        out = _make(np.where(self.data > 0.0, self.data, negative_slope * self.data), (self,))
+        out = _make(leaky_relu_values(self.data, negative_slope), (self,))
         if out.requires_grad:
 
             def _backward() -> None:
-                self._accumulate(out.grad * np.where(self.data > 0.0, 1.0, negative_slope))
+                self._accumulate(out.grad * leaky_relu_slopes(self.data, negative_slope))
 
             out._backward = _backward
         return out
@@ -486,6 +501,27 @@ class Tensor:
 
             out._backward = _backward
         return out
+
+
+def leaky_relu_values(x: np.ndarray, negative_slope: float) -> np.ndarray:
+    """``x`` where positive, ``negative_slope * x`` elsewhere.
+
+    For ``0 < negative_slope <= 1`` this is ``maximum(x, slope * x)``, an
+    order of magnitude faster than ``np.where`` and bit-identical to it,
+    signed zeros, infinities and NaN included.  (At slope 0, ``0 * inf`` is
+    NaN, so that slope keeps the ``np.where`` form.)
+    """
+    if 0.0 < negative_slope <= 1.0:
+        return np.maximum(x, negative_slope * x)
+    return np.where(x > 0.0, x, negative_slope * x)
+
+
+def leaky_relu_slopes(x: np.ndarray, negative_slope: float) -> np.ndarray:
+    """The leaky ReLU derivative at ``x`` (1 or ``negative_slope``), in ``x``'s dtype."""
+    slope = x.dtype.type(negative_slope)
+    if 0.0 <= negative_slope <= 1.0:
+        return np.maximum(x > 0.0, slope)
+    return np.where(x > 0.0, x.dtype.type(1.0), slope)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:

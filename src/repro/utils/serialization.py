@@ -19,7 +19,16 @@ def to_jsonable(obj: Any) -> Any:
     Handles numpy scalars and arrays, dataclasses, enums, sets, and nested
     containers of those.
     """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    kind = type(obj)
+    # Exact built-in types first: checkpoint documents are mostly plain
+    # dicts, lists and scalars, and the ABC checks below cost microseconds.
+    if kind is str or kind is float or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is dict:
+        return {(k if type(k) is str else str(k)): to_jsonable(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Enum):
         return obj.value
@@ -62,9 +71,8 @@ def load_json(path: str | pathlib.Path) -> Any:
 def save_npz(path: str | pathlib.Path, arrays: Mapping[str, np.ndarray]) -> pathlib.Path:
     """Save a mapping of named arrays to an uncompressed ``.npz`` file.
 
-    Search checkpoints commit their weights every supernet epoch; zlib
-    took longer than the rest of such a commit, and float32 weights shrink
-    by only about 8% under it.
+    Float32 weights shrink by only about 8% under zlib, so the export is
+    not compressed.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

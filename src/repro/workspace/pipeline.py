@@ -61,6 +61,12 @@ _LOGGER = get_logger("workspace")
 #: training path are retrained instead of served as current results.
 PREDICTOR_TRAINING_PATH = "node-count-grouped-minibatch"
 
+#: Names the training kernels: the fused gather and pooling backward, and
+#: leaky ReLU's derivative.  Their float32 gradients differ from older
+#: kernels' in the last bits, so the predictor, search and derived keys
+#: carry it.  Serving keys do not: the forward pass is bit-identical.
+TRAINING_KERNELS = "segment-sum-backward"
+
 
 @dataclass
 class PredictorBundle:
@@ -264,6 +270,7 @@ class Workspace:
                     "training_config": dataclasses.asdict(training_config),
                     "seed": seed,
                     "training_path": PREDICTOR_TRAINING_PATH,
+                    "training_kernels": TRAINING_KERNELS,
                     # Fused and materialized paths are only allclose-equivalent,
                     # so artifacts from the two must not alias each other.
                     "backend": active_backend_name(),
@@ -390,6 +397,7 @@ class Workspace:
                 # Supernet paths sample random graphs: another sampler's
                 # stream is another search.
                 "sampler": SAMPLER_VERSION,
+                "training_kernels": TRAINING_KERNELS,
                 "backend": active_backend_name(),
             },
         )
@@ -493,6 +501,7 @@ class Workspace:
                     "train_epochs": train_epochs,
                     "train_batch_size": train_batch_size,
                     "sampler": SAMPLER_VERSION,
+                    "training_kernels": TRAINING_KERNELS,
                     "backend": active_backend_name(),
                 },
             )

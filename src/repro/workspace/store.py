@@ -7,8 +7,17 @@ and a repeated stage call is a cache hit instead of a recomputation.
 
 On-disk layout (when a root directory is given)::
 
-    <root>/<stage>/<key>/meta.json     # JSON: stage, key, payload metadata
-    <root>/<stage>/<key>/arrays.npz    # optional: named weight arrays
+    <root>/<stage>/<key>/meta.json     # JSON: stage, key, payload metadata,
+                                       # array manifest and checksum
+    <root>/<stage>/<key>/arrays.bin    # optional: the arrays' raw bytes
+
+``arrays.bin`` is the arrays' bytes back to back, each padded to a 64-byte
+offset.  The manifest in ``meta.json`` lists ``(name, dtype, shape,
+offset)`` per array, and the checksum is a blake2b digest of the whole
+file, taken from the bytes in memory before they are written.  A load is
+one read, the checksum check, then ``np.frombuffer`` views.  (The model
+registry's snapshot keeps ``.npz`` files: it is an export, not on the
+search path.)
 
 Every store also keeps an in-memory layer, so a root-less store (the
 throwaway workspaces behind :mod:`repro.api`) still caches within its own
@@ -22,7 +31,6 @@ import json
 import os
 import pathlib
 import uuid
-import zipfile
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -31,7 +39,7 @@ import numpy as np
 from repro.faults import fault_point
 from repro.obs.metrics import get_metrics
 from repro.utils.logging import get_logger
-from repro.utils.serialization import load_json, load_npz, save_json, save_npz, to_jsonable
+from repro.utils.serialization import load_json, to_jsonable
 
 __all__ = [
     "Artifact",
@@ -41,7 +49,11 @@ __all__ = [
     "dataset_fingerprint",
 ]
 
-_FORMAT = "repro.workspace.artifact/v1"
+_FORMAT = "repro.workspace.artifact/v2"
+
+#: The committed array file and the alignment of each array in it.
+_ARRAYS = "arrays.bin"
+_ALIGN = 64
 
 #: Write attempts per save; retries absorb a concurrent discard() of the entry.
 _SAVE_ATTEMPTS = 3
@@ -49,13 +61,46 @@ _SAVE_ATTEMPTS = 3
 _LOGGER = get_logger("workspace.store")
 
 
-def _file_checksum(path: pathlib.Path) -> str:
-    """blake2b digest of a file's bytes (the integrity stamp in meta.json)."""
+def _checksum(chunks) -> str:
+    """blake2b digest of a sequence of byte buffers (the integrity stamp in meta.json)."""
     digest = hashlib.blake2b(digest_size=16)
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    for chunk in chunks:
+        digest.update(chunk)
     return digest.hexdigest()
+
+
+def _write_arrays(path: pathlib.Path, arrays: Mapping[str, np.ndarray]) -> tuple[list, str]:
+    """Write ``arrays`` to ``path`` as one flat file; return ``(manifest, checksum)``."""
+    manifest, chunks, offset = [], [], 0
+    for name, value in arrays.items():
+        value = np.asarray(value, order="C")  # ascontiguousarray would make 0-d arrays 1-d
+        if value.dtype.hasobject:
+            raise ValueError(f"array '{name}' has dtype {value.dtype}; only plain data arrays are stored")
+        padding = -offset % _ALIGN
+        if padding:
+            chunks.append(bytes(padding))
+            offset += padding
+        manifest.append([name, value.dtype.str, list(value.shape), offset])
+        chunks.append(value.reshape(-1).view(np.uint8))
+        offset += value.nbytes
+    with open(path, "wb") as handle:
+        handle.writelines(chunks)
+    return manifest, _checksum(chunks)
+
+
+def _read_arrays(path: pathlib.Path, manifest: list, checksum: str) -> dict[str, np.ndarray] | None:
+    """The arrays of a flat file, or ``None`` if its bytes fail ``checksum``."""
+    with open(path, "rb") as handle:
+        blob = bytearray(os.fstat(handle.fileno()).st_size)
+        handle.readinto(blob)
+    if _checksum((blob,)) != checksum:
+        return None
+    arrays = {}
+    for name, dtype, shape, offset in manifest:
+        dtype = np.dtype(dtype)
+        count = int(np.prod(shape, dtype=np.int64))
+        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(tuple(shape))
+    return arrays
 
 
 def canonical_key(payload: object, digits: int = 16) -> str:
@@ -141,42 +186,42 @@ class ArtifactStore:
         self.discard(stage, key)
 
     def _load_disk(self, stage: str, key: str) -> Artifact | None:
-        """Disk-layer read: verified artifact, or ``None`` (absent/corrupt)."""
+        """Disk-layer read: verified artifact, or ``None`` (absent/corrupt/older format)."""
         assert self.root is not None
         directory = self._entry_dir(stage, key)
-        meta_path = directory / "meta.json"
-        arrays_path = directory / "arrays.npz"
+        arrays_path = directory / _ARRAYS
         try:
-            document = load_json(meta_path)
+            document = load_json(directory / "meta.json")
         except FileNotFoundError:
             return None  # never written, or a racing discard
         except ValueError:
             self._drop_corrupt(stage, key, "unreadable meta.json")
             return None
         if document.get("format") != _FORMAT:
-            self._drop_corrupt(stage, key, f"unrecognised format {document.get('format')!r}")
+            # An older layout (or a foreign file): a miss, recomputed and
+            # overwritten by the next save.
+            _LOGGER.info("ignoring %s/%s in format %r", stage, key, document.get("format"))
             return None
+        arrays: dict[str, np.ndarray] = {}
         # The meta document records whether the entry has arrays, so a
         # marker that promises arrays whose file is gone reads as a racing
-        # discard — never as an artifact with silently-empty arrays.
-        has_arrays = document.get("arrays", arrays_path.exists())
-        arrays: dict[str, np.ndarray] = {}
-        if has_arrays:
+        # discard, never as an artifact with silently-empty arrays.
+        if document.get("arrays"):
             spec = fault_point("workspace.store.load", stage=stage, key=key)
             if spec is not None and spec.action == "corrupt" and arrays_path.exists():
                 with open(arrays_path, "r+b") as handle:  # truncate: real recovery path runs
                     handle.truncate(max(arrays_path.stat().st_size // 2, 1))
             try:
-                expected = document.get("checksum")
-                if expected is not None and _file_checksum(arrays_path) != expected:
-                    self._drop_corrupt(stage, key, "arrays.npz checksum mismatch")
-                    return None
-                arrays = load_npz(arrays_path)
+                loaded = _read_arrays(arrays_path, document["manifest"], document["checksum"])
             except FileNotFoundError:
                 return None  # racing discard between the meta and arrays reads
-            except (zipfile.BadZipFile, ValueError, EOFError, OSError):
-                self._drop_corrupt(stage, key, "unreadable arrays.npz")
+            except (KeyError, TypeError, ValueError, OSError):
+                self._drop_corrupt(stage, key, f"unreadable {_ARRAYS}")
                 return None
+            if loaded is None:
+                self._drop_corrupt(stage, key, f"{_ARRAYS} checksum mismatch")
+                return None
+            arrays = loaded
         return Artifact(stage=stage, key=key, meta=document["meta"], arrays=arrays, path=directory)
 
     def load(self, stage: str, key: str) -> Artifact | None:
@@ -202,14 +247,14 @@ class ArtifactStore:
 
     @staticmethod
     def _committed_stamp(directory: pathlib.Path) -> dict:
-        """The committed entry's array stamp: ``{"arrays": bool}`` plus its ``checksum``."""
+        """The committed entry's array stamp: ``{"arrays": bool}`` plus its manifest and checksum."""
         try:
             document = load_json(directory / "meta.json")
         except (FileNotFoundError, ValueError):
             return {"arrays": False}
         if document.get("format") != _FORMAT or not document.get("arrays"):
             return {"arrays": False}
-        return {name: document[name] for name in ("arrays", "checksum") if name in document}
+        return {name: document[name] for name in ("arrays", "manifest", "checksum") if name in document}
 
     def save(
         self,
@@ -252,26 +297,28 @@ class ArtifactStore:
             # meta.json, stamped with the arrays it keeps.
             for attempt in range(_SAVE_ATTEMPTS):
                 try:
+                    directory.mkdir(parents=True, exist_ok=True)
                     token = uuid.uuid4().hex
-                    arrays_path = directory / "arrays.npz"
+                    arrays_path = directory / _ARRAYS
                     if keep_arrays:
                         stamp = self._committed_stamp(directory)
                     elif arrays:
-                        # np.savez appends ".npz" to names missing it, so the
-                        # temp name keeps the suffix for os.replace to find it.
-                        staging_arrays = directory / f".{token}.tmp.npz"
-                        save_npz(staging_arrays, arrays)
-                        # Stamp the exact committed bytes; load() verifies the
-                        # digest before trusting the arrays.
-                        stamp = {"arrays": True, "checksum": _file_checksum(staging_arrays)}
+                        staging_arrays = directory / f".{token}.arrays.tmp"
+                        manifest, checksum = _write_arrays(staging_arrays, arrays)
+                        # The checksum covers the exact committed bytes;
+                        # load() verifies it before trusting the arrays.
+                        stamp = {"arrays": True, "manifest": manifest, "checksum": checksum}
                         os.replace(staging_arrays, arrays_path)
                     else:
                         stamp = {"arrays": False}
                     if not stamp["arrays"] and arrays_path.exists():
                         arrays_path.unlink()
                     staging_meta = directory / f".{token}.meta.tmp"
-                    document = {"format": _FORMAT, "stage": stage, "key": key, "meta": meta, **stamp}
-                    save_json(staging_meta, document, indent=None)
+                    # The manifest is plain JSON already: only the caller's
+                    # meta goes through the converter.
+                    document = {"format": _FORMAT, "stage": stage, "key": key, "meta": to_jsonable(meta), **stamp}
+                    with open(staging_meta, "w", encoding="utf-8") as handle:
+                        handle.write(json.dumps(document, sort_keys=True))
                     os.replace(staging_meta, directory / "meta.json")
                     break
                 except (FileNotFoundError, FileExistsError):
@@ -302,7 +349,7 @@ class ArtifactStore:
                 # never a marker whose arrays were deleted from under it.
                 # Staging files belong to in-flight saves of other processes
                 # and must survive (their os.replace will commit them).
-                for name in ("meta.json", "arrays.npz"):
+                for name in ("meta.json", _ARRAYS):
                     try:
                         (directory / name).unlink()
                         existed = True

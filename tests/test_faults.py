@@ -238,7 +238,7 @@ class TestArtifactStoreIntegrity:
         assert document["checksum"]
         # Flip bytes inside the committed arrays file; a fresh store (no
         # memory layer) must detect the mismatch and discard the entry.
-        arrays_path = directory / "arrays.npz"
+        arrays_path = directory / "arrays.bin"
         blob = bytearray(arrays_path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         arrays_path.write_bytes(bytes(blob))
@@ -249,6 +249,40 @@ class TestArtifactStoreIntegrity:
         # The slot is reusable: a recompute + save round-trips again.
         fresh.save("stage", "key", {"value": 7}, {"w": np.arange(6.0)})
         np.testing.assert_array_equal(ArtifactStore(tmp_path).load("stage", "key").arrays["w"], np.arange(6.0))
+
+    def test_older_format_entry_reads_as_a_miss(self, tmp_path):
+        directory = tmp_path / "stage" / "key"
+        directory.mkdir(parents=True)
+        np.savez(directory / "arrays.npz", w=np.arange(6.0))
+        document = {"format": "repro.workspace.artifact/v1", "stage": "stage", "key": "key",
+                    "meta": {"value": 7}, "arrays": True, "checksum": "0" * 32}
+        (directory / "meta.json").write_text(json.dumps(document))
+        store = ArtifactStore(tmp_path)
+        assert store.load("stage", "key") is None
+        assert store.misses == 1 and store.corrupt == 0
+        # The recompute's save replaces the entry with the current format.
+        store.save("stage", "key", {"value": 8}, {"w": np.arange(6.0) + 1})
+        loaded = ArtifactStore(tmp_path).load("stage", "key")
+        assert loaded.meta == {"value": 8}
+        np.testing.assert_array_equal(loaded.arrays["w"], np.arange(6.0) + 1)
+
+    def test_truncated_arrays_file_dropped_as_corrupt(self, tmp_path):
+        arrays_path = self._save_entry(tmp_path) / "arrays.bin"
+        arrays_path.write_bytes(arrays_path.read_bytes()[:-8])
+        fresh = ArtifactStore(tmp_path)
+        assert fresh.load("stage", "key") is None
+        assert fresh.corrupt == 1 and not fresh.contains("stage", "key")
+
+    def test_arrays_file_from_another_entry_dropped_as_corrupt(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.save("stage", "a", {"value": 1}, {"w": np.arange(6.0)})
+        store.save("stage", "b", {"value": 2}, {"w": np.arange(6.0) + 1})
+        # Same manifest, well-formed bytes: only the checksum tells them apart.
+        (tmp_path / "stage" / "b" / "arrays.bin").write_bytes((tmp_path / "stage" / "a" / "arrays.bin").read_bytes())
+        fresh = ArtifactStore(tmp_path)
+        assert fresh.load("stage", "b") is None
+        assert fresh.corrupt == 1 and not fresh.contains("stage", "b")
+        np.testing.assert_array_equal(fresh.load("stage", "a").arrays["w"], np.arange(6.0))
 
     def test_fault_plan_truncates_arrays_on_load(self, tmp_path):
         self._save_entry(tmp_path)
@@ -393,9 +427,9 @@ class TestSearchCheckpointer:
         checkpointer = SearchCheckpointer(ArtifactStore(tmp_path), "key")
         checkpointer.save({"phase": "stage1_supernet", "progress": 0}, {"w": np.arange(3.0)})
         checkpointer.save({"phase": "stage1_functions", "progress": 0})
-        # Swap in a well-formed npz with other weights: only the checksum the
-        # meta-only commit kept can tell.
-        np.savez(tmp_path / CHECKPOINT_STAGE / "key" / "arrays.npz", w=np.zeros(3))
+        # Swap in a well-formed file with other weights (same manifest, same
+        # size): only the checksum the meta-only commit kept can tell.
+        (tmp_path / CHECKPOINT_STAGE / "key" / "arrays.bin").write_bytes(np.zeros(3).tobytes())
         store = ArtifactStore(tmp_path)
         assert SearchCheckpointer(store, "key").load() is None
         assert store.corrupt == 1
@@ -537,20 +571,21 @@ class TestSearchResume:
             )
 
     def test_ea_commit_keeps_the_committed_arrays_on_disk(self, resume_data, tmp_path, monkeypatch):
-        """EA-generation commits are meta-only: arrays.npz is written once per
+        """EA-generation commits are meta-only: arrays.bin is written once per
         supernet epoch, an EA kill leaves it untouched, and the search resumed
         from disk replays the uninterrupted one bit-identically."""
         overrides = dict(function_epochs=2, operation_epochs=2)
         epochs = overrides["function_epochs"] + overrides["operation_epochs"]
         writes: list[tuple] = []
-        real_save_npz = store_module.save_npz
+        real_write_arrays = store_module._write_arrays
 
-        def recording_save_npz(path, arrays):
-            real_save_npz(path, arrays)
+        def recording_write_arrays(path, arrays):
+            manifest, checksum = real_write_arrays(path, arrays)
             stat = path.stat()  # os.replace keeps the inode and mtime
-            writes.append((store_module._file_checksum(path), stat.st_ino, stat.st_mtime_ns))
+            writes.append((checksum, stat.st_ino, stat.st_mtime_ns))
+            return manifest, checksum
 
-        monkeypatch.setattr(store_module, "save_npz", recording_save_npz)
+        monkeypatch.setattr(store_module, "_write_arrays", recording_write_arrays)
         baseline = self.make_search(resume_data, **overrides).run(
             checkpointer=SearchCheckpointer(ArtifactStore(tmp_path / "a"), "run")
         )
@@ -573,9 +608,9 @@ class TestSearchResume:
         entry = tmp_path / "b" / CHECKPOINT_STAGE / "run"
         document = json.loads((entry / "meta.json").read_text())
         assert document["meta"]["phase"] == "stage2_operations" and document["meta"]["progress"] == 1
-        stat = (entry / "arrays.npz").stat()
+        stat = (entry / "arrays.bin").stat()
         assert (document["checksum"], stat.st_ino, stat.st_mtime_ns) == writes[-1]
-        assert store_module._file_checksum(entry / "arrays.npz") == writes[-1][0]
+        assert store_module._checksum([(entry / "arrays.bin").read_bytes()]) == writes[-1][0]
 
         writes.clear()
         resumed_checkpointer = SearchCheckpointer(ArtifactStore(tmp_path / "b"), "run")

@@ -44,6 +44,7 @@ from repro.graph import (
     propagate,
     validate_index,
 )
+from repro.graph.batching import _global_pool
 from repro.models.edgeconv import EdgeConv
 from repro.nn import MLP, BatchNorm1d, Linear, Sequential, Tensor, default_dtype, no_grad
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -422,6 +423,84 @@ class TestBatching:
         np.testing.assert_allclose(global_mean_pool(x, batch, 2).data, [[2.0], [15.0]])
         np.testing.assert_allclose(global_sum_pool(x, batch, 2).data, [[4.0], [30.0]])
 
+    @pytest.mark.parametrize("aggregator", ["max", "min", "mean", "sum"])
+    @pytest.mark.parametrize("sizes", [(4, 4, 4), (3, 1, 5, 0)], ids=["uniform", "ragged"])
+    def test_global_pool_grad_check(self, aggregator, sizes, rng):
+        """Float64 central differences; the ragged batch ends in an empty cloud."""
+        batch = np.repeat(np.arange(len(sizes)), sizes)
+        points = rng.normal(size=(batch.size, 3))  # continuous draws: no ties
+        weights = rng.normal(size=(len(sizes), 3))
+
+        def loss(values):
+            return float((_global_pool(Tensor(values), batch, len(sizes), aggregator).data * weights).sum())
+
+        x = Tensor(points.copy(), requires_grad=True)
+        (_global_pool(x, batch, len(sizes), aggregator) * weights).sum().backward()
+        np.testing.assert_allclose(x.grad, finite_difference_grad(loss, points.copy()), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("aggregator", ["max", "min"])
+    def test_tied_extremes_split_gradient(self, aggregator):
+        """Two-way ties: central differences give each winner half, the equal split."""
+        points = np.array([[1.0, 2.0], [3.0, 2.0], [3.0, 0.5], [-1.0, 4.0], [0.0, 4.0]])
+        points = points if aggregator == "max" else -points
+        batch = np.array([0, 0, 0, 1, 1])
+
+        def loss(values):
+            return float(_global_pool(Tensor(values), batch, 2, aggregator).data.sum())
+
+        x = Tensor(points.copy(), requires_grad=True)
+        _global_pool(x, batch, 2, aggregator).sum().backward()
+        expected = [[0.0, 0.5], [0.5, 0.5], [0.5, 0.0], [0.0, 0.5], [1.0, 0.5]]
+        np.testing.assert_array_equal(x.grad, expected)
+        np.testing.assert_allclose(x.grad, finite_difference_grad(loss, points.copy()), rtol=1e-6)
+
+    @pytest.mark.parametrize("channels", [1, 5])
+    def test_ragged_pooling_matches_one_cloud_at_a_time(self, channels, rng):
+        sizes = (7, 30, 1, 12)
+        offsets = np.cumsum((0,) + sizes)
+        batch = np.repeat(np.arange(len(sizes)), sizes)
+        # Magnitudes spread over six decades make float32 sums order-sensitive.
+        x = (rng.normal(size=(batch.size, channels)) * 10.0 ** rng.uniform(-3, 3, (batch.size, 1)))
+        x = x.astype(np.float32)
+        for pool in (global_max_pool, global_mean_pool, global_sum_pool):
+            batched = pool(Tensor(x), batch, len(sizes)).data
+            alone = [pool(Tensor(x[a:b]), np.zeros(b - a, dtype=np.int64), 1).data for a, b in zip(offsets, offsets[1:])]
+            assert np.array_equal(batched, np.concatenate(alone)), pool.__name__
+
+    @staticmethod
+    def _per_cloud_knn(points, batch, k):
+        edges = []
+        for graph_id in np.unique(batch):
+            node_ids = np.flatnonzero(batch == graph_id)
+            edges.append(node_ids[knn_graph(points[node_ids], k)])
+        return np.concatenate(edges, axis=1)
+
+    @pytest.mark.parametrize("case", ["duplicates", "zeros", "fewer_points_than_k", "k_plus_one_points"])
+    def test_stacked_knn_matches_per_cloud_loop(self, case, rng):
+        n = {"fewer_points_than_k": 5, "k_plus_one_points": 7}.get(case, 24)
+        k = 6
+        points = rng.normal(size=(4 * n, 8)).astype(np.float32)
+        if case == "duplicates":
+            points[1::3] = points[0]  # equal keys inside and across clouds
+        elif case == "zeros":
+            points[: 2 * n + 3] = 0.0  # all-zero rows, as after a ReLU
+        batch = np.repeat(np.arange(4), n)
+        expected = self._per_cloud_knn(points, batch, k)
+        assert np.array_equal(batched_knn_graph(points, batch, k), expected)
+
+    def test_ragged_knn_batch_takes_the_loop(self, rng, monkeypatch):
+        import repro.graph.batching as batching_module
+
+        def refuse(clouds, k):
+            raise AssertionError("stacked search")
+
+        monkeypatch.setattr(batching_module, "stacked_knn_indices", refuse)
+        points = rng.normal(size=(32, 3)).astype(np.float32)
+        ragged = np.repeat([0, 1, 2], [10, 12, 10])
+        assert np.array_equal(batched_knn_graph(points, ragged, 4), self._per_cloud_knn(points, ragged, 4))
+        with pytest.raises(AssertionError, match="stacked search"):
+            batched_knn_graph(points, np.repeat([0, 1], 16), 4)
+
 
 class TestPackUnpack:
     def test_empty_batch(self):
@@ -671,6 +750,30 @@ class TestFusedKernels:
             (fused_aggregate(x, edge_index, message_type, aggregator) * weights).sum().backward()
         expected = finite_difference_grad(loss, points.copy())
         np.testing.assert_allclose(x.grad, expected, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2])
+    @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
+    def test_fused_edgeconv_grad_check(self, slope, message_type, aggregator, rng):
+        """Float64 central differences of the per-edge kernel for x, W and b."""
+        points = rng.normal(size=(9, 2))
+        edge_index = knn_graph(points, 3)
+        with default_dtype("float64"):
+            mlp = MLP([message_dim(message_type, 2), 4], activation="relu" if slope == 0.0 else "leaky_relu",
+                      final_activation=True, rng=np.random.default_rng(1))
+        linear = mlp.layers[0]
+        weights = rng.normal(size=(9, 4))
+        state = {"x": points.copy()}
+
+        def loss(_):
+            return float((fused_edgeconv(Tensor(state["x"]), edge_index, mlp, message_type, aggregator).data
+                          * weights).sum())
+
+        x = Tensor(state["x"].copy(), requires_grad=True)
+        (fused_edgeconv(x, edge_index, mlp, message_type, aggregator) * weights).sum().backward()
+        np.testing.assert_allclose(x.grad, finite_difference_grad(loss, state["x"]), rtol=1e-6, atol=1e-8)
+        for param in (linear.weight, linear.bias):
+            np.testing.assert_allclose(param.grad, finite_difference_grad(loss, param.data), rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("aggregator", ["max", "min"])
     def test_tied_sources_split_gradient_equally(self, aggregator):

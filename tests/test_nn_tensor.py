@@ -161,6 +161,28 @@ class TestBackward:
     def test_transpose_reshape_grad(self, rng):
         assert_grad_matches(lambda x: x.T.reshape(6) * 3.0, (2, 3), rng)
 
+    @pytest.mark.parametrize("slope", [0.01, 0.2])
+    def test_leaky_relu_grad(self, slope, rng):
+        assert_grad_matches(lambda x: x.leaky_relu(slope) * 3.0, (4, 5), rng)
+
+    def test_accumulate_aliasing_grads(self, rng):
+        """One gradient array reaching a tensor twice, or a broadcast parent."""
+        assert_grad_matches(lambda x: x + x, (3, 4), rng)
+        assert_grad_matches(lambda x: x * x, (3, 4), rng)
+        rows = Tensor(rng.normal(size=(3, 4)))
+        assert_grad_matches(lambda bias: rows * 2.0 + bias, (4,), rng)
+
+    def test_first_accumulation_copies_the_gradient(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x + x
+        seed = np.arange(3.0)
+        y.backward(seed)
+        np.testing.assert_array_equal(x.grad, 2.0 * seed)
+        # Both parents received y's gradient array; adding the second in
+        # place must not write through to it.
+        np.testing.assert_array_equal(y.grad, seed)
+        assert not np.shares_memory(x.grad, y.grad)
+
     def test_gradient_accumulates_across_uses(self):
         x = Tensor([2.0], requires_grad=True)
         y = x * 3.0 + x * 4.0
@@ -195,6 +217,21 @@ class TestBackward:
             np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0])
         finally:
             gc.enable()
+
+
+class TestLeakyReluForm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0, 1.5, -0.5])
+    def test_forward_bit_identical_to_where_form(self, dtype, slope):
+        values = np.array(
+            [-np.inf, -3.0, -1e-40, -0.0, 0.0, 1e-40, 2.5, np.inf, np.nan, -np.nan], dtype=dtype
+        )
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            expected = np.where(values > 0.0, values, slope * values)
+            got = Tensor(values).leaky_relu(slope).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))  # signed zeros and NaNs too
 
 
 class TestGradMode:

@@ -330,6 +330,30 @@ class TestInferenceEngine:
         assert [r.label for r in batched_results] == [r.label for r in sequential_results]
         assert [r.request_id for r in batched_results] == list(range(len(clouds)))
 
+    def test_dgcnn_ragged_batches_give_the_same_logits(self, rng):
+        """Mixed-size clouds: one batch of six and three batches of two agree bit for bit.
+
+        Pooling reduces each cloud alone, so a cloud's logits do not depend
+        on its neighbours in the batch: the two 64-point clouds pool through
+        the equal-size path as a pair and the ragged one in the batch of
+        six.  (Batches of one are left out: the
+        classifier head's one-row product takes BLAS's matrix-vector kernel,
+        which rounds differently from the matrix-matrix one.)
+        """
+        from repro.nas.presets import dgcnn_architecture
+
+        def engine(max_batch_size):
+            registry = ModelRegistry()
+            registry.register("dgcnn", dgcnn_architecture(), get_device("jetson-tx2"), num_classes=40, k=20, seed=0)
+            config = EngineConfig(max_batch_size=max_batch_size, result_cache_capacity=0, edge_cache_capacity=0)
+            return InferenceEngine(registry, config)
+
+        clouds = [rng.standard_normal((n, 3)).astype(np.float32) for n in (40, 33, 64, 64, 100, 21)]
+        together = engine(6).submit_many("dgcnn", clouds)
+        in_pairs = engine(2).submit_many("dgcnn", clouds)
+        for a, b in zip(together, in_pairs):
+            assert np.array_equal(a.logits, b.logits)
+
     def test_cached_and_uncached_bit_identical(self, rng):
         clouds = _clouds(rng, 6)
         stream = clouds + [clouds[0], clouds[2]]

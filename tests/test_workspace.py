@@ -103,7 +103,7 @@ class TestArtifactStore:
         assert reloaded.meta["answer"] == 42
         np.testing.assert_array_equal(reloaded.arrays["w"], np.arange(4.0))
         assert (tmp_path / "stage" / key / "meta.json").exists()
-        assert (tmp_path / "stage" / key / "arrays.npz").exists()
+        assert (tmp_path / "stage" / key / "arrays.bin").exists()
 
     def test_memory_only_store_caches(self):
         store = ArtifactStore(None)
@@ -444,6 +444,29 @@ class TestSamplerVersionKeys:
         assert before["knn_edges"] == after["knn_edges"]
 
 
+class TestTrainingKernelKeys:
+    """Keys of trained weights change with the training kernels; serving keys do not."""
+
+    def _keys(self, monkeypatch, tiny_train, tiny_test) -> dict[str, str]:
+        keys = TestSamplerVersionKeys()._keys(monkeypatch, tiny_train, tiny_test)
+        keys["predictor"] = TestSamplerVersionKeys._stage_key(
+            monkeypatch,
+            "predictor",
+            lambda: Workspace(device="tx2").train_predictor(num_samples=8, num_positions=2, epochs=1),
+        )
+        return keys
+
+    def test_each_key_changes_with_the_training_kernels(self, monkeypatch, tiny_train, tiny_test):
+        before = self._keys(monkeypatch, tiny_train, tiny_test)
+        monkeypatch.setattr(pipeline_module, "TRAINING_KERNELS", "other-kernels")
+        after = self._keys(monkeypatch, tiny_train, tiny_test)
+        for name in ("predictor", "search", "derived"):
+            assert before[name] != after[name], name
+        # The forward pass is unchanged, so served results stay valid.
+        for name in ("random_edges", "knn_edges", "deployment"):
+            assert before[name] == after[name], name
+
+
 class TestModelRegistryAdd:
     def test_add_preserves_every_field(self, tiny_train):
         deployed = api.deploy_architecture(
@@ -540,7 +563,7 @@ class TestArtifactStoreConcurrency:
             assert artifact is not None and artifact.meta == {"writer": writer_id}
         # No staging litter: every temp file was committed or is orphaned
         # under a unique name that discard/save never confuses with data.
-        committed = {"meta.json", "arrays.npz"}
+        committed = {"meta.json", "arrays.bin"}
         for entry in (tmp_path / "stress").glob("*/*"):
             assert entry.name in committed or entry.name.startswith("."), entry
 
@@ -549,16 +572,16 @@ class TestArtifactStoreConcurrency:
         """A discard() racing save's mkdir surfaces as either error; save retries."""
         import repro.workspace.store as store_module
 
-        real_save_npz = store_module.save_npz
+        real_write_arrays = store_module._write_arrays
         calls = []
 
-        def racing_save_npz(path, arrays):
+        def racing_write_arrays(path, arrays):
             calls.append(path)
             if len(calls) == 1:
                 raise error("entry directory removed by a concurrent discard")
-            return real_save_npz(path, arrays)
+            return real_write_arrays(path, arrays)
 
-        monkeypatch.setattr(store_module, "save_npz", racing_save_npz)
+        monkeypatch.setattr(store_module, "_write_arrays", racing_write_arrays)
         store = ArtifactStore(tmp_path)
         store.save("stage", "k", {"v": 1}, {"w": np.arange(3.0)})
         assert len(calls) == 2
