@@ -16,7 +16,10 @@ The acceptance claims of the dtype/fusion work, quantified:
   on which kernel executed them;
 * a float32 training step (forward + backward) of both models is at least
   1.2x faster on the fused path than on the materialized one, with
-  allclose parameter gradients.
+  allclose parameter gradients;
+* the fused aggregate's column-wise gather-max is at least 1.3x faster than
+  building ``x[sources]`` and reducing its middle axis, at DGCNN's first
+  feature layer (1024 points x 64 channels, k=20), with equal output.
 
 Both models run the same eval batches.  Every timing alternates the two
 configurations round by round after a warm-up round (the ``ab_medians``
@@ -27,9 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import use_backend
+from repro.backends import gather_reduce, use_backend
 from repro.data.dataset import Batch, collate
 from repro.data.synthetic_modelnet import make_synthetic_modelnet
+from repro.graph.knn import knn_graph
 from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.nas.derived import DerivedModel
 from repro.nas.presets import device_fast_architecture
@@ -39,8 +43,10 @@ from repro.nn.tensor import no_grad
 
 MIN_SPEEDUP = 1.5
 MIN_TRAIN_SPEEDUP = 1.2
+MIN_GATHER_SPEEDUP = 1.3
 ROUNDS = 5
 TRAIN_ROUNDS = 5
+GATHER_ROUNDS = 25
 NUM_CLASSES = 6
 NUM_POINTS = 256
 EVAL_CLOUDS = 8
@@ -161,3 +167,26 @@ def test_float32_fused_train_step_speedup_and_parity(benchmark, ab_medians):
             f"fused {name} train step only {speedup:.2f}x faster than the materialized path"
         )
     benchmark.pedantic(lambda: _train_step(derived, batch), rounds=3, iterations=1)
+
+
+def test_column_wise_gather_max_speedup(benchmark, ab_medians):
+    """Column-wise gather-max: >=1.3x gather + reshape-max at 1024 x 64, k=20, equal output."""
+    num_points, width, k = 1024, 64, 20
+    x = np.random.default_rng(0).standard_normal((num_points, width)).astype(np.float32)
+    sources = knn_graph(x, k)[0]
+    counts = np.full(num_points, k, dtype=np.int64)
+    starts = np.arange(num_points, dtype=np.int64) * k
+    seconds, outputs = ab_medians(
+        {
+            "column_wise": lambda: gather_reduce(x, sources, starts, counts, "max"),
+            "gathered": lambda: x[sources].reshape(num_points, k, width).max(axis=1),
+        },
+        rounds=GATHER_ROUNDS,
+    )
+    np.testing.assert_array_equal(outputs["column_wise"], outputs["gathered"])
+    speedup = seconds["gathered"] / seconds["column_wise"]
+    benchmark.extra_info["gathered_ms"] = round(seconds["gathered"] * 1e3, 3)
+    benchmark.extra_info["column_wise_ms"] = round(seconds["column_wise"] * 1e3, 3)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.pedantic(lambda: gather_reduce(x, sources, starts, counts, "max"), rounds=3, iterations=1)
+    assert speedup >= MIN_GATHER_SPEEDUP, f"column-wise gather-max only {speedup:.2f}x faster than gather + reshape-max"

@@ -20,7 +20,8 @@ alias::
         logits = model(batch)          # gather -> scatter reference path
 
 The module also owns the irregular-access kernels: contiguous segment
-reduction, the row-sum by index behind the fused kernels' gather backward,
+reduction, the gather-reduce behind the fused aggregate, the row-sum by
+index behind the fused kernels' gather backward,
 and the unbuffered scatter accumulation that only the materialized path
 (:mod:`repro.graph.scatter`) still uses.  It imports nothing from
 ``repro.nn``/``repro.graph`` (they import *it*).
@@ -40,6 +41,7 @@ __all__ = [
     "fused_kernels_enabled",
     "check_backend",
     "segment_reduce",
+    "gather_reduce",
     "index_sum",
     "scatter_add",
     "scatter_extreme",
@@ -108,6 +110,39 @@ def segment_reduce(
             return stacked.max(axis=1)
         return stacked.min(axis=1)
     return reducer.reduceat(values, seg_starts, axis=0)
+
+
+def gather_reduce(
+    values: np.ndarray, index: np.ndarray, seg_starts: np.ndarray, seg_counts: np.ndarray, aggregator: str
+) -> np.ndarray:
+    """``segment_reduce(values[index], seg_starts, seg_counts, aggregator)``.
+
+    When every segment has the same degree ``k`` (KNN and random graphs
+    always do), the ``(E, F)`` gather is never built: each target's
+    neighbours are reduced one column of ``index.reshape(S, k)`` at a time,
+    in the order j = 0..k-1 that the reshaped axis reduction also follows,
+    and the sum starts from +0.0 as that reduction does.  The result is
+    bit-identical to the gathered reduction; only the sign and payload
+    bits of NaN entries may differ.  At 1024 x 64 float32, k=20 it took
+    0.74 ms against 1.56 ms for the gathered max (2-core host, one BLAS
+    thread).  Ragged segments and a single feature column (where numpy's
+    axis sum turns pairwise) gather and call :func:`segment_reduce`.
+    """
+    try:
+        reducer = _REDUCERS[aggregator]
+    except KeyError as exc:
+        raise ValueError(f"unknown aggregator '{aggregator}'") from exc
+    degree = int(seg_counts[0]) if seg_counts.size else 0
+    if not degree or values.shape[1] == 1 or np.any(seg_counts != degree):
+        return segment_reduce(values[index], seg_starts, seg_counts, aggregator)
+    columns = index.reshape(seg_counts.size, degree).T
+    if reducer is np.add:
+        out = np.zeros((seg_counts.size, values.shape[1]), dtype=values.dtype)
+    else:
+        out, columns = values[columns[0]], columns[1:]
+    for column in columns:
+        reducer(out, values[column], out=out)
+    return out
 
 
 def index_sum(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import fused_kernels_enabled, index_sum, segment_reduce
+from repro.backends import fused_kernels_enabled, gather_reduce, index_sum, segment_reduce
 from repro.graph.edge_index import validate_edge_index
 from repro.graph.message import build_messages
 from repro.graph.scatter import scatter
@@ -93,15 +93,18 @@ def _csr_segments(x: Tensor, edge_index, message_type: str, aggregator: str, val
 def _gather_reduce(x: Tensor, sources, seg_nodes, seg_starts, seg_counts, aggregator: str) -> Tensor:
     """Differentiable ``segment_reduce(x[sources])`` onto ``x``'s nodes.
 
-    Nodes without in-edges get zero rows.  The backward recomputes the
-    gather; max/min gradients go to the winners, split equally among ties.
+    The forward is :func:`~repro.backends.gather_reduce`.  Nodes without
+    in-edges get zero rows.  The backward recomputes the gather; max/min
+    gradients go to the winners, split equally among ties.
     """
     xd = x.data
     dtype = xd.dtype
-    out = np.zeros_like(xd)
-    out[seg_nodes] = segment_reduce(xd[sources], seg_starts, seg_counts, aggregator)
+    out = gather_reduce(xd, sources, seg_starts, seg_counts, aggregator)
     if aggregator == "mean":
-        out[seg_nodes] /= seg_counts[:, None].astype(dtype)
+        out /= seg_counts[:, None].astype(dtype)
+    if seg_nodes.size < xd.shape[0]:
+        reduced, out = out, np.zeros_like(xd)
+        out[seg_nodes] = reduced
 
     def backward_fn(grad: np.ndarray) -> list[np.ndarray]:
         seg_grad = np.asarray(grad, dtype=dtype)[seg_nodes]
@@ -143,9 +146,15 @@ def fused_aggregate(
     reduced = _gather_reduce(x, sources, seg_nodes, seg_starts, seg_counts, aggregator)
     if message_type == "source_pos":
         return reduced
-    weight = np.zeros((x.shape[0], 1), dtype=x.data.dtype)
-    weight[seg_nodes, 0] = seg_counts if aggregator == "sum" else 1
-    centre = x * weight
+    if aggregator != "sum" and seg_nodes.size == x.shape[0]:
+        # Every node has in-edges, so the weight is all ones.  An identity op
+        # rather than ``x`` itself keeps the backward graph of ``x * 1``: the
+        # centre's gradients are summed before they reach ``x``, in the same order.
+        centre = apply_op(x.data, (x,), lambda grad: [grad])
+    else:
+        weight = np.zeros((x.shape[0], 1), dtype=x.data.dtype)
+        weight[seg_nodes, 0] = seg_counts if aggregator == "sum" else 1
+        centre = x * weight
     if message_type == "target_pos":
         return centre
     relative = reduced - centre

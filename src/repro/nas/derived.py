@@ -23,10 +23,13 @@ from repro.nn.tensor import Tensor, concatenate
 
 __all__ = ["DerivedModel", "GraphBuilder"]
 
-#: Pluggable graph construction: ``(method, features, batch, k) -> edge_index``
-#: where ``method`` is ``"knn"`` or ``"random"``.  The serving engine installs
-#: a caching, deterministic builder here; ``None`` keeps the default behaviour.
-GraphBuilder = Callable[[str, np.ndarray, np.ndarray, int], np.ndarray]
+#: Pluggable graph construction:
+#: ``(method, features, batch, k, *, points, layer) -> edge_index`` where
+#: ``method`` is ``"knn"`` or ``"random"``, ``points`` are the request
+#: coordinates (``features is points`` while a layer still samples over
+#: them) and ``layer`` is the op index.  The serving engine installs a
+#: caching, deterministic builder here; ``None`` keeps the default behaviour.
+GraphBuilder = Callable[..., np.ndarray]
 
 
 class DerivedModel(Module):
@@ -65,11 +68,11 @@ class DerivedModel(Module):
         self._graph_rng = np.random.default_rng(seed + 1)
         self.graph_builder: GraphBuilder | None = None
 
-    def _build_graph(self, method: str, features: np.ndarray, batch_vector: np.ndarray) -> np.ndarray:
+    def _build_graph(self, method: str, x: Tensor, inputs: Tensor, batch_vector: np.ndarray, layer: int) -> np.ndarray:
         if self.graph_builder is not None:
-            return self.graph_builder(method, features, batch_vector, self.k)
+            return self.graph_builder(method, x.data, batch_vector, self.k, points=inputs.data, layer=layer)
         if method == "knn":
-            return batched_knn_graph(features, batch_vector, self.k)
+            return batched_knn_graph(x.data, batch_vector, self.k)
         return batched_random_graph(batch_vector, self.k, self._graph_rng)
 
     def forward(self, batch: Batch) -> Tensor:
@@ -79,10 +82,10 @@ class DerivedModel(Module):
         edge_index: np.ndarray | None = None
         for index, op in enumerate(self.ops):
             if op.kind == "sample":
-                edge_index = self._build_graph(op.sample_method, x.data, batch.batch)
+                edge_index = self._build_graph(op.sample_method, x, inputs, batch.batch, index)
             elif op.kind == "aggregate":
                 if edge_index is None:
-                    edge_index = self._build_graph("knn", x.data, batch.batch)
+                    edge_index = self._build_graph("knn", x, inputs, batch.batch, index)
                 # The edge index came out of a validating graph builder.
                 x = propagate(x, edge_index, op.message_type, op.aggregator, validated=True)
             elif op.kind == "combine":

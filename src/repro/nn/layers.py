@@ -8,6 +8,7 @@ named parameters and sub-modules, expose ``parameters()`` /
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from typing import Iterable, Iterator
 
@@ -39,6 +40,11 @@ class Module:
     assigning :class:`Module` objects.
     """
 
+    #: Bumped whenever any module registers a sub-module; a cached flat
+    #: module list (see :meth:`modules`) is valid only at the version it was
+    #: built at, because a parent cannot see its children's registrations.
+    _structure_version = 0
+
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Tensor]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
@@ -52,6 +58,7 @@ class Module:
             self.__dict__.setdefault("_parameters", OrderedDict())[name] = value
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
+            Module._structure_version += 1
         object.__setattr__(self, name, value)
 
     def register_parameter(self, name: str, tensor: Tensor) -> Tensor:
@@ -64,6 +71,7 @@ class Module:
     def add_module(self, name: str, module: "Module") -> "Module":
         """Explicitly register a sub-module under ``name``."""
         self._modules[name] = module
+        Module._structure_version += 1
         object.__setattr__(self, name, module)
         return module
 
@@ -82,10 +90,22 @@ class Module:
         return [param for _, param in self.named_parameters()]
 
     def modules(self) -> Iterator["Module"]:
-        """Yield this module and all descendants."""
-        yield self
-        for module in self._modules.values():
-            yield from module.modules()
+        """Yield this module and all descendants (depth-first, in registration order)."""
+        # The cached list holds descendants only: a module that listed itself
+        # would sit in a reference cycle and outlive its last reference.
+        cached = self.__dict__.get("_descendants")
+        if cached is None or cached[0] != Module._structure_version:
+            descendants = [module for child in self._modules.values() for module in child.modules()]
+            cached = (Module._structure_version, descendants)
+            object.__setattr__(self, "_descendants", cached)
+        return itertools.chain((self,), cached[1])
+
+    def __getstate__(self) -> dict:
+        # A cached list is valid only at the version, and in the process, it
+        # was built in; copies and unpickled modules rebuild theirs.
+        state = self.__dict__.copy()
+        state.pop("_descendants", None)
+        return state
 
     def num_parameters(self) -> int:
         """Total number of learnable scalar parameters."""
@@ -95,7 +115,7 @@ class Module:
     # Mode / gradient management
     # -------------------------------------------------------------- #
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively."""
+        """Set training mode on this module and all descendants."""
         for module in self.modules():
             module.training = mode
         return self

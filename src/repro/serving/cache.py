@@ -2,12 +2,12 @@
 
 Two cache uses share the same :class:`LRUCache` implementation:
 
-* **Edge-index caching** — KNN graph construction is the dominant inference
-  cost HGNAS identifies (paper Fig. 3), and it depends only on the feature
-  matrix of one cloud, never on its batch neighbours.  The
-  :class:`CachingGraphBuilder` therefore builds (or reuses) the local edge
-  index per cloud, keyed by a content hash of the cloud's quantised
-  features, and offsets it into the stacked node set.
+* **Edge-index caching** — the :class:`CachingGraphBuilder` keeps only the
+  per-cloud graphs a later request can reuse: KNN over the request's own
+  coordinates (shared by every deployment with the same ``k``) and random
+  graphs.  Both are keyed by a content hash of the cloud's quantised
+  coordinates.  KNN over learned features is built directly, with no
+  hash and no cache entry.
 * **Result caching** — the engine stores final logits per
   ``(model, input fingerprint)`` so repeated inputs skip inference
   entirely.
@@ -26,6 +26,7 @@ from typing import Any, Hashable, Iterable
 
 import numpy as np
 
+from repro.graph.batching import batched_knn_graph
 from repro.graph.knn import knn_graph
 from repro.graph.sampling import SAMPLER_VERSION, random_graph
 from repro.nn.dtype import WIDE_DTYPE, as_float_array
@@ -129,59 +130,57 @@ def cloud_fingerprint(
 
 
 class CachingGraphBuilder:
-    """Per-cloud graph construction with content-addressed edge reuse.
+    """Per-cloud graph construction that caches only edges a later request can reuse.
 
-    Implements the :data:`repro.nas.derived.GraphBuilder` protocol.  Each
-    cloud of the batch is hashed (quantised features + method + ``k``, plus
-    the sampler version for random edges); the local edge index is fetched
-    from the LRU cache or built fresh and then offset into the stacked node
-    set.  Random sampling is seeded from the
-    fingerprint, which makes the builder fully deterministic: identical
-    inputs yield identical graphs whether or not the cache is enabled — the
-    property behind the engine's bit-identical cached/uncached results.
+    Implements the :data:`repro.nas.derived.GraphBuilder` protocol.  KNN over
+    the request's coordinates (``features is points``) is keyed by the
+    cloud's fingerprint and ``k``, so deployments with the same ``k`` share
+    it.  Random graphs are keyed by the fingerprint, ``k``, the sampler
+    version and the layer index, and seeded from that key: identical clouds
+    get identical graphs with or without the cache, the property behind the
+    engine's bit-identical cached/uncached results.  KNN over learned
+    features would repeat only for a cloud the result cache answers first,
+    so it runs :func:`~repro.graph.batching.batched_knn_graph` uncached.
     """
 
     def __init__(self, cache: LRUCache | None = None, decimals: int = 6, shared=None):
         self.cache = cache
         self.decimals = decimals
-        #: Optional cross-process tier (a
-        #: :class:`repro.serving.diskcache.SharedArrayCache`): edge indices
-        #: built by one pool worker are reused by its siblings.  Edge keys
-        #: depend only on cloud geometry + method + k, never on any
-        #: per-process state, so they are shareable as-is; rebuilt edges are
-        #: deterministic, so the tier cannot change results.
+        #: Optional cross-process tier (a :class:`repro.serving.diskcache.SharedArrayCache`):
+        #: edges built by one pool worker are reused by its siblings.  Keys depend only on
+        #: cloud geometry, method, k and layer, and rebuilt edges are deterministic, so the
+        #: tier cannot change results.
         self.shared = shared
 
-    def _build_local(self, method: str, features: np.ndarray, k: int, key: str) -> np.ndarray:
-        if method == "knn":
-            return knn_graph(features, k)
-        if method == "random":
-            rng = np.random.default_rng(int(key[:15], 16))
-            return random_graph(features.shape[0], k, rng)
-        raise ValueError(f"unknown sample method '{method}'")
-
     def __call__(
-        self, method: str, features: np.ndarray, batch_vector: np.ndarray, k: int
+        self, method: str, features: np.ndarray, batch_vector: np.ndarray, k: int, *, points: np.ndarray, layer: int
     ) -> np.ndarray:
-        # Preserve the compute dtype; fingerprints quantise to float64
-        # internally so cache keys stay dtype-independent.
-        features = as_float_array(features)
-        batch_vector = np.asarray(batch_vector, dtype=np.int64)
+        if method == "knn" and features is not points:
+            return batched_knn_graph(features, batch_vector, k)
+        if method not in ("knn", "random"):
+            raise ValueError(f"unknown sample method '{method}'")
         # Random edges also depend on the sampler's stream, so a persisted
         # shared tier never serves edges drawn by another sampler version.
-        extra = (method, k, SAMPLER_VERSION) if method == "random" else (method, k)
+        extra = (method, k) if method == "knn" else (method, k, SAMPLER_VERSION, layer)
+        # Fingerprints quantise to float64 internally, so keys are dtype-independent.
+        points = as_float_array(points)
+        batch_vector = np.asarray(batch_vector, dtype=np.int64)
         edges: list[np.ndarray] = []
         for graph_id in np.unique(batch_vector):
             node_ids = np.flatnonzero(batch_vector == graph_id)
-            cloud = features[node_ids]
+            cloud = points[node_ids]
             key = cloud_fingerprint(cloud, self.decimals, extra=extra)
             local = self.cache.get(key) if self.cache is not None else None
             if local is None and self.shared is not None:
                 local = self.shared.get(key)
             if local is None:
+                if method == "knn":
+                    local = knn_graph(cloud, k)
+                else:
+                    local = random_graph(node_ids.size, k, np.random.default_rng(int(key[:15], 16)))
                 # Cache entries hold int32 local indices, half the bytes of
                 # int64; ``node_ids[local]`` below still yields int64 edges.
-                local = self._build_local(method, cloud, k, key).astype(np.int32)
+                local = local.astype(np.int32)
                 if self.shared is not None:
                     self.shared.put_if_absent(key, local)
             if self.cache is not None and key not in self.cache:

@@ -60,8 +60,10 @@ def deployment_fingerprint(entry, backend: str) -> str:
         "k": entry.k,
         "embed_dim": entry.embed_dim,
         "backend": backend,
-        # Random-sampling layers draw their edges from the sampler's stream.
+        # Random-sampling layers draw their edges from the sampler's stream,
+        # seeded from the coordinate fingerprint and the layer index.
         "sampler": SAMPLER_VERSION,
+        "random_graph_seed": "coordinates+layer",
     }
     digest.update(json.dumps(identity, sort_keys=True, separators=(",", ":")).encode())
     state = entry.model.state_dict()

@@ -16,10 +16,12 @@ through deployed searched architectures with a synchronous
    :class:`~repro.serving.batcher.MicroBatcher` and execute as packed
    ragged batches (:func:`repro.graph.batching.pack_clouds`).
 4. **Edge cache** — during execution a
-   :class:`~repro.serving.cache.CachingGraphBuilder` reuses per-cloud KNN
-   edge indices, the dominant cost HGNAS identifies.  The builder is
-   deterministic (random sampling is seeded from the cloud fingerprint),
-   so results are bit-identical with caching on or off.
+   :class:`~repro.serving.cache.CachingGraphBuilder` reuses the per-cloud
+   graphs a later request can: KNN over the request coordinates and random
+   graphs.  KNN over learned features is built fresh, unhashed.  The builder
+   is deterministic (random sampling is seeded from the coordinate
+   fingerprint and the layer index), so results are bit-identical with
+   caching on or off.
 
 The worker loop is explicit: ``step()`` executes one due batch,
 ``run_worker()`` drains the queue; ``submit``/``submit_many`` drive it
@@ -235,14 +237,14 @@ class InferenceEngine:
             shared_root = pathlib.Path(self.config.shared_cache_dir)
             self.shared_cache = SharedArrayCache(shared_root / "results")
             shared_edges = SharedArrayCache(shared_root / "edges")
+        # Deterministic even with caching disabled, so cached and uncached
+        # engines produce bit-identical logits.
+        caching = self.config.edge_cache_capacity > 0
         self._graph_builder = CachingGraphBuilder(
-            cache=self.edge_cache if self.config.edge_cache_capacity > 0 else None,
+            cache=self.edge_cache if caching else None,
             decimals=self.config.quantize_decimals,
-            shared=shared_edges,
+            shared=shared_edges if caching else None,
         )
-        # Deterministic builder even with caching disabled, so cached and
-        # uncached engines produce bit-identical logits.
-        self._uncached_builder = CachingGraphBuilder(cache=None, decimals=self.config.quantize_decimals)
         self._pending: dict[int, _PendingSlot] = {}
         self._content_keys: dict[tuple[str, int], str] = {}
         self._next_request_id = 0
@@ -434,9 +436,7 @@ class InferenceEngine:
             num_graphs=len(compute),
         )
         entry.model.eval()
-        entry.model.graph_builder = (
-            self._graph_builder if self.config.edge_cache_capacity > 0 else self._uncached_builder
-        )
+        entry.model.graph_builder = self._graph_builder
         try:
             with telemetry.busy, no_grad(), use_backend(self._backend_name()):
                 logits = entry.model(batch).data

@@ -606,7 +606,19 @@ class WorkerPoolEngine:
                 worker.last_heartbeat = time.time()
 
     def _finished(self) -> bool:
-        return self._shutdown and all(worker.finished or not worker.is_running() for worker in self._workers)
+        return self._shutdown and all(
+            worker.finished or (not worker.is_running() and self._drained(worker)) for worker in self._workers
+        )
+
+    @staticmethod
+    def _drained(worker: _Worker) -> bool:
+        """Whether every message ``worker`` sent has been read.
+
+        A worker's process can exit before the collector reads its last
+        messages (its shutdown snapshot, say); until they are read, its exit
+        is neither a crash nor the end of the pool.
+        """
+        return worker.results.closed or not worker.results.poll()
 
     def _take(self, request_id: int) -> _InFlight | None:
         with self._lock:
@@ -673,6 +685,8 @@ class WorkerPoolEngine:
             if not worker.alive or worker.finished:
                 continue
             if not worker.process.is_alive():
+                if not self._drained(worker):
+                    continue  # read its last messages first
                 _LOGGER.warning("pool worker %d died (exit code %s)", worker.worker_id, worker.process.exitcode)
                 self._on_crash(worker, reason=f"worker {worker.worker_id} crashed")
             elif (

@@ -17,6 +17,7 @@ from repro.backends import (
     BACKENDS,
     active_backend_name,
     fused_kernels_enabled,
+    gather_reduce,
     scatter_add,
     scatter_extreme,
     segment_reduce,
@@ -34,7 +35,7 @@ from repro.graph import (
     propagate,
     scatter,
 )
-from repro.graph.fused import _CHUNK_EDGES
+from repro.graph.fused import _CHUNK_EDGES, _csr_segments, _gather_reduce
 from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.models.edgeconv import EdgeConv
 from repro.nas.architecture import Architecture
@@ -42,7 +43,7 @@ from repro.nas.derived import DerivedModel
 from repro.nas.ops import FunctionSet, OperationType
 from repro.nas.presets import device_fast_architecture
 from repro.nas.supernet import Supernet, SupernetConfig
-from repro.nn import MLP, Tensor, default_dtype, no_grad
+from repro.nn import MLP, Tensor, concatenate, default_dtype, no_grad
 from repro.nn.loss import cross_entropy
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.nn.functional import embedding_lookup, matmul
@@ -182,6 +183,123 @@ class TestPrimitiveEquivalence:
     def test_scatter_extreme_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             scatter_extreme(np.zeros((2, 2)), np.array([0, 1]), np.ones((2, 2)), "median")
+
+
+def _assert_same_bits(got, want):
+    """Equal bit for bit, signed zeros included; NaN entries only need to be NaN in both.
+
+    A NaN's sign and payload bits follow the ufunc loop that produced it,
+    which differs between a binary ufunc and an axis reduction.
+    """
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _uniform_segments(degree, num_segments):
+    counts = np.full(num_segments, degree, dtype=np.int64)
+    return np.arange(num_segments, dtype=np.int64) * degree, counts
+
+
+class TestGatherReduce:
+    """``gather_reduce`` equals ``segment_reduce(values[index])`` bit for bit."""
+
+    SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("degree", [1, 2, 5, 20])
+    @pytest.mark.parametrize("width", [3, 33])
+    def test_uniform_degree_matches_gathered_reduction(self, dtype, aggregator, degree, width, rng):
+        values = rng.normal(size=(50, width))
+        special = rng.random(values.shape) < 0.5
+        values[special] = rng.choice(self.SPECIALS, size=int(special.sum()))
+        values = values.astype(dtype)
+        index = rng.integers(0, 50, size=40 * degree)
+        starts, counts = _uniform_segments(degree, 40)
+        with np.errstate(invalid="ignore"):
+            got = gather_reduce(values, index, starts, counts, aggregator)
+            want = segment_reduce(values[index], starts, counts, aggregator)
+        _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    def test_signed_zero_ties(self, aggregator, rng):
+        values = rng.choice(np.array([0.0, -0.0], dtype=np.float32), size=(30, 8))
+        index = rng.integers(0, 30, size=30 * 4)
+        starts, counts = _uniform_segments(4, 30)
+        got = gather_reduce(values, index, starts, counts, aggregator)
+        _assert_same_bits(got, segment_reduce(values[index], starts, counts, aggregator))
+        # An all -0.0 segment sums to +0.0, as the axis sum does.
+        zeros = np.full((4, 8), -0.0, dtype=np.float32)
+        starts, counts = _uniform_segments(3, 2)
+        summed = gather_reduce(zeros, np.arange(6) % 4, starts, counts, aggregator)
+        assert np.signbit(summed).all() == (aggregator in ("max", "min"))
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    def test_ragged_segments_and_single_column_fall_back(self, aggregator, rng):
+        values = rng.normal(size=(20, 6)).astype(np.float32)
+        counts = np.array([3, 1, 7, 2, 5], dtype=np.int64)
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        index = rng.integers(0, 20, size=int(counts.sum()))
+        _assert_same_bits(
+            gather_reduce(values, index, starts, counts, aggregator),
+            segment_reduce(values[index], starts, counts, aggregator),
+        )
+        # One column at k >= 8: numpy's axis sum is pairwise there, not j = 0..k-1.
+        column = values[:, :1]
+        index = rng.integers(0, 20, size=10 * 20)
+        starts, counts = _uniform_segments(20, 10)
+        _assert_same_bits(
+            gather_reduce(column, index, starts, counts, aggregator),
+            segment_reduce(column[index], starts, counts, aggregator),
+        )
+
+    def test_rejects_unknown_aggregator(self):
+        starts, counts = _uniform_segments(2, 1)
+        with pytest.raises(ValueError, match="unknown aggregator"):
+            gather_reduce(np.ones((2, 3)), np.array([0, 1]), starts, counts, "median")
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("isolated", [0, 3], ids=["all_targets", "isolated_nodes"])
+    def test_fused_gather_reduce_matches_the_scattered_reduction(self, dtype, aggregator, isolated, rng):
+        """``_gather_reduce`` against zeros with ``segment_reduce(x[sources])`` written into the
+        target rows, the form it replaces; nodes without in-edges keep zero rows."""
+        points = rng.normal(size=(24, 5)).astype(dtype)
+        edge_index = knn_graph(points[: 24 - isolated], 4)
+        x = Tensor(points)
+        x, sources, _, seg_nodes, starts, counts = _csr_segments(x, edge_index, "source_pos", aggregator, True)
+        got = _gather_reduce(x, sources, seg_nodes, starts, counts, aggregator).data
+        want = np.zeros_like(points)
+        want[seg_nodes] = segment_reduce(points[sources], starts, counts, aggregator)
+        if aggregator == "mean":
+            want[seg_nodes] /= counts[:, None].astype(dtype)
+        _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("aggregator", ["mean", "max", "min"])
+    @pytest.mark.parametrize("message_type", ["target_pos", "rel_pos", "target_rel"])
+    def test_centre_without_the_ones_multiply(self, message_type, aggregator, rng):
+        """Every node has in-edges: the centre term is ``x`` itself, as exact as ``x * 1``,
+        with the same gradients."""
+        points = rng.normal(size=(16, 4)).astype(np.float32)
+        edge_index = knn_graph(points, 3)
+        x = Tensor(points.copy(), requires_grad=True)
+        out = fused_aggregate(x, edge_index, message_type, aggregator)
+        (out * out).sum().backward()
+        x_ref = Tensor(points.copy(), requires_grad=True)
+        reduced = fused_aggregate(x_ref, edge_index, "source_pos", aggregator)
+        centre = x_ref * np.ones((16, 1), dtype=np.float32)
+        relative = reduced - centre
+        if message_type == "target_pos":
+            expected = centre
+        elif message_type == "rel_pos":
+            expected = relative
+        else:
+            expected = concatenate([centre, relative], axis=1)
+        (expected * expected).sum().backward()
+        _assert_same_bits(out.data, expected.data)
+        _assert_same_bits(x.grad, x_ref.grad)
 
 
 class TestKernelEquivalence:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.hardware.device import get_device
-from repro.nas.presets import device_fast_architecture
+from repro.nas.architecture import Architecture
+from repro.nas.presets import dgcnn_architecture, device_fast_architecture
 from repro.serving import (
     AdmissionError,
     DeadlineExceededError,
@@ -132,6 +133,46 @@ class TestWorkerPoolEngine:
             results = pool.submit_many("model", clouds)
         for logits, result in zip(expected, results):
             np.testing.assert_array_equal(logits, result.logits)
+
+    def test_random_sampling_is_bit_identical_across_serving_modes(self, rng, tmp_path):
+        """Random graphs at a coordinate layer and a feature layer, seeded from
+        the cloud's coordinates and the layer index: cached = uncached = shared
+        tier, batched or not, and pooled = in-process."""
+        dgcnn = dgcnn_architecture(6)
+        architecture = Architecture(
+            operations=dgcnn.operations,
+            upper_functions=dgcnn.upper_functions.replace(sample_method="random", combine_dim=16),
+            lower_functions=dgcnn.lower_functions.replace(sample_method="random", combine_dim=32),
+            name="random_dgcnn",
+        )
+        registry = ModelRegistry()
+        registry.register("model", architecture, get_device("tx2"), num_classes=5, k=4)
+        clouds = _clouds(rng, 6)
+
+        def serve(batch_size, edge_cache=64, **config):
+            config = EngineConfig(
+                max_batch_size=batch_size, result_cache_capacity=0, edge_cache_capacity=edge_cache, **config
+            )
+            return [result.logits for result in InferenceEngine(registry, config).submit_many("model", clouds)]
+
+        # BLAS is not bitwise stable across batch shapes, so each batch size
+        # is compared with itself (and across sizes only to a tolerance).
+        sequential, batched = serve(1), serve(6)
+        for batch_size, expected in ((1, sequential), (6, batched)):
+            shared = str(tmp_path / f"batch{batch_size}")
+            for other in (
+                serve(batch_size, edge_cache=0),
+                serve(batch_size, shared_cache_dir=shared),
+                serve(batch_size, shared_cache_dir=shared),  # edges read back from the shared tier
+            ):
+                for want, got in zip(expected, other):
+                    np.testing.assert_array_equal(want, got)
+        for want, got in zip(sequential, batched):
+            np.testing.assert_allclose(want, got, rtol=1e-4, atol=1e-5)
+        with WorkerPoolEngine(registry, EngineConfig(max_batch_size=1), PoolConfig(workers=2)) as pool:
+            pooled = pool.submit_many("model", clouds)
+        for want, result in zip(sequential, pooled):
+            np.testing.assert_array_equal(want, result.logits)
 
     def test_frontend_admission_rejects_before_dispatch(self, rng):
         from repro.obs import get_metrics
@@ -359,6 +400,22 @@ class TestFleetTelemetry:
         )
         assert total == 8
         assert "fleet telemetry" in pool.format_report()
+
+    def test_shutdown_reads_snapshots_of_workers_that_already_exited(self, rng, monkeypatch):
+        """A worker may exit before the collector reads its shutdown snapshot:
+        that is neither a crash nor the end of the pool."""
+        on_bye = WorkerPoolEngine._on_bye
+
+        def slow_on_bye(pool, worker_id, snapshot):
+            on_bye(pool, worker_id, snapshot)
+            time.sleep(0.3)  # the other worker sends its snapshot and exits meanwhile
+
+        monkeypatch.setattr(WorkerPoolEngine, "_on_bye", slow_on_bye)
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=2)) as pool:
+            pool.submit_many("model", _clouds(rng, 4))
+            pool.shutdown()
+        assert sorted(pool.worker_snapshots) == [0, 1]
+        assert pool.worker_crashes == 0
 
     def test_fleet_metrics_merge_worker_counters(self, rng):
         registry = _make_registry()

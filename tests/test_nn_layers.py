@@ -102,6 +102,40 @@ class TestModuleProtocol:
         mlp.train()
         assert all(m.training for m in mlp.modules())
 
+    def test_module_list_follows_late_registrations(self, rng):
+        """The cached flat module list goes stale when any descendant registers a sub-module."""
+        import copy
+        import pickle
+
+        outer = Sequential(Linear(3, 4, rng=rng), MLP([4, 4], rng=rng))
+        before = list(outer.modules())
+        inner = before[-1]
+        inner.extra = Dropout(0.5)  # a grandchild registers a child after the list was built
+        inner.add_module("late", Linear(4, 4, rng=rng))
+        after = list(outer.modules())
+        assert after[: len(before)] == before and len(after) == len(before) + 2
+        outer.eval()
+        assert not inner.extra.training and not inner.late.training
+        for clone in (copy.deepcopy(outer), pickle.loads(pickle.dumps(outer)), copy.copy(outer)):
+            assert next(clone.modules()) is clone
+            clone.train()
+            assert clone.training
+        assert not outer.training  # no clone's list named the original
+
+    def test_module_list_keeps_no_reference_cycle(self, rng):
+        """A model dropped after ``eval()`` is freed at once, not by a later cyclic collection."""
+        import gc
+        import weakref
+
+        model = MLP([3, 4, 2], dropout=0.5, rng=rng).eval()
+        ref = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_zero_grad(self, rng):
         layer = Linear(3, 2, rng=rng)
         out = layer(Tensor(rng.normal(size=(2, 3))))

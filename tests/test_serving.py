@@ -104,9 +104,9 @@ class TestCachingGraphBuilder:
         cache = LRUCache(16)
         cached_builder = CachingGraphBuilder(cache)
         plain_builder = CachingGraphBuilder(None)
-        first = cached_builder("knn", points, batch, 4)
-        again = cached_builder("knn", points, batch, 4)
-        plain = plain_builder("knn", points, batch, 4)
+        first = cached_builder("knn", points, batch, 4, points=points, layer=0)
+        again = cached_builder("knn", points, batch, 4, points=points, layer=0)
+        plain = plain_builder("knn", points, batch, 4, points=points, layer=0)
         assert np.array_equal(first, again)
         assert np.array_equal(first, plain)
         assert cache.stats().hits == 3  # second pass hits all three clouds
@@ -122,12 +122,54 @@ class TestCachingGraphBuilder:
         clouds = _clouds(rng, 2, num_points=10)
         points, batch = pack_clouds(clouds)
         builder = CachingGraphBuilder(None)
-        assert np.array_equal(builder("random", points, batch, 3), builder("random", points, batch, 3))
+        assert np.array_equal(
+            builder("random", points, batch, 3, points=points, layer=1),
+            builder("random", points, batch, 3, points=points, layer=1),
+        )
+
+    def test_random_graphs_do_not_depend_on_the_batch(self, rng):
+        from repro.graph.batching import pack_clouds
+
+        clouds = _clouds(rng, 3, num_points=12)
+        points, batch = pack_clouds(clouds)
+        builder = CachingGraphBuilder(None)
+        together = builder("random", points, batch, 3, points=points, layer=1)
+        alone = []
+        for index, cloud in enumerate(clouds):
+            cloud = points[batch == index]
+            edges = builder("random", cloud, np.zeros(len(cloud), dtype=np.int64), 3, points=cloud, layer=1)
+            alone.append(edges + 12 * index)
+        assert np.array_equal(together, np.concatenate(alone, axis=1))
+
+    def test_feature_space_knn_is_built_uncached(self, rng):
+        from repro.graph.batching import batched_knn_graph, pack_clouds
+
+        points, batch = pack_clouds(_clouds(rng, 2, num_points=12))
+        features = rng.standard_normal((points.shape[0], 8)).astype(points.dtype)
+        builder = CachingGraphBuilder(LRUCache(16))
+        edges = builder("knn", features, batch, 4, points=points, layer=3)
+        assert np.array_equal(edges, batched_knn_graph(features, batch, 4))
+        assert len(builder.cache) == 0 and builder.cache.stats().misses == 0
+
+    def test_random_graphs_are_seeded_from_coordinates_and_layer(self, rng):
+        from repro.graph.batching import pack_clouds
+
+        points, batch = pack_clouds(_clouds(rng, 2, num_points=12))
+        features = rng.standard_normal((points.shape[0], 8))
+        cached = CachingGraphBuilder(LRUCache(16))
+        on_points = cached("random", points, batch, 3, points=points, layer=2)
+        # The layer's features do not enter the seed, the layer index does.
+        assert np.array_equal(cached("random", features, batch, 3, points=points, layer=2), on_points)
+        assert cached.cache.stats().hits == 2
+        assert not np.array_equal(cached("random", points, batch, 3, points=points, layer=5), on_points)
+        uncached = CachingGraphBuilder(None)
+        assert np.array_equal(uncached("random", features, batch, 3, points=points, layer=2), on_points)
 
     def test_unknown_method_rejected(self, rng):
         builder = CachingGraphBuilder(None)
+        points = rng.standard_normal((5, 3))
         with pytest.raises(ValueError):
-            builder("fps", rng.standard_normal((5, 3)), np.zeros(5, dtype=np.int64), 2)
+            builder("fps", points, np.zeros(5, dtype=np.int64), 2, points=points, layer=0)
 
 
 class TestMicroBatcher:
@@ -392,6 +434,22 @@ class TestInferenceEngine:
         stats = engine.edge_cache.stats()
         assert stats.hits >= 1
         assert stats.misses == misses_after_first
+
+    def test_edge_cache_keeps_only_the_coordinate_layer(self, rng):
+        """DGCNN samples KNN four times; only the one over the request's
+        coordinates can repeat, and deployments with the same k share it."""
+        from repro.nas.presets import dgcnn_architecture
+
+        registry = ModelRegistry()
+        for name in ("dgcnn", "dgcnn_again"):
+            registry.register(name, dgcnn_architecture(), get_device("tx2"), num_classes=4, k=6, seed=len(name))
+        engine = InferenceEngine(registry, EngineConfig(result_cache_capacity=0))
+        cloud = rng.standard_normal((24, 3))
+        engine.submit("dgcnn", cloud)
+        assert len(engine.edge_cache) == 1
+        engine.submit("dgcnn_again", cloud)
+        stats = engine.edge_cache.stats()
+        assert (stats.size, stats.hits, stats.misses) == (1, 1, 1)
 
     def test_slo_admission_rejects(self, rng):
         registry = _make_registry(slo_ms=1e-6)

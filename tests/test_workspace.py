@@ -412,7 +412,8 @@ class TestSamplerVersionKeys:
     @staticmethod
     def _edge_key(method: str) -> str:
         builder = CachingGraphBuilder(cache=LRUCache(4))
-        builder(method, np.random.default_rng(0).standard_normal((16, 3)), np.zeros(16, dtype=np.int64), 4)
+        points = np.random.default_rng(0).standard_normal((16, 3))
+        builder(method, points, np.zeros(16, dtype=np.int64), 4, points=points, layer=0)
         (key,) = builder.cache._entries
         return key
 
@@ -442,6 +443,21 @@ class TestSamplerVersionKeys:
             assert before[name] != after[name], name
         # KNN edges never touch the sampler: their cached entries stay valid.
         assert before["knn_edges"] == after["knn_edges"]
+
+    def test_coordinate_seeded_random_graphs_have_new_keys(self):
+        """Random graphs were once seeded from a hash of each layer's features;
+        their edge entries and deployment keys from then must never be served.
+        KNN over the coordinates builds the same edges, so its key stays."""
+        feature_seeded = {
+            "random_edges": "8a5ce19e2c63f6259881281895bddc92",
+            "deployment": "66f76a01a34d1101ddcf08e8917986a8",
+        }
+        deployment = deployment_fingerprint(
+            ModelRegistry().register("m", tx2_fast_architecture(), get_device("tx2"), num_classes=4), "numpy"
+        )
+        assert self._edge_key("random") != feature_seeded["random_edges"]
+        assert deployment != feature_seeded["deployment"]
+        assert self._edge_key("knn") == "3c6cac45df6d4fbd36e9aebd31f614c2"
 
 
 class TestTrainingKernelKeys:
