@@ -2,19 +2,15 @@
 
 from repro.data.dataset import Batch, DataLoader, InMemoryDataset, PointCloudSample, collate
 from repro.data.shapes import SHAPE_GENERATORS, generate_shape, list_shape_names
-from repro.data.splits import stratified_split, train_val_test_split
 from repro.data.synthetic_modelnet import (
     SyntheticModelNet,
     SyntheticModelNetConfig,
     make_synthetic_modelnet,
 )
 from repro.data.transforms import (
-    Compose,
     normalize_unit_sphere,
     random_jitter,
-    random_point_dropout,
     random_rotate_z,
-    random_scale,
 )
 
 __all__ = [
@@ -26,15 +22,10 @@ __all__ = [
     "SHAPE_GENERATORS",
     "generate_shape",
     "list_shape_names",
-    "stratified_split",
-    "train_val_test_split",
     "SyntheticModelNet",
     "SyntheticModelNetConfig",
     "make_synthetic_modelnet",
-    "Compose",
     "normalize_unit_sphere",
     "random_jitter",
-    "random_point_dropout",
     "random_rotate_z",
-    "random_scale",
 ]

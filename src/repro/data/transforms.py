@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
 import numpy as np
 
 from repro.nn.dtype import as_float_array
@@ -12,12 +10,7 @@ __all__ = [
     "normalize_unit_sphere",
     "random_rotate_z",
     "random_jitter",
-    "random_scale",
-    "random_point_dropout",
-    "Compose",
 ]
-
-Transform = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 
 def _check_points(points: np.ndarray) -> np.ndarray:
@@ -51,41 +44,3 @@ def random_jitter(points: np.ndarray, rng: np.random.Generator, sigma: float = 0
         raise ValueError("sigma must be >= 0 and clip > 0")
     noise = np.clip(rng.normal(scale=sigma, size=points.shape), -clip, clip)
     return points + noise
-
-
-def random_scale(points: np.ndarray, rng: np.random.Generator, low: float = 0.8, high: float = 1.25) -> np.ndarray:
-    """Scale the cloud by a random isotropic factor in ``[low, high]``."""
-    points = _check_points(points)
-    if not 0 < low <= high:
-        raise ValueError(f"invalid scale range [{low}, {high}]")
-    return points * rng.uniform(low, high)
-
-
-def random_point_dropout(
-    points: np.ndarray, rng: np.random.Generator, max_dropout: float = 0.5
-) -> np.ndarray:
-    """Randomly replace a fraction of points with the first point (PointNet-style dropout)."""
-    points = _check_points(points)
-    if not 0 <= max_dropout < 1:
-        raise ValueError(f"max_dropout must be in [0, 1), got {max_dropout}")
-    ratio = rng.uniform(0, max_dropout)
-    mask = rng.random(points.shape[0]) < ratio
-    if mask.any():
-        points = points.copy()
-        points[mask] = points[0]
-    return points
-
-
-class Compose:
-    """Apply a sequence of transforms in order."""
-
-    def __init__(self, transforms: Iterable[Transform]):
-        self.transforms = list(transforms)
-
-    def __call__(self, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        for transform in self.transforms:
-            points = transform(points, rng)
-        return points
-
-    def __len__(self) -> int:
-        return len(self.transforms)

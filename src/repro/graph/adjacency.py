@@ -9,47 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.edge_index import validate_edge_index
-from repro.nn.dtype import as_float_array, get_default_dtype
+from repro.nn.dtype import as_float_array
 
-__all__ = ["edges_to_dense", "gcn_normalize", "sum_aggregation_matrix"]
-
-
-def edges_to_dense(edge_index: np.ndarray, num_nodes: int, symmetric: bool = False) -> np.ndarray:
-    """Convert an edge index into a dense ``(num_nodes, num_nodes)`` adjacency.
-
-    Entry ``A[t, s] = 1`` when an edge flows from source ``s`` to target
-    ``t`` (so ``A @ X`` aggregates source features into targets).
-
-    Args:
-        edge_index: Edge index of shape ``(2, E)``.
-        num_nodes: Number of nodes.
-        symmetric: Whether to also add the transposed entries.
-    """
-    edge_index = validate_edge_index(edge_index, num_nodes)
-    adj = np.zeros((num_nodes, num_nodes), dtype=get_default_dtype())
-    adj[edge_index[1], edge_index[0]] = 1.0
-    if symmetric:
-        adj = np.maximum(adj, adj.T)
-    return adj
-
-
-def gcn_normalize(adj: np.ndarray, add_self_loops: bool = True, eps: float = 1e-12) -> np.ndarray:
-    """Symmetric GCN normalisation ``D^{-1/2} (A + I) D^{-1/2}``.
-
-    Args:
-        adj: Dense adjacency matrix (square).
-        add_self_loops: Whether to add the identity before normalising.
-        eps: Numerical floor for degrees.
-    """
-    adj = as_float_array(adj)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-    if add_self_loops:
-        adj = adj + np.eye(adj.shape[0], dtype=adj.dtype)
-    degrees = adj.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(degrees, eps))
-    return adj * inv_sqrt[:, None] * inv_sqrt[None, :]
+__all__ = ["sum_aggregation_matrix"]
 
 
 def sum_aggregation_matrix(adj: np.ndarray, add_self_loops: bool = True) -> np.ndarray:

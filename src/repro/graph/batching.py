@@ -23,9 +23,7 @@ __all__ = [
     "batched_random_graph",
     "global_max_pool",
     "global_mean_pool",
-    "global_sum_pool",
     "pack_clouds",
-    "unpack_clouds",
 ]
 
 #: Largest cloud that :func:`batched_knn_graph` stacks into one search.
@@ -48,9 +46,9 @@ def _check_batch(num_nodes: int, batch: np.ndarray) -> np.ndarray:
 def pack_clouds(clouds: Sequence[np.ndarray], dim: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Pack ragged point clouds into a stacked node set plus batch vector.
 
-    The inverse of :func:`unpack_clouds`; the serving micro-batcher uses the
-    pair to assemble and disassemble dynamic batches of differently sized
-    clouds.
+    The serving engine packs each dynamic batch of differently sized clouds
+    this way; the model returns one logits row per cloud, so nothing needs
+    unpacking.
 
     Args:
         clouds: Sequence of arrays, each of shape ``(N_i, D)`` with a shared
@@ -79,26 +77,6 @@ def pack_clouds(clouds: Sequence[np.ndarray], dim: int = 3) -> tuple[np.ndarray,
         [np.full(cloud.shape[0], index, dtype=np.int64) for index, cloud in enumerate(arrays)]
     )
     return points, batch
-
-
-def unpack_clouds(
-    points: np.ndarray, batch: np.ndarray, num_graphs: int | None = None
-) -> list[np.ndarray]:
-    """Split a stacked node set back into its per-cloud arrays.
-
-    Args:
-        points: Stacked rows of shape ``(N_total, D)``.
-        batch: Cloud index per row, sorted ascending.
-        num_graphs: Number of clouds; inferred from ``batch`` if omitted.
-
-    Returns:
-        A list of ``num_graphs`` arrays; round-trips with :func:`pack_clouds`.
-    """
-    points = as_float_array(points)
-    batch = _check_batch(points.shape[0], batch)
-    if num_graphs is None:
-        num_graphs = int(batch[-1]) + 1 if batch.size else 0
-    return [points[np.flatnonzero(batch == graph_id)].copy() for graph_id in range(num_graphs)]
 
 
 def batched_knn_graph(points: np.ndarray, batch: np.ndarray, k: int) -> np.ndarray:
@@ -177,9 +155,9 @@ def _global_pool(x: Tensor, batch: np.ndarray, num_graphs: int, aggregator: str)
 
     The batch vector is sorted, so every cloud is one contiguous segment.
     ``max``/``min`` run :func:`~repro.backends.segment_reduce` (a reshape
-    when the clouds have one size).  ``sum``/``mean`` add each cloud's rows
-    in order, so a batch pools exactly as its clouds do one at a time, and
-    never use ``reduceat``, whose float32 sums differ from sequential
+    when the clouds have one size).  ``mean`` adds each cloud's rows in
+    order, so a batch pools exactly as its clouds do one at a time, and
+    never uses ``reduceat``, whose float32 sums differ from sequential
     addition.  As in :func:`~repro.graph.scatter.scatter_max`, a non-finite
     max/min reads as zero and takes no gradient; tied winners share it.
     """
@@ -209,8 +187,6 @@ def _global_pool(x: Tensor, batch: np.ndarray, num_graphs: int, aggregator: str)
 
     def backward_fn(grad: np.ndarray) -> list[np.ndarray]:
         grad = np.asarray(grad, dtype=dtype)
-        if aggregator == "sum":
-            return [np.repeat(grad, counts, axis=0)]
         if aggregator == "mean":
             return [np.repeat(grad / safe_counts, counts, axis=0)]
         winners = (xd == np.repeat(out, counts, axis=0)) & np.repeat(finite, counts, axis=0)
@@ -230,8 +206,3 @@ def global_max_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
 def global_mean_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
     """Per-cloud mean over node features."""
     return _global_pool(x, batch, num_graphs, "mean")
-
-
-def global_sum_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
-    """Per-cloud sum over node features."""
-    return _global_pool(x, batch, num_graphs, "sum")

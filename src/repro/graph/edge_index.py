@@ -11,12 +11,8 @@ import numpy as np
 
 __all__ = [
     "validate_edge_index",
-    "coalesce",
     "add_self_loops",
-    "remove_self_loops",
-    "to_undirected",
     "degree",
-    "sort_by_target",
 ]
 
 
@@ -50,37 +46,12 @@ def validate_edge_index(edge_index: np.ndarray, num_nodes: int | None = None) ->
     return np.ascontiguousarray(edge_index)
 
 
-def coalesce(edge_index: np.ndarray, num_nodes: int | None = None) -> np.ndarray:
-    """Remove duplicate edges (keeping one copy each), sorted by (target, source)."""
-    edge_index = validate_edge_index(edge_index, num_nodes)
-    if edge_index.shape[1] == 0:
-        return edge_index
-    keys = np.stack([edge_index[1], edge_index[0]], axis=1)
-    unique = np.unique(keys, axis=0)
-    return np.stack([unique[:, 1], unique[:, 0]], axis=0)
-
-
 def add_self_loops(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
     """Append one self-loop per node (existing self-loops are kept)."""
     edge_index = validate_edge_index(edge_index, num_nodes)
     loops = np.arange(num_nodes, dtype=np.int64)
     loops = np.stack([loops, loops], axis=0)
     return np.concatenate([edge_index, loops], axis=1)
-
-
-def remove_self_loops(edge_index: np.ndarray) -> np.ndarray:
-    """Drop all edges whose source equals their target."""
-    edge_index = validate_edge_index(edge_index)
-    mask = edge_index[0] != edge_index[1]
-    return edge_index[:, mask]
-
-
-def to_undirected(edge_index: np.ndarray, num_nodes: int | None = None) -> np.ndarray:
-    """Symmetrise the edge set (add reversed edges, deduplicated)."""
-    edge_index = validate_edge_index(edge_index, num_nodes)
-    reversed_edges = edge_index[::-1]
-    both = np.concatenate([edge_index, reversed_edges], axis=1)
-    return coalesce(both, num_nodes)
 
 
 def degree(edge_index: np.ndarray, num_nodes: int, kind: str = "in") -> np.ndarray:
@@ -100,10 +71,3 @@ def degree(edge_index: np.ndarray, num_nodes: int, kind: str = "in") -> np.ndarr
     edge_index = validate_edge_index(edge_index, num_nodes)
     row = edge_index[1] if kind == "in" else edge_index[0]
     return np.bincount(row, minlength=num_nodes).astype(np.int64)
-
-
-def sort_by_target(edge_index: np.ndarray) -> np.ndarray:
-    """Return the edges stably sorted by target index."""
-    edge_index = validate_edge_index(edge_index)
-    order = np.argsort(edge_index[1], kind="stable")
-    return edge_index[:, order]

@@ -1,4 +1,4 @@
-"""K-nearest-neighbour and radius graph construction.
+"""K-nearest-neighbour graph construction.
 
 DGCNN rebuilds a KNN graph in the feature space of every layer ("dynamic"
 graph CNN); HGNAS's design space keeps KNN as one of the candidate sample
@@ -21,12 +21,11 @@ functions (Table I).  :func:`knn_indices` picks one of two searches:
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.graph.edge_index import validate_edge_index
 from repro.nn.dtype import WIDE_DTYPE, as_float_array
 
-__all__ = ["knn_graph", "knn_indices", "stacked_knn_indices", "radius_graph", "pairwise_sq_dists"]
+__all__ = ["knn_graph", "knn_indices", "stacked_knn_indices"]
 
 # Dispatch crossovers, measured at k=20 on a 2-core host with one BLAS
 # thread: the dense search wins from 16 dims up at 1024 points (24 vs 39 ms
@@ -46,15 +45,6 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     if points.shape[0] == 0:
         raise ValueError("cannot build a graph over an empty point set")
     return points
-
-
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense pairwise squared Euclidean distances between rows of ``a`` and ``b``."""
-    a = as_float_array(a)
-    b = as_float_array(b)
-    a_sq = (a**2).sum(axis=1)[:, None]
-    b_sq = (b**2).sum(axis=1)[None, :]
-    return np.maximum(a_sq + b_sq - 2.0 * a @ b.T, 0.0)
 
 
 def knn_indices(points: np.ndarray, k: int, include_self: bool = False) -> np.ndarray:
@@ -93,6 +83,10 @@ def knn_indices(points: np.ndarray, k: int, include_self: bool = False) -> np.nd
 
 def _kd_tree_knn(points: np.ndarray, k: int, include_self: bool) -> np.ndarray:
     """Multi-threaded KD-tree KNN, nearest first; exact ties in tree order."""
+    # Imported here: scipy.spatial costs about 0.4 s to import, and only
+    # large low-dimensional clouds reach this search.
+    from scipy.spatial import cKDTree
+
     n = points.shape[0]
     tree = cKDTree(points)
     if include_self:
@@ -198,33 +192,3 @@ def knn_graph(points: np.ndarray, k: int, include_self: bool = False) -> np.ndar
     sources = idx.reshape(-1)
     edge_index = np.stack([sources, targets], axis=0)
     return validate_edge_index(edge_index, n)
-
-
-def radius_graph(points: np.ndarray, radius: float, max_neighbors: int | None = None) -> np.ndarray:
-    """Build a directed graph connecting points within ``radius``.
-
-    Args:
-        points: Array of shape ``(N, D)``.
-        radius: Neighbourhood radius (must be positive).
-        max_neighbors: Optional cap on neighbours per target (nearest kept).
-
-    Returns:
-        Edge index of shape ``(2, E)`` without self-loops.
-    """
-    points = _as_points(points)
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    tree = cKDTree(points)
-    neighbour_lists = tree.query_ball_point(points, r=radius)
-    sources: list[int] = []
-    targets: list[int] = []
-    for target, neighbours in enumerate(neighbour_lists):
-        neighbours = [n for n in neighbours if n != target]
-        if max_neighbors is not None and len(neighbours) > max_neighbors:
-            dists = ((points[neighbours] - points[target]) ** 2).sum(axis=1)
-            order = np.argsort(dists)[:max_neighbors]
-            neighbours = [neighbours[i] for i in order]
-        sources.extend(neighbours)
-        targets.extend([target] * len(neighbours))
-    edge_index = np.array([sources, targets], dtype=np.int64).reshape(2, -1)
-    return validate_edge_index(edge_index, points.shape[0])

@@ -2,8 +2,7 @@
 
 The HGNAS design space offers two *sample* functions (Table I): ``KNN`` and
 ``Random``.  Random sampling draws a fixed number of random neighbours per
-point, which is dramatically cheaper than KNN on edge devices; farthest
-point sampling is provided as a utility for point-cloud down-sampling.
+point, which is dramatically cheaper than KNN on edge devices.
 """
 
 from __future__ import annotations
@@ -11,9 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.edge_index import validate_edge_index
-from repro.nn.dtype import as_float_array
 
-__all__ = ["SAMPLER_VERSION", "random_graph", "farthest_point_sampling", "subsample_points"]
+__all__ = ["SAMPLER_VERSION", "random_graph"]
 
 #: Names :func:`random_graph`'s draw.  Its RNG stream differs from the
 #: per-node loop it replaced, so every artifact and edge-cache key that
@@ -76,45 +74,3 @@ def random_graph(
     targets = np.repeat(np.arange(num_nodes, dtype=np.int64), k_eff)
     edge_index = np.stack([sources.reshape(-1), targets], axis=0)
     return validate_edge_index(edge_index, num_nodes)
-
-
-def farthest_point_sampling(points: np.ndarray, num_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Iterative farthest point sampling.
-
-    Args:
-        points: Array of shape ``(N, D)``.
-        num_samples: Number of points to keep (``1 <= num_samples <= N``).
-        rng: Random generator (chooses the starting point).
-
-    Returns:
-        Integer indices of the selected points, shape ``(num_samples,)``.
-    """
-    points = as_float_array(points)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError(f"points must be a non-empty (N, D) array, got shape {points.shape}")
-    n = points.shape[0]
-    if not 1 <= num_samples <= n:
-        raise ValueError(f"num_samples must be in [1, {n}], got {num_samples}")
-    selected = np.empty(num_samples, dtype=np.int64)
-    selected[0] = rng.integers(0, n)
-    min_dist = ((points - points[selected[0]]) ** 2).sum(axis=1)
-    for i in range(1, num_samples):
-        selected[i] = int(np.argmax(min_dist))
-        new_dist = ((points - points[selected[i]]) ** 2).sum(axis=1)
-        min_dist = np.minimum(min_dist, new_dist)
-    return selected
-
-
-def subsample_points(points: np.ndarray, num_points: int, rng: np.random.Generator) -> np.ndarray:
-    """Randomly subsample (or pad by repetition) a cloud to ``num_points`` points."""
-    points = as_float_array(points)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError(f"points must be a non-empty (N, D) array, got shape {points.shape}")
-    n = points.shape[0]
-    if num_points <= 0:
-        raise ValueError(f"num_points must be positive, got {num_points}")
-    if num_points <= n:
-        idx = rng.choice(n, size=num_points, replace=False)
-    else:
-        idx = np.concatenate([np.arange(n), rng.choice(n, size=num_points - n, replace=True)])
-    return points[idx]

@@ -1,4 +1,4 @@
-"""Analytical edge-device hardware models (latency, memory, power, profiling).
+"""Analytical edge-device hardware models (latency, memory, profiling).
 
 These models stand in for the paper's physical RTX3080 / i7-8700K /
 Jetson TX2 / Raspberry Pi 3B+ test-bed.  Coefficients are calibrated so
@@ -27,9 +27,8 @@ from repro.hardware.device import (
 )
 from repro.hardware.latency import LatencyReport, OpLatency, estimate_latency
 from repro.hardware.measurement import DeviceMeasurement, MeasurementSample
-from repro.hardware.memory import MemoryReport, estimate_peak_memory, is_out_of_memory
-from repro.hardware.power import EnergyReport, estimate_energy, power_efficiency_ratio
-from repro.hardware.profiler import ProfileResult, profile_breakdown, profile_workload
+from repro.hardware.memory import MemoryReport, estimate_peak_memory
+from repro.hardware.profiler import ProfileResult, profile_workload
 from repro.hardware.reference_workloads import (
     PAPER_DGCNN_K,
     PAPER_DGCNN_LAYER_DIMS,
@@ -63,12 +62,7 @@ __all__ = [
     "MeasurementSample",
     "MemoryReport",
     "estimate_peak_memory",
-    "is_out_of_memory",
-    "EnergyReport",
-    "estimate_energy",
-    "power_efficiency_ratio",
     "ProfileResult",
-    "profile_breakdown",
     "profile_workload",
     "OP_CATEGORY",
     "OP_KINDS",

@@ -15,7 +15,7 @@ from repro.hardware.cost_model import lower_workload
 from repro.hardware.device import DeviceSpec
 from repro.hardware.workload import Workload
 
-__all__ = ["MemoryReport", "estimate_peak_memory", "is_out_of_memory"]
+__all__ = ["MemoryReport", "estimate_peak_memory"]
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,3 @@ def estimate_peak_memory(workload: Workload, device: DeviceSpec) -> MemoryReport
         activation_mb=activation_mb,
         available_mb=device.available_memory_mb,
     )
-
-
-def is_out_of_memory(workload: Workload, device: DeviceSpec) -> bool:
-    """Convenience wrapper returning only the OOM verdict."""
-    return estimate_peak_memory(workload, device).out_of_memory

@@ -10,7 +10,7 @@ from repro.hardware.memory import estimate_peak_memory
 from repro.hardware.workload import Workload
 from repro.obs.metrics import get_metrics
 
-__all__ = ["ProfileResult", "profile_workload", "profile_breakdown"]
+__all__ = ["ProfileResult", "profile_workload"]
 
 CATEGORIES = ("sample", "aggregate", "combine", "others")
 
@@ -46,8 +46,3 @@ def profile_workload(workload: Workload, device: DeviceSpec) -> ProfileResult:
         peak_memory_mb=memory.peak_mb,
         out_of_memory=memory.out_of_memory,
     )
-
-
-def profile_breakdown(workload: Workload, devices: list[DeviceSpec]) -> dict[str, ProfileResult]:
-    """Profile the same workload on several devices (Fig. 3)."""
-    return {device.name: profile_workload(workload, device) for device in devices}

@@ -54,7 +54,7 @@ from repro.nas.trainer import (
     train_classifier,
     train_supernet,
 )
-from repro.nas.visualize import architecture_summary, architecture_to_networkx, render_architecture
+from repro.nas.visualize import architecture_summary, render_architecture
 
 __all__ = [
     "Architecture",
@@ -107,6 +107,5 @@ __all__ = [
     "train_classifier",
     "train_supernet",
     "architecture_summary",
-    "architecture_to_networkx",
     "render_architecture",
 ]

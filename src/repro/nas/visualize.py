@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.nas.architecture import Architecture
 
-__all__ = ["render_architecture", "architecture_summary", "architecture_to_networkx"]
+__all__ = ["render_architecture", "architecture_summary"]
 
 
 def render_architecture(architecture: Architecture, title: str | None = None) -> str:
@@ -41,24 +39,3 @@ def architecture_summary(architecture: Architecture) -> dict[str, object]:
         "output_dim": architecture.output_dim(),
         "ops": [op.describe() for op in ops] + ["Classifier"],
     }
-
-
-def architecture_to_networkx(architecture: Architecture) -> nx.DiGraph:
-    """Convert the effective op chain into a directed graph.
-
-    Nodes are the input, every effective operation, and the output
-    (classifier); edges follow the dataflow.  This mirrors the abstraction
-    the latency predictor consumes (Fig. 5), minus the global node, which
-    :mod:`repro.predictor.arch_graph` adds.
-    """
-    graph = nx.DiGraph()
-    graph.add_node("input", kind="input")
-    previous = "input"
-    for index, op in enumerate(architecture.effective_ops()):
-        node = f"op{index}"
-        graph.add_node(node, kind=op.kind, label=op.describe())
-        graph.add_edge(previous, node)
-        previous = node
-    graph.add_node("output", kind="output")
-    graph.add_edge(previous, "output")
-    return graph

@@ -3,8 +3,7 @@
 This package stands in for PyTorch in the HGNAS reproduction.  It provides
 exactly the machinery the paper's models need: reverse-mode autodiff
 (:mod:`repro.nn.tensor`), layers (:mod:`repro.nn.layers`), optimisers
-(:mod:`repro.nn.optim`), losses (:mod:`repro.nn.loss`) and learning-rate
-schedules (:mod:`repro.nn.scheduler`).
+(:mod:`repro.nn.optim`) and losses (:mod:`repro.nn.loss`).
 """
 
 from repro.nn import functional, init
@@ -19,8 +18,6 @@ from repro.nn.layers import (
     MLP,
     BatchNorm1d,
     Dropout,
-    Identity,
-    LayerNorm,
     LeakyReLU,
     Linear,
     Module,
@@ -32,20 +29,9 @@ from repro.nn.loss import (
     balanced_accuracy,
     cross_entropy,
     huber_loss,
-    mae_loss,
-    mape_loss,
-    mse_loss,
-    nll_loss,
 )
 from repro.nn.optim import SGD, Adam, AdamW, Optimizer, clip_grad_norm
-from repro.nn.scheduler import (
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    StepLR,
-    WarmupCosineLR,
-)
-from repro.nn.tensor import Tensor, apply_op, as_tensor, concatenate, is_grad_enabled, no_grad, stack
+from repro.nn.tensor import Tensor, apply_op, as_tensor, concatenate, no_grad, stack
 
 __all__ = [
     "functional",
@@ -59,34 +45,22 @@ __all__ = [
     "as_tensor",
     "apply_op",
     "no_grad",
-    "is_grad_enabled",
     "concatenate",
     "stack",
     "Module",
     "Linear",
     "MLP",
     "BatchNorm1d",
-    "LayerNorm",
     "Dropout",
     "ReLU",
     "LeakyReLU",
     "Sequential",
-    "Identity",
     "Optimizer",
     "SGD",
     "Adam",
     "AdamW",
     "clip_grad_norm",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "WarmupCosineLR",
     "cross_entropy",
-    "nll_loss",
-    "mse_loss",
-    "mae_loss",
-    "mape_loss",
     "huber_loss",
     "accuracy",
     "balanced_accuracy",

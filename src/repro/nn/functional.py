@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import scatter_add
-from repro.nn.dtype import get_default_dtype
 from repro.nn.tensor import Tensor, apply_op, as_tensor
 
 __all__ = [
@@ -18,8 +16,6 @@ __all__ = [
     "dropout",
     "matmul",
     "linear",
-    "one_hot",
-    "embedding_lookup",
 ]
 
 
@@ -110,29 +106,3 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = out + bias
     return out
-
-
-def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    """Return a ``(len(indices), num_classes)`` one-hot float array."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 1:
-        raise ValueError(f"one_hot expects a 1-D index array, got shape {indices.shape}")
-    if indices.size and (indices.min() < 0 or indices.max() >= num_classes):
-        raise ValueError("one_hot indices out of range")
-    out = np.zeros((indices.shape[0], num_classes), dtype=get_default_dtype())
-    out[np.arange(indices.shape[0]), indices] = 1.0
-    return out
-
-
-def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Differentiable row lookup ``table[indices]``."""
-    table = as_tensor(table)
-    indices = np.asarray(indices, dtype=np.int64)
-    data = table.data[indices]
-
-    def backward_fn(grad: np.ndarray) -> list[np.ndarray]:
-        full = np.zeros_like(table.data)
-        scatter_add(full, indices, grad)
-        return [full]
-
-    return apply_op(data, (table,), backward_fn)

@@ -13,10 +13,7 @@ __all__ = [
     "ones",
     "uniform",
     "normal",
-    "xavier_uniform",
-    "xavier_normal",
     "kaiming_uniform",
-    "kaiming_normal",
 ]
 
 
@@ -52,31 +49,9 @@ def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
     return fan_in, fan_out
 
 
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(get_default_dtype(), copy=False)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
-
-
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, negative_slope: float = 0.0) -> np.ndarray:
     """He/Kaiming uniform initialisation for (leaky-)ReLU networks."""
     fan_in, _ = _fan_in_out(shape)
     gain = math.sqrt(2.0 / (1.0 + negative_slope**2))
     bound = gain * math.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(get_default_dtype(), copy=False)
-
-
-def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator, negative_slope: float = 0.0) -> np.ndarray:
-    """He/Kaiming normal initialisation for (leaky-)ReLU networks."""
-    fan_in, _ = _fan_in_out(shape)
-    gain = math.sqrt(2.0 / (1.0 + negative_slope**2))
-    std = gain / math.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)

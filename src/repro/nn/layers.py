@@ -23,12 +23,10 @@ __all__ = [
     "Linear",
     "MLP",
     "BatchNorm1d",
-    "LayerNorm",
     "Dropout",
     "ReLU",
     "LeakyReLU",
     "Sequential",
-    "Identity",
 ]
 
 
@@ -168,13 +166,6 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-class Identity(Module):
-    """Pass-through module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
 class Linear(Module):
     """Affine transformation ``y = x W + b``."""
 
@@ -268,23 +259,6 @@ class BatchNorm1d(Module):
             mean = Tensor(self.running_mean.reshape(1, -1))
             var = Tensor(self.running_var.reshape(1, -1))
             normalised = (x - mean) / (var + self.eps) ** 0.5
-        return normalised * self.weight + self.bias
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5):
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.weight = Tensor(init.ones((num_features,)), requires_grad=True)
-        self.bias = Tensor(init.zeros((num_features,)), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
-        normalised = (x - mean) / (var + self.eps) ** 0.5
         return normalised * self.weight + self.bias
 
 

@@ -1,8 +1,8 @@
 """Loss functions.
 
-The predictor in HGNAS is trained with mean absolute percentage error
-(MAPE), while the classification models use cross-entropy; both are provided
-here along with common regression losses.
+The classification models train with cross-entropy and the latency
+predictor with the Huber loss; its validation error is reported as MAPE by
+:mod:`repro.predictor.metrics`.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from repro.nn.tensor import Tensor, as_tensor
 
 __all__ = [
     "cross_entropy",
-    "nll_loss",
-    "mse_loss",
-    "mae_loss",
-    "mape_loss",
     "huber_loss",
     "accuracy",
     "balanced_accuracy",
@@ -44,39 +40,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     log_probs = F.log_softmax(logits, axis=-1)
     picked = log_probs[np.arange(targets.shape[0]), targets]
     return -picked.mean()
-
-
-def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Negative log-likelihood from log-probabilities and class labels."""
-    log_probs = as_tensor(log_probs)
-    targets = _check_labels(log_probs, targets)
-    picked = log_probs[np.arange(targets.shape[0]), targets]
-    return -picked.mean()
-
-
-def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean squared error."""
-    prediction = as_tensor(prediction)
-    target = as_tensor(target)
-    return ((prediction - target) ** 2).mean()
-
-
-def mae_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean absolute error."""
-    prediction = as_tensor(prediction)
-    target = as_tensor(target)
-    return (prediction - target).abs().mean()
-
-
-def mape_loss(prediction: Tensor, target: Tensor | np.ndarray, eps: float = 1e-8) -> Tensor:
-    """Mean absolute percentage error, the predictor's training loss.
-
-    ``MAPE = mean(|pred - target| / max(|target|, eps))``
-    """
-    prediction = as_tensor(prediction)
-    target = as_tensor(target)
-    denom = Tensor(np.maximum(np.abs(target.data), eps))
-    return ((prediction - target).abs() / denom).mean()
 
 
 def huber_loss(prediction: Tensor, target: Tensor | np.ndarray, delta: float = 1.0) -> Tensor:

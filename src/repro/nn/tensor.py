@@ -38,7 +38,6 @@ __all__ = [
     "as_tensor",
     "apply_op",
     "no_grad",
-    "is_grad_enabled",
     "leaky_relu_values",
     "leaky_relu_slopes",
 ]
@@ -56,11 +55,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

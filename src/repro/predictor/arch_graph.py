@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.graph.adjacency import sum_aggregation_matrix
@@ -72,16 +71,6 @@ class ArchitectureGraph:
     def aggregation_matrix(self) -> np.ndarray:
         """Sum-aggregation operator ``A + I`` used by the predictor's GCN layers."""
         return sum_aggregation_matrix(self.adjacency, add_self_loops=True)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Convert to a networkx digraph (for inspection and tests)."""
-        graph = nx.DiGraph()
-        for index, label in enumerate(self.node_labels):
-            graph.add_node(index, label=label)
-        sources, targets = np.nonzero(self.adjacency.T)
-        for source, target in zip(sources.tolist(), targets.tolist()):
-            graph.add_edge(source, target)
-        return graph
 
 
 def architecture_to_graph(

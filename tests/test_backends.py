@@ -46,7 +46,7 @@ from repro.nas.supernet import Supernet, SupernetConfig
 from repro.nn import MLP, Tensor, concatenate, default_dtype, no_grad
 from repro.nn.loss import cross_entropy
 from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.nn.functional import embedding_lookup, matmul
+from repro.nn.functional import matmul
 from repro.serving.engine import EngineConfig, InferenceEngine
 from repro.workspace import Workspace
 
@@ -449,19 +449,6 @@ class TestKernelEquivalence:
                 # d/dx of sum(x_j - x_i): +1 per outgoing edge, -1 per incoming.
                 degree_diff = np.bincount(src, minlength=20) - np.bincount(tgt, minlength=20)
                 np.testing.assert_allclose(x.grad, np.repeat(degree_diff[:, None], 3, axis=1))
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_functional_matmul_and_embedding(self, backend_name, rng):
-        table = Tensor(rng.normal(size=(7, 4)).astype(np.float32), requires_grad=True)
-        indices = np.array([0, 3, 3, 6])
-        with use_backend(backend_name):
-            looked_up = embedding_lookup(table, indices)
-            looked_up.sum().backward()
-        np.testing.assert_array_equal(looked_up.data, table.data[indices])
-        want = np.zeros((7, 4), dtype=np.float32)
-        want[[0, 6]] = 1.0
-        want[3] = 2.0
-        np.testing.assert_array_equal(table.grad, want)
 
     def test_numpy_backend_is_bit_identical_default(self, rng):
         """use_backend('numpy') must not change a single bit vs the ambient default."""

@@ -1,10 +1,9 @@
-"""Tests for the synthetic dataset, transforms, loaders and splits."""
+"""Tests for the synthetic dataset, transforms and loaders."""
 
 import numpy as np
 import pytest
 
 from repro.data import (
-    Compose,
     DataLoader,
     InMemoryDataset,
     PointCloudSample,
@@ -16,11 +15,7 @@ from repro.data import (
     make_synthetic_modelnet,
     normalize_unit_sphere,
     random_jitter,
-    random_point_dropout,
     random_rotate_z,
-    random_scale,
-    stratified_split,
-    train_val_test_split,
 )
 
 
@@ -71,25 +66,6 @@ class TestTransforms:
         pts = np.zeros((100, 3))
         out = random_jitter(pts, rng, sigma=0.01, clip=0.02)
         assert np.abs(out).max() <= 0.02 + 1e-12
-
-    def test_scale_range(self, rng):
-        pts = np.ones((10, 3))
-        out = random_scale(pts, rng, low=0.5, high=2.0)
-        factor = out[0, 0]
-        assert 0.5 <= factor <= 2.0
-        with pytest.raises(ValueError):
-            random_scale(pts, rng, low=-1, high=0.5)
-
-    def test_point_dropout(self, rng):
-        pts = rng.normal(size=(100, 3))
-        out = random_point_dropout(pts, rng, max_dropout=0.9)
-        assert out.shape == pts.shape
-
-    def test_compose(self, rng):
-        pipeline = Compose([random_rotate_z, normalize_unit_sphere])
-        out = pipeline(rng.normal(size=(20, 3)), rng)
-        assert len(pipeline) == 2
-        assert np.linalg.norm(out, axis=1).max() <= 1.0 + 1e-9
 
     def test_shape_validation(self, rng):
         with pytest.raises(ValueError):
@@ -162,34 +138,3 @@ class TestSyntheticModelNet:
             SyntheticModelNetConfig(num_classes=50)
         with pytest.raises(ValueError):
             SyntheticModelNet(SyntheticModelNetConfig()).generate_split("validation")
-
-
-class TestSplits:
-    def _dataset(self, rng, per_class=6, classes=3):
-        samples = [
-            PointCloudSample(rng.normal(size=(4, 3)), label=c)
-            for c in range(classes)
-            for _ in range(per_class)
-        ]
-        return InMemoryDataset(samples, num_classes=classes)
-
-    def test_stratified_fractions(self, rng):
-        dataset = self._dataset(rng)
-        parts = stratified_split(dataset, (0.5, 0.5), rng)
-        assert [len(p) for p in parts] == [9, 9]
-        for part in parts:
-            counts = np.bincount(part.labels(), minlength=3)
-            assert np.all(counts == 3)
-
-    def test_stratified_validation(self, rng):
-        dataset = self._dataset(rng)
-        with pytest.raises(ValueError):
-            stratified_split(dataset, (0.5, 0.4), rng)
-        with pytest.raises(ValueError):
-            stratified_split(dataset, (1.2, -0.2), rng)
-
-    def test_train_val_test_split(self, rng):
-        dataset = self._dataset(rng, per_class=10)
-        train, val, test = train_val_test_split(dataset, 0.2, 0.2, rng)
-        assert len(train) + len(val) + len(test) == len(dataset)
-        assert len(train) > len(val)

@@ -9,32 +9,20 @@ from repro.graph import (
     batched_knn_graph,
     batched_random_graph,
     build_messages,
-    coalesce,
     degree,
-    edges_to_dense,
-    farthest_point_sampling,
-    gcn_normalize,
     global_max_pool,
     global_mean_pool,
-    global_sum_pool,
     knn_graph,
     knn_indices,
     message_dim,
     pack_clouds,
-    pairwise_sq_dists,
-    radius_graph,
     random_graph,
-    remove_self_loops,
     scatter,
     scatter_max,
     scatter_mean,
     scatter_min,
     scatter_sum,
-    sort_by_target,
-    subsample_points,
     sum_aggregation_matrix,
-    to_undirected,
-    unpack_clouds,
     validate_edge_index,
 )
 from repro.graph import (
@@ -64,22 +52,12 @@ class TestEdgeIndex:
         with pytest.raises(ValueError):
             validate_edge_index(np.array([[-1], [0]]))
 
-    def test_coalesce_removes_duplicates(self):
-        ei = np.array([[0, 0, 1], [1, 1, 2]])
-        assert coalesce(ei).shape == (2, 2)
-
     def test_self_loop_helpers(self):
         ei = np.array([[0, 1], [1, 1]])
         with_loops = add_self_loops(ei, 3)
         assert with_loops.shape[1] == 5
-        without = remove_self_loops(with_loops)
+        without = with_loops[:, with_loops[0] != with_loops[1]]
         assert not np.any(without[0] == without[1])
-
-    def test_to_undirected_symmetric(self):
-        ei = np.array([[0], [1]])
-        und = to_undirected(ei, 2)
-        pairs = {tuple(col) for col in und.T.tolist()}
-        assert (0, 1) in pairs and (1, 0) in pairs
 
     def test_degree(self):
         ei = np.array([[0, 1, 2], [1, 1, 0]])
@@ -87,10 +65,6 @@ class TestEdgeIndex:
         np.testing.assert_array_equal(degree(ei, 3, "out"), [1, 1, 1])
         with pytest.raises(ValueError):
             degree(ei, 3, "both")
-
-    def test_sort_by_target(self):
-        ei = np.array([[5, 4, 3], [2, 0, 1]])
-        assert list(sort_by_target(ei)[1]) == [0, 1, 2]
 
 
 class TestKNN:
@@ -107,11 +81,9 @@ class TestKNN:
     def test_knn_neighbours_are_nearest(self, rng):
         pts = rng.normal(size=(15, 3))
         idx = knn_indices(pts, 3)
-        dists = pairwise_sq_dists(pts, pts)
+        nearest = _brute_force_knn(pts, 3, include_self=False)
         for i in range(15):
-            others = np.argsort(dists[i])
-            nearest = [j for j in others if j != i][:3]
-            assert set(idx[i]) == set(nearest)
+            assert set(idx[i]) == set(nearest[i])
 
     def test_knn_k_larger_than_cloud(self, rng):
         ei = knn_graph(rng.normal(size=(4, 3)), 10)
@@ -122,24 +94,6 @@ class TestKNN:
             knn_graph(rng.normal(size=(5, 3)), 0)
         with pytest.raises(ValueError):
             knn_graph(np.zeros((0, 3)), 2)
-
-    def test_radius_graph(self, rng):
-        pts = np.array([[0.0, 0, 0], [0.1, 0, 0], [5.0, 0, 0]])
-        ei = radius_graph(pts, radius=1.0)
-        pairs = {tuple(c) for c in ei.T.tolist()}
-        assert (0, 1) in pairs and (1, 0) in pairs
-        assert not any(2 in p for p in pairs)
-
-    def test_radius_graph_max_neighbors(self, rng):
-        pts = rng.normal(size=(20, 3))
-        ei = radius_graph(pts, radius=10.0, max_neighbors=3)
-        assert degree(ei, 20, "in").max() <= 3
-
-    def test_pairwise_dists_nonnegative(self, rng):
-        a = rng.normal(size=(8, 3))
-        d = pairwise_sq_dists(a, a)
-        assert np.all(d >= 0)
-        np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-9)
 
 
 def _brute_force_knn(points: np.ndarray, k: int, include_self: bool) -> np.ndarray:
@@ -203,6 +157,24 @@ class TestDenseKNN:
     def test_small_low_dimensional_clouds_match_kd_tree(self, rng):
         points = rng.standard_normal((64, 3))
         np.testing.assert_array_equal(knn_indices(points, 20), _kd_tree_knn(points, 20))
+
+
+class TestKDTreeKNN:
+    """Large low-dimensional clouds take the KD-tree search."""
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_large_3d_cloud_takes_kd_tree_and_matches_brute_force(self, rng, monkeypatch, include_self):
+        import repro.graph.knn as knn_module
+
+        def refuse(points, k, include_self):
+            raise AssertionError("dense search")
+
+        monkeypatch.setattr(knn_module, "_dense_knn", refuse)
+        points = rng.standard_normal((300, 3))  # continuous draws: no distance ties
+        np.testing.assert_array_equal(
+            knn_indices(points, 8, include_self=include_self),
+            _brute_force_knn(points, 8, include_self),
+        )
 
 
 class TestSampling:
@@ -279,22 +251,6 @@ class TestSampling:
             random_graph(0, 2, rng)
         with pytest.raises(ValueError):
             random_graph(5, 0, rng)
-
-    def test_fps_spread(self, rng):
-        cluster_a = rng.normal(size=(20, 3)) * 0.01
-        cluster_b = rng.normal(size=(20, 3)) * 0.01 + 10.0
-        pts = np.concatenate([cluster_a, cluster_b])
-        chosen = farthest_point_sampling(pts, 2, rng)
-        assert (chosen[0] < 20) != (chosen[1] < 20)
-
-    def test_fps_bounds(self, rng):
-        with pytest.raises(ValueError):
-            farthest_point_sampling(rng.normal(size=(5, 3)), 6, rng)
-
-    def test_subsample_points(self, rng):
-        pts = rng.normal(size=(10, 3))
-        assert subsample_points(pts, 4, rng).shape == (4, 3)
-        assert subsample_points(pts, 15, rng).shape == (15, 3)
 
 
 class TestScatter:
@@ -382,19 +338,6 @@ class TestMessages:
 
 
 class TestAdjacency:
-    def test_edges_to_dense(self):
-        ei = np.array([[0, 1], [1, 2]])
-        adj = edges_to_dense(ei, 3)
-        assert adj[1, 0] == 1.0 and adj[2, 1] == 1.0 and adj.sum() == 2.0
-
-    def test_gcn_normalize_rows(self):
-        adj = edges_to_dense(np.array([[0, 1, 2], [1, 2, 0]]), 3, symmetric=True)
-        norm = gcn_normalize(adj)
-        assert norm.shape == (3, 3)
-        assert np.all(norm >= 0)
-        with pytest.raises(ValueError):
-            gcn_normalize(np.ones((2, 3)))
-
     def test_sum_aggregation_matrix(self):
         adj = np.zeros((2, 2))
         np.testing.assert_allclose(sum_aggregation_matrix(adj), np.eye(2))
@@ -421,9 +364,8 @@ class TestBatching:
         batch = np.array([0, 0, 1, 1])
         np.testing.assert_allclose(global_max_pool(x, batch, 2).data, [[3.0], [20.0]])
         np.testing.assert_allclose(global_mean_pool(x, batch, 2).data, [[2.0], [15.0]])
-        np.testing.assert_allclose(global_sum_pool(x, batch, 2).data, [[4.0], [30.0]])
 
-    @pytest.mark.parametrize("aggregator", ["max", "min", "mean", "sum"])
+    @pytest.mark.parametrize("aggregator", ["max", "min", "mean"])
     @pytest.mark.parametrize("sizes", [(4, 4, 4), (3, 1, 5, 0)], ids=["uniform", "ragged"])
     def test_global_pool_grad_check(self, aggregator, sizes, rng):
         """Float64 central differences; the ragged batch ends in an empty cloud."""
@@ -462,7 +404,7 @@ class TestBatching:
         # Magnitudes spread over six decades make float32 sums order-sensitive.
         x = (rng.normal(size=(batch.size, channels)) * 10.0 ** rng.uniform(-3, 3, (batch.size, 1)))
         x = x.astype(np.float32)
-        for pool in (global_max_pool, global_mean_pool, global_sum_pool):
+        for pool in (global_max_pool, global_mean_pool):
             batched = pool(Tensor(x), batch, len(sizes)).data
             alone = [pool(Tensor(x[a:b]), np.zeros(b - a, dtype=np.int64), 1).data for a, b in zip(offsets, offsets[1:])]
             assert np.array_equal(batched, np.concatenate(alone)), pool.__name__
@@ -502,19 +444,24 @@ class TestBatching:
             batched_knn_graph(points, np.repeat([0, 1], 16), 4)
 
 
+def _split_by_cloud(points: np.ndarray, batch: np.ndarray) -> list[np.ndarray]:
+    """The rows of every cloud that ``batch`` names, in cloud order."""
+    return [points[batch == graph] for graph in np.unique(batch)]
+
+
 class TestPackUnpack:
     def test_empty_batch(self):
         points, batch = pack_clouds([])
         assert points.shape == (0, 3)
         assert batch.shape == (0,)
-        assert unpack_clouds(points, batch) == []
+        assert _split_by_cloud(points, batch) == []
 
     def test_batch_of_one(self, rng):
         cloud = rng.normal(size=(7, 3))
         points, batch = pack_clouds([cloud])
         assert points.shape == (7, 3)
         np.testing.assert_array_equal(batch, np.zeros(7, dtype=np.int64))
-        (restored,) = unpack_clouds(points, batch)
+        (restored,) = _split_by_cloud(points, batch)
         np.testing.assert_array_equal(restored, cloud)
 
     def test_ragged_round_trip_identity(self, rng):
@@ -522,7 +469,7 @@ class TestPackUnpack:
         points, batch = pack_clouds(clouds)
         assert points.shape == (21, 3)
         np.testing.assert_array_equal(batch, np.repeat([0, 1, 2, 3], [5, 1, 12, 3]))
-        restored = unpack_clouds(points, batch)
+        restored = _split_by_cloud(points, batch)
         assert len(restored) == len(clouds)
         for original, back in zip(clouds, restored):
             np.testing.assert_array_equal(back, original)
@@ -534,13 +481,6 @@ class TestPackUnpack:
             pack_clouds([np.zeros((0, 3))])  # empty cloud
         with pytest.raises(ValueError):
             pack_clouds([np.zeros(5)])  # not 2-D
-
-    def test_unpack_respects_num_graphs(self, rng):
-        clouds = [rng.normal(size=(4, 3)), rng.normal(size=(2, 3))]
-        points, batch = pack_clouds(clouds)
-        restored = unpack_clouds(points, batch, num_graphs=3)
-        assert len(restored) == 3
-        assert restored[2].shape == (0, 3)
 
     def test_pack_feeds_batched_knn(self, rng):
         clouds = [rng.normal(size=(6, 3)), rng.normal(size=(9, 3))]

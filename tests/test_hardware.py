@@ -1,5 +1,5 @@
 """Tests for the hardware substrate: workloads, cost model, devices, latency,
-memory, profiling, measurement and power."""
+memory, profiling and measurement."""
 
 import numpy as np
 import pytest
@@ -11,17 +11,13 @@ from repro.hardware import (
     all_devices,
     calibrate_coefficients,
     dgcnn_workload,
-    estimate_energy,
     estimate_latency,
     estimate_peak_memory,
     get_device,
     graph_reuse_dgcnn_workload,
-    is_out_of_memory,
     list_devices,
     lower_op,
     lower_workload,
-    power_efficiency_ratio,
-    profile_breakdown,
     profile_workload,
     simplified_dgcnn_workload,
 )
@@ -141,13 +137,13 @@ class TestLatencyModel:
 class TestMemoryModel:
     def test_pi_oom_beyond_1024_points(self):
         pi = get_device("raspberry-pi")
-        assert not is_out_of_memory(dgcnn_workload(1024), pi)
-        assert is_out_of_memory(dgcnn_workload(1536), pi)
-        assert is_out_of_memory(dgcnn_workload(2048), pi)
+        assert not estimate_peak_memory(dgcnn_workload(1024), pi).out_of_memory
+        assert estimate_peak_memory(dgcnn_workload(1536), pi).out_of_memory
+        assert estimate_peak_memory(dgcnn_workload(2048), pi).out_of_memory
 
     def test_other_devices_do_not_oom(self):
         for name in ("rtx3080", "i7-8700k", "jetson-tx2"):
-            assert not is_out_of_memory(dgcnn_workload(2048), get_device(name))
+            assert not estimate_peak_memory(dgcnn_workload(2048), get_device(name)).out_of_memory
 
     def test_memory_report_fields(self):
         report = estimate_peak_memory(dgcnn_workload(512), get_device("pi"))
@@ -158,7 +154,7 @@ class TestMemoryModel:
 class TestProfiler:
     def test_dominant_categories_match_paper_story(self):
         workload = dgcnn_workload(1024)
-        profiles = profile_breakdown(workload, all_devices())
+        profiles = {device.name: profile_workload(workload, device) for device in all_devices()}
         assert profiles["rtx3080"].dominant_category() == "sample"
         assert profiles["jetson-tx2"].dominant_category() == "sample"
         assert profiles["i7-8700k"].dominant_category() == "aggregate"
@@ -187,10 +183,3 @@ class TestMeasurementAndPower:
     def test_measurement_invalid_runs(self):
         with pytest.raises(ValueError):
             DeviceMeasurement(device=get_device("gpu"), num_runs=0)
-
-    def test_energy_and_power_ratio(self):
-        rtx, tx2 = get_device("rtx3080"), get_device("jetson-tx2")
-        workload = dgcnn_workload(1024)
-        energy = estimate_energy(workload, rtx)
-        assert energy.energy_mj == pytest.approx(energy.latency_ms * 350.0)
-        assert power_efficiency_ratio(workload, tx2, workload, rtx) == pytest.approx(350.0 / 7.5)

@@ -1,6 +1,10 @@
-"""Satellite coverage: every lazy root re-export must resolve and be dir()-visible."""
+"""Lazy imports: every root re-export must resolve and be dir()-visible, and
+importing the CLI must not load modules that only some commands need."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +45,17 @@ class TestLazyExports:
     def test_resolved_names_are_cached_in_globals(self):
         repro.Workspace
         assert "Workspace" in vars(repro)
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_neither_networkx_nor_scipy_spatial(self):
+        script = (
+            "import sys\n"
+            "import repro.cli.main\n"
+            "print(sorted(name for name in ('networkx', 'scipy.spatial') if name in sys.modules))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout.strip() == "[]"

@@ -17,7 +17,6 @@ from repro.nas import (
     ObjectiveConfig,
     OperationType,
     architecture_summary,
-    architecture_to_networkx,
     device_acc_architecture,
     device_fast_architecture,
     dgcnn_architecture,
@@ -337,8 +336,3 @@ class TestVisualisation:
         assert summary["num_samples"] == 4
         assert summary["num_aggregates"] == 4
         assert summary["ops"][-1] == "Classifier"
-
-    def test_networkx_chain(self):
-        graph = architecture_to_networkx(dgcnn_architecture())
-        assert graph.has_node("input") and graph.has_node("output")
-        assert graph.number_of_edges() == graph.number_of_nodes() - 1

@@ -1,4 +1,4 @@
-"""Tests for nn layers, losses, optimisers, schedulers and functional ops."""
+"""Tests for nn layers, losses, optimisers and functional ops."""
 
 import numpy as np
 import pytest
@@ -9,26 +9,17 @@ from repro.nn import (
     Adam,
     AdamW,
     BatchNorm1d,
-    CosineAnnealingLR,
     Dropout,
-    ExponentialLR,
-    Identity,
-    LayerNorm,
+    LeakyReLU,
     Linear,
     ReLU,
     Sequential,
-    StepLR,
     Tensor,
-    WarmupCosineLR,
     accuracy,
     balanced_accuracy,
     clip_grad_norm,
     cross_entropy,
     huber_loss,
-    mae_loss,
-    mape_loss,
-    mse_loss,
-    nll_loss,
 )
 from repro.nn import functional as F
 from repro.nn import init
@@ -63,7 +54,7 @@ class TestLinearAndMLP:
             MLP([4, 2], activation="gelu")
 
     def test_sequential_indexing(self, rng):
-        seq = Sequential(Linear(2, 3, rng=rng), ReLU(), Identity())
+        seq = Sequential(Linear(2, 3, rng=rng), ReLU(), LeakyReLU())
         assert len(seq) == 3
         assert isinstance(seq[1], ReLU)
         assert seq(Tensor(rng.normal(size=(4, 2)))).shape == (4, 3)
@@ -165,11 +156,6 @@ class TestNormalisationAndDropout:
         with pytest.raises(ValueError):
             BatchNorm1d(3)(Tensor(np.ones((2, 4))))
 
-    def test_layernorm(self, rng):
-        ln = LayerNorm(6)
-        out = ln(Tensor(rng.normal(size=(3, 6))))
-        np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-6)
-
     def test_dropout_train_vs_eval(self, rng):
         drop = Dropout(0.5, rng=rng)
         x = Tensor(np.ones((10, 10)))
@@ -191,21 +177,6 @@ class TestFunctional:
         x = Tensor(rng.normal(size=(4, 6)))
         np.testing.assert_allclose(F.log_softmax(x).data, np.log(F.softmax(x).data), atol=1e-9)
 
-    def test_one_hot(self):
-        out = F.one_hot(np.array([0, 2]), 3)
-        np.testing.assert_allclose(out, [[1, 0, 0], [0, 0, 1]])
-
-    def test_one_hot_out_of_range(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([3]), 3)
-
-    def test_embedding_lookup_grad(self, rng):
-        table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        out = F.embedding_lookup(table, np.array([1, 1, 4]))
-        out.sum().backward()
-        assert table.grad[1].sum() == pytest.approx(6.0)
-        assert table.grad[0].sum() == pytest.approx(0.0)
-
 
 class TestLosses:
     def test_cross_entropy_known_value(self):
@@ -221,15 +192,12 @@ class TestLosses:
         logits = Tensor(rng.normal(size=(4, 3)))
         labels = np.array([0, 1, 2, 1])
         ce = cross_entropy(logits, labels).item()
-        nll = nll_loss(F.log_softmax(logits), labels).item()
+        nll = -F.log_softmax(logits).data[np.arange(4), labels].mean()
         assert ce == pytest.approx(nll)
 
     def test_regression_losses(self):
         pred = Tensor([1.0, 2.0, 3.0])
         target = np.array([1.0, 1.0, 5.0])
-        assert mse_loss(pred, target).item() == pytest.approx((0 + 1 + 4) / 3)
-        assert mae_loss(pred, target).item() == pytest.approx(1.0)
-        assert mape_loss(pred, target).item() == pytest.approx((0 + 1 + 2 / 5) / 3)
         assert huber_loss(pred, target, delta=1.0).item() == pytest.approx((0 + 0.5 + 1.5) / 3)
 
     def test_huber_invalid_delta(self):
@@ -289,60 +257,11 @@ class TestOptimisers:
             clip_grad_norm([], max_norm=0.0)
 
 
-class TestSchedulers:
-    def _optimizer(self):
-        return SGD([Tensor(np.array([1.0]), requires_grad=True)], lr=1.0)
-
-    def test_step_lr(self):
-        sched = StepLR(self._optimizer(), step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs[0] == pytest.approx(1.0)
-        assert lrs[1] == pytest.approx(0.1)
-        assert lrs[3] == pytest.approx(0.01)
-
-    def test_exponential_lr(self):
-        sched = ExponentialLR(self._optimizer(), gamma=0.5)
-        assert sched.step() == pytest.approx(0.5)
-        assert sched.step() == pytest.approx(0.25)
-
-    def test_cosine_lr_endpoints(self):
-        optimizer = self._optimizer()
-        sched = CosineAnnealingLR(optimizer, t_max=10, eta_min=0.0)
-        values = [sched.step() for _ in range(10)]
-        assert values[-1] == pytest.approx(0.0, abs=1e-9)
-        assert values[0] > values[5] > values[-1]
-
-    def test_warmup_cosine(self):
-        sched = WarmupCosineLR(self._optimizer(), warmup_epochs=2, t_max=6)
-        values = [sched.step() for _ in range(6)]
-        assert values[0] == pytest.approx(0.5)
-        assert values[1] == pytest.approx(1.0)
-        assert values[-1] < values[2]
-
-    def test_invalid_schedulers(self):
-        with pytest.raises(ValueError):
-            StepLR(self._optimizer(), step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(self._optimizer(), t_max=0)
-        with pytest.raises(ValueError):
-            WarmupCosineLR(self._optimizer(), warmup_epochs=5, t_max=3)
-
-
 class TestInit:
-    def test_shapes_and_ranges(self, rng):
-        w = init.xavier_uniform((10, 20), rng)
-        assert w.shape == (10, 20)
-        bound = np.sqrt(6.0 / 30)
-        assert np.all(np.abs(w) <= bound + 1e-12)
-
-    def test_kaiming_scale(self, rng):
-        w = init.kaiming_normal((1000, 50), rng)
-        assert w.std() == pytest.approx(np.sqrt(2.0 / 1000), rel=0.15)
-
     def test_zeros_ones(self):
         assert init.zeros((2, 2)).sum() == 0.0
         assert init.ones((2, 2)).sum() == 4.0
 
     def test_fan_in_out_invalid(self):
         with pytest.raises(ValueError):
-            init.xavier_uniform((), np.random.default_rng(0))
+            init.kaiming_uniform((), np.random.default_rng(0))

@@ -78,11 +78,6 @@ class TestArchGraph:
         agg = graph.aggregation_matrix()
         assert np.all(np.diag(agg) >= 1.0)
 
-    def test_to_networkx(self):
-        graph = architecture_to_graph(rtx_fast_architecture())
-        nx_graph = graph.to_networkx()
-        assert nx_graph.number_of_nodes() == graph.num_nodes
-
 
 class TestPredictorModel:
     def test_config_validation(self):
