@@ -67,6 +67,25 @@ class TestTransforms:
         out = random_jitter(pts, rng, sigma=0.01, clip=0.02)
         assert np.abs(out).max() <= 0.02 + 1e-12
 
+    def test_jitter_validates_sigma_and_clip(self, rng):
+        pts = np.zeros((4, 3))
+        with pytest.raises(ValueError):
+            random_jitter(pts, rng, sigma=-0.1)
+        with pytest.raises(ValueError):
+            random_jitter(pts, rng, clip=0.0)
+        np.testing.assert_array_equal(random_jitter(pts, rng, sigma=0.0), pts)
+
+    def test_rotation_reproducible_with_seed(self, rng):
+        pts = rng.normal(size=(10, 3))
+        a = random_rotate_z(pts, np.random.default_rng(5))
+        b = random_rotate_z(pts, np.random.default_rng(5))
+        np.testing.assert_array_equal(a, b)
+        assert not np.allclose(a, random_rotate_z(pts, np.random.default_rng(6)))
+
+    def test_normalize_single_point_cloud(self):
+        out = normalize_unit_sphere(np.array([[2.0, -1.0, 4.0]]))
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
+
     def test_shape_validation(self, rng):
         with pytest.raises(ValueError):
             normalize_unit_sphere(rng.normal(size=(5, 2)))

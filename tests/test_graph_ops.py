@@ -66,6 +66,16 @@ class TestEdgeIndex:
         with pytest.raises(ValueError):
             degree(ei, 3, "both")
 
+    def test_validate_accepts_integral_floats(self):
+        out = validate_edge_index(np.array([[0.0, 2.0], [1.0, 0.0]]), num_nodes=3)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [[0, 2], [1, 0]])
+        with pytest.raises(ValueError, match="integers"):
+            validate_edge_index(np.array([[0.5], [1.0]]))
+
+    def test_degree_of_empty_edge_index(self):
+        np.testing.assert_array_equal(degree(np.zeros((2, 0), dtype=np.int64), 4), np.zeros(4))
+
 
 class TestKNN:
     def test_knn_graph_degrees(self, rng):
@@ -84,6 +94,20 @@ class TestKNN:
         nearest = _brute_force_knn(pts, 3, include_self=False)
         for i in range(15):
             assert set(idx[i]) == set(nearest[i])
+
+    @pytest.mark.parametrize("n", [20, 300], ids=["dense", "kd_tree"])
+    def test_knn_include_self_lists_self_first(self, n, rng):
+        pts = rng.normal(size=(n, 3))
+        idx = knn_indices(pts, 4, include_self=True)
+        assert idx.shape == (n, 4)
+        np.testing.assert_array_equal(idx[:, 0], np.arange(n))
+        np.testing.assert_array_equal(idx[:, 1:], knn_indices(pts, 3))
+
+    def test_knn_graph_edges_run_neighbour_to_centre(self, rng):
+        pts = rng.normal(size=(12, 3))
+        ei = knn_graph(pts, 3)
+        np.testing.assert_array_equal(ei[0], knn_indices(pts, 3).reshape(-1))
+        np.testing.assert_array_equal(ei[1], np.repeat(np.arange(12), 3))
 
     def test_knn_k_larger_than_cloud(self, rng):
         ei = knn_graph(rng.normal(size=(4, 3)), 10)
@@ -342,6 +366,18 @@ class TestAdjacency:
         adj = np.zeros((2, 2))
         np.testing.assert_allclose(sum_aggregation_matrix(adj), np.eye(2))
 
+    def test_sum_aggregation_matrix_adds_identity_to_edges(self):
+        adj = np.array([[0, 1, 0], [1, 0, 1], [0, 0, 0]])
+        out = sum_aggregation_matrix(adj)
+        assert np.issubdtype(out.dtype, np.floating)
+        np.testing.assert_array_equal(out, adj + np.eye(3))
+
+    def test_sum_aggregation_matrix_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            sum_aggregation_matrix(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            sum_aggregation_matrix(np.zeros(4))
+
 
 class TestBatching:
     def test_batched_knn_no_cross_edges(self, rng):
@@ -355,6 +391,12 @@ class TestBatching:
         ei = batched_random_graph(batch, 2, rng)
         assert np.all(batch[ei[0]] == batch[ei[1]])
 
+    def test_batched_random_graph_degrees(self, rng):
+        batch = np.repeat([0, 1, 2], [6, 4, 5])
+        ei = batched_random_graph(batch, 3, rng)
+        np.testing.assert_array_equal(degree(ei, batch.size, "in"), 3)
+        assert not np.any(ei[0] == ei[1])
+
     def test_batch_vector_must_be_sorted(self, rng):
         with pytest.raises(ValueError):
             batched_knn_graph(rng.normal(size=(4, 3)), np.array([1, 0, 0, 1]), 2)
@@ -364,6 +406,26 @@ class TestBatching:
         batch = np.array([0, 0, 1, 1])
         np.testing.assert_allclose(global_max_pool(x, batch, 2).data, [[3.0], [20.0]])
         np.testing.assert_allclose(global_mean_pool(x, batch, 2).data, [[2.0], [15.0]])
+
+    @pytest.mark.parametrize("pool", [global_max_pool, global_mean_pool], ids=["max", "mean"])
+    def test_empty_trailing_cloud_pools_to_zero(self, pool):
+        x = Tensor(np.array([[-4.0, 1.0], [-2.0, 3.0]]), requires_grad=True)
+        out = pool(x, np.array([0, 0]), 2)
+        assert out.shape == (2, 2)
+        np.testing.assert_array_equal(out.data[1], [0.0, 0.0])
+        (out * np.array([[1.0, 1.0], [5.0, 5.0]])).sum().backward()
+        assert x.grad.sum() == pytest.approx(2.0)
+
+    def test_global_pool_validates(self):
+        x = Tensor(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="positive"):
+            global_max_pool(x, np.zeros(3, dtype=np.int64), 0)
+        with pytest.raises(ValueError, match="outside"):
+            global_mean_pool(x, np.array([0, 1, 2]), 2)
+        with pytest.raises(ValueError, match="1-D"):
+            global_mean_pool(x, np.zeros(2, dtype=np.int64), 1)
+        with pytest.raises(ValueError, match="2-D"):
+            global_max_pool(Tensor(np.ones(3)), np.zeros(3, dtype=np.int64), 1)
 
     @pytest.mark.parametrize("aggregator", ["max", "min", "mean"])
     @pytest.mark.parametrize("sizes", [(4, 4, 4), (3, 1, 5, 0)], ids=["uniform", "ragged"])
@@ -455,6 +517,11 @@ class TestPackUnpack:
         assert points.shape == (0, 3)
         assert batch.shape == (0,)
         assert _split_by_cloud(points, batch) == []
+
+    def test_empty_batch_uses_dim(self):
+        points, batch = pack_clouds([], dim=5)
+        assert points.shape == (0, 5)
+        assert batch.shape == (0,)
 
     def test_batch_of_one(self, rng):
         cloud = rng.normal(size=(7, 3))

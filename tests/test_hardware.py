@@ -145,6 +145,12 @@ class TestMemoryModel:
         for name in ("rtx3080", "i7-8700k", "jetson-tx2"):
             assert not estimate_peak_memory(dgcnn_workload(2048), get_device(name)).out_of_memory
 
+    @pytest.mark.parametrize("name", ["rtx3080", "i7-8700k", "jetson-tx2", "raspberry-pi"])
+    def test_peak_memory_grows_with_points(self, name):
+        device = get_device(name)
+        peaks = [estimate_peak_memory(dgcnn_workload(n), device).peak_mb for n in (256, 512, 1024, 2048)]
+        assert all(a < b for a, b in zip(peaks, peaks[1:]))
+
     def test_memory_report_fields(self):
         report = estimate_peak_memory(dgcnn_workload(512), get_device("pi"))
         assert report.peak_mb == pytest.approx(report.base_mb + report.activation_mb)

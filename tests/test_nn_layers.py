@@ -21,6 +21,7 @@ from repro.nn import (
     cross_entropy,
     huber_loss,
 )
+from repro.nn import default_dtype
 from repro.nn import functional as F
 from repro.nn import init
 
@@ -177,6 +178,49 @@ class TestFunctional:
         x = Tensor(rng.normal(size=(4, 6)))
         np.testing.assert_allclose(F.log_softmax(x).data, np.log(F.softmax(x).data), atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "activation, slope",
+        [(F.relu, 0.0), (lambda x: F.leaky_relu(x, 0.01), 0.01), (lambda x: F.leaky_relu(x, 0.2), 0.2)],
+        ids=["relu", "leaky_relu_0.01", "leaky_relu_0.2"],
+    )
+    def test_relu_family_values_and_grads(self, activation, slope):
+        values = np.array([[-2.0, -0.5, 0.5, 3.0]])
+        x = Tensor(values, requires_grad=True)
+        out = activation(x)
+        out.sum().backward()
+        np.testing.assert_allclose(out.data, np.where(values > 0, values, slope * values))
+        np.testing.assert_allclose(x.grad, np.where(values > 0, 1.0, slope))
+
+    @pytest.mark.parametrize("p, training", [(0.5, False), (0.0, True)], ids=["eval", "p_zero"])
+    def test_dropout_identity_when_off(self, p, training, rng):
+        x = Tensor(rng.normal(size=(4, 5)))
+        assert F.dropout(x, p, rng, training=training) is x
+
+    def test_dropout_scales_survivors(self, rng):
+        x = Tensor(np.ones((200, 50)))
+        out = F.dropout(x, 0.25, rng).data
+        np.testing.assert_allclose(np.unique(out), [0.0, 1.0 / 0.75])
+        assert (out == 0.0).mean() == pytest.approx(0.25, abs=0.02)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0])
+    def test_dropout_rejects_p_out_of_range(self, p, rng):
+        with pytest.raises(ValueError):
+            F.dropout(Tensor(np.ones(3)), p, rng)
+
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no_bias"])
+    def test_linear_matches_numpy(self, with_bias, rng):
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(3,)), requires_grad=True) if with_bias else None
+        out = F.linear(x, weight, bias)
+        out.sum().backward()
+        want = x.data @ weight.data + (bias.data if with_bias else 0.0)
+        np.testing.assert_allclose(out.data, want)
+        np.testing.assert_allclose(x.grad, np.ones((6, 3)) @ weight.data.T)
+        np.testing.assert_allclose(weight.grad, x.data.T @ np.ones((6, 3)))
+        if with_bias:
+            np.testing.assert_allclose(bias.grad, np.full(3, 6.0))
+
 
 class TestLosses:
     def test_cross_entropy_known_value(self):
@@ -199,6 +243,40 @@ class TestLosses:
         pred = Tensor([1.0, 2.0, 3.0])
         target = np.array([1.0, 1.0, 5.0])
         assert huber_loss(pred, target, delta=1.0).item() == pytest.approx((0 + 0.5 + 1.5) / 3)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+    def test_huber_piecewise(self, delta):
+        """Quadratic inside ``delta``, linear outside; the gradient is the clipped residual."""
+        target = np.zeros(6)
+        residual = np.array([-3.0, -1.0, -0.25, 0.0, 0.75, 2.5])
+        pred = Tensor(residual.copy(), requires_grad=True)
+        loss = huber_loss(pred, target, delta=delta)
+        loss.backward()
+        inside = np.abs(residual) <= delta
+        per_element = np.where(inside, 0.5 * residual**2, delta * np.abs(residual) - 0.5 * delta**2)
+        assert loss.item() == pytest.approx(per_element.mean())
+        np.testing.assert_allclose(pred.grad, np.clip(residual, -delta, delta) / residual.size)
+
+    def test_cross_entropy_gradient_is_softmax_minus_one_hot(self, rng):
+        logits = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        labels = np.array([0, 3, 1, 1, 2])
+        cross_entropy(logits, labels).backward()
+        one_hot = np.eye(4)[labels]
+        np.testing.assert_allclose(logits.grad, (F.softmax(logits).data - one_hot) / 5, atol=1e-12)
+
+    def test_cross_entropy_validates_shapes(self):
+        with pytest.raises(ValueError, match="1-D"):
+            cross_entropy(Tensor(np.zeros((2, 3))), np.zeros((2, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="2-D"):
+            cross_entropy(Tensor(np.zeros(3)), np.array([0]))
+        with pytest.raises(ValueError, match="batch sizes"):
+            cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1, 2]))
+
+    def test_accuracy_of_empty_batch(self):
+        empty = np.zeros((0, 3))
+        labels = np.zeros(0, dtype=np.int64)
+        assert accuracy(empty, labels) == 0.0
+        assert balanced_accuracy(empty, labels) == 0.0
 
     def test_huber_invalid_delta(self):
         with pytest.raises(ValueError):
@@ -265,3 +343,22 @@ class TestInit:
     def test_fan_in_out_invalid(self):
         with pytest.raises(ValueError):
             init.kaiming_uniform((), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "shape, slope, fan_in",
+        [((400, 50), 0.0, 400), ((400, 50), 0.2, 400), ((16, 8, 3), 0.0, 48)],
+        ids=["relu", "leaky_relu", "receptive_field"],
+    )
+    def test_kaiming_uniform_bound(self, shape, slope, fan_in, rng):
+        bound = np.sqrt(2.0 / (1.0 + slope**2)) * np.sqrt(3.0 / fan_in)
+        w = init.kaiming_uniform(shape, rng, negative_slope=slope)
+        assert w.shape == shape
+        assert np.abs(w).max() <= bound
+        assert np.abs(w).max() > 0.9 * bound
+        assert w.std() == pytest.approx(bound / np.sqrt(3.0), rel=0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kaiming_uniform_follows_default_dtype(self, dtype, rng):
+        with default_dtype(dtype):
+            assert init.kaiming_uniform((4, 3), rng).dtype == dtype
+            assert init.zeros((2,)).dtype == dtype
