@@ -16,6 +16,12 @@ A third gate covers ``batched_knn_graph`` at the search's batch shape
 clouds is at least 1.2x faster than the per-cloud loop and returns the
 same edges.
 
+A fourth gate covers the block pool at 1024 x 64 (DGCNN's dynamic layers):
+the dense search, whose four 256-row blocks run on the pool, is no slower
+than the same blocks run one after another (``serial_blocks`` below), and
+returns the same neighbours bit for bit.
+It is skipped on a host with one usable CPU.
+
 The searches alternate round by round after a warm-up round (the
 ``ab_medians`` timer) and the gate compares medians, so a transient load
 spike hits both alike.
@@ -23,7 +29,10 @@ spike hits both alike.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 from repro.graph import knn
 from repro.graph.batching import batched_knn_graph
@@ -38,6 +47,16 @@ MIN_STACKED_SPEEDUP = 1.2
 #: Calls per timed round of the stacked gate: one call takes about a millisecond.
 STACKED_CALLS = 10
 SEARCHES = {"dense": knn._dense_knn, "kd_tree": knn._kd_tree_knn}
+#: Dims of the block-pool gate, and its rounds: more than the other gates,
+#: since a median over two threads moves more with the host's load.
+POOL_DIMS = 64
+POOL_ROUNDS = 21
+#: The pool must never lose to the serial blocks.  Its gain depends on a
+#: free second core: on a 2-core host it measured 1.6-2.0x while the second
+#: core was idle, and 1.04-1.22x in 35 runs while other load kept it busy,
+#: so any higher bar would fail on the host's load.  A pool that page-faults
+#: its key blocks afresh on every call measured 0.6x.
+MIN_POOL_SPEEDUP = 1.0
 
 
 def _median_ms(ab_medians, points: np.ndarray) -> dict[str, float]:
@@ -103,3 +122,33 @@ def test_stacked_knn_beats_per_cloud_loop(benchmark, ab_medians):
 
     assert np.array_equal(last["stacked"], last["loop"])
     assert ms["loop"] >= MIN_STACKED_SPEEDUP * ms["stacked"], ms
+
+
+def serial_blocks(points: np.ndarray, k: int) -> np.ndarray:
+    """``knn._dense_knn`` without the pool: the same 256-row blocks, one after another."""
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    out = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, knn._BLOCK_ROWS):
+        stop = min(start + knn._BLOCK_ROWS, n)
+        keys = (-2.0 * x[start:stop]) @ x.T
+        keys += sq_norms
+        np.fill_diagonal(keys[:, start:stop], np.inf)
+        out[start:stop] = knn._smallest_k(keys, k)
+    return out
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable CPU: the pool has a single thread")
+def test_block_pool_beats_serial_blocks(benchmark, ab_medians):
+    points = _points(POOL_DIMS)
+    medians, last = ab_medians(
+        {"pool": lambda: knn._dense_knn(points, K, False), "serial": lambda: serial_blocks(points, K)},
+        rounds=POOL_ROUNDS,
+    )
+    ms = {name: seconds * 1e3 for name, seconds in medians.items()}
+    benchmark.pedantic(lambda: knn._dense_knn(points, K, False), rounds=1, iterations=1)
+    benchmark.extra_info.update({f"{name}_ms": round(value, 2) for name, value in ms.items()})
+
+    assert np.array_equal(last["pool"], last["serial"])
+    assert ms["serial"] >= MIN_POOL_SPEEDUP * ms["pool"], ms

@@ -13,12 +13,22 @@ functions (Table I).  :func:`knn_indices` picks one of two searches:
   list the lower index first, and a tie straddling the ``k``-th place
   keeps the lowest indices.  A KD-tree degrades towards a linear scan in
   wide feature spaces, where one matrix product is several times faster.
+  An input of more than one block runs its blocks on a process-wide thread
+  pool, one thread per usable CPU, created on first use and again in a
+  forked child; each thread writes its keys into a buffer it reuses.  The
+  blocks make the same numpy calls on any thread, so the neighbour lists
+  are bit-identical to a serial loop over the blocks.  One-block inputs
+  run inline and never create the pool.
 * **KD-tree** — large low-dimensional clouds, such as DGCNN's 3-D
   coordinate layer.  A multi-threaded :class:`scipy.spatial.cKDTree`
   query ranks by exact distance; exact ties come back in tree order.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,13 +38,15 @@ from repro.nn.dtype import WIDE_DTYPE, as_float_array
 __all__ = ["knn_graph", "knn_indices", "stacked_knn_indices"]
 
 # Dispatch crossovers, measured at k=20 on a 2-core host with one BLAS
-# thread: the dense search wins from 16 dims up at 1024 points (24 vs 39 ms
-# at 64 dims), and at any width for small clouds (0.15 vs 0.66 ms at
-# 64 points x 3 dims); the KD-tree keeps large 3-D clouds (7.3 vs 15.4 ms
-# at 1024 x 3).
+# thread, the dense search running its blocks on both cores: it wins from
+# 16 dims up at 1024 points (7.9 vs 25 ms at 64 dims), and at any width for
+# small clouds (0.20 vs 0.62 ms at 64 points x 3 dims); the KD-tree keeps
+# large 3-D clouds (3.2 vs 5.2 ms at 1024 x 3).  At 8 dims the dense search
+# now wins too (5.4 vs 7.9 ms); moving the boundary would change the tie
+# order of those inputs, so it stays at 16.
 _DENSE_MIN_DIMS = 16
 _DENSE_MAX_POINTS = 256
-#: Rows per Gram block: bounds the key matrix at 256 x N float64.
+#: Rows per Gram block: bounds each thread's key buffer at 256 x N float64.
 _BLOCK_ROWS = 256
 
 
@@ -108,20 +120,81 @@ def _kd_tree_knn(points: np.ndarray, k: int, include_self: bool) -> np.ndarray:
 
 
 def _dense_knn(points: np.ndarray, k: int, include_self: bool) -> np.ndarray:
-    """Blocked Gram-matrix KNN: each row's ``k`` smallest (key, index) pairs."""
+    """Blocked Gram-matrix KNN: each row's ``k`` smallest (key, index) pairs.
+
+    The 256-row blocks are independent and each writes its own rows of the
+    result, so an input of more than one block runs them on the block pool;
+    numpy releases the GIL in the product, the add and the partition.
+    Every block makes the same numpy calls whichever thread runs it, so the
+    result does not depend on the pool.
+    """
     x = np.asarray(points, dtype=WIDE_DTYPE)
     n = x.shape[0]
     sq_norms = np.einsum("ij,ij->i", x, x)
     out = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, _BLOCK_ROWS):
+
+    def search_block(start: int) -> None:
         stop = min(start + _BLOCK_ROWS, n)
+        keys = _key_block(stop - start, n)
         # Scaling by -2 is exact, so folding it into the block is free.
-        keys = (-2.0 * x[start:stop]) @ x.T
+        np.matmul(-2.0 * x[start:stop], x.T, out=keys)
         keys += sq_norms
         if not include_self:
             np.fill_diagonal(keys[:, start:stop], np.inf)
         out[start:stop] = _smallest_k(keys, k)
+
+    blocks = range(0, n, _BLOCK_ROWS)
+    if len(blocks) == 1:
+        # One block runs inline: a thread hop would only add latency.
+        search_block(0)
+    else:
+        # list() waits for every block and re-raises a block's exception.
+        list(_block_pool().map(search_block, blocks))
     return out
+
+
+def _key_block(rows: int, n: int) -> np.ndarray:
+    """A ``(rows, n)`` float64 key block owned by the calling thread.
+
+    Each thread reuses one buffer, grown to the largest block it has seen.
+    glibc returns a pool thread's freed 2 MB block to the OS, so a fresh
+    block per call faulted in all its pages again: at 1024 x 64 that was
+    4,096 page faults per search and slower than running the blocks on
+    one thread.
+    """
+    buffer = getattr(_thread_keys, "buffer", None)
+    if buffer is None or buffer.size < rows * n:
+        buffer = _thread_keys.buffer = np.empty(rows * n, dtype=WIDE_DTYPE)
+    return buffer[: rows * n].reshape(rows, n)
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    """The process's block pool, created on first use with one thread per usable CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                # The CPUs this process may run on, as the KD-tree's workers=-1.
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity masks on this platform
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-knn")
+        return _pool
+
+
+def _forget_pool_after_fork() -> None:
+    # A forked child has only the forking thread: the pool's threads, and a
+    # lock some other thread may have held, did not survive the fork.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_thread_keys = threading.local()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 def stacked_knn_indices(clouds: np.ndarray, k: int) -> np.ndarray:
