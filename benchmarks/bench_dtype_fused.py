@@ -19,7 +19,11 @@ The acceptance claims of the dtype/fusion work, quantified:
   allclose parameter gradients;
 * the fused aggregate's column-wise gather-max is at least 1.3x faster than
   building ``x[sources]`` and reducing its middle axis, at DGCNN's first
-  feature layer (1024 points x 64 channels, k=20), with equal output.
+  feature layer (1024 points x 64 channels, k=20), with equal output;
+* the fused ``full`` aggregate, forward plus backward under all four
+  aggregators, is at least 3x faster than the materialized path at the
+  search's shape (8 clouds x 64 points, width 24, random graphs with k=6),
+  with bit-identical forward output.
 
 Both models run the same eval batches.  Every timing alternates the two
 configurations round by round after a warm-up round (the ``ab_medians``
@@ -33,20 +37,24 @@ import numpy as np
 from repro.backends import gather_reduce, use_backend
 from repro.data.dataset import Batch, collate
 from repro.data.synthetic_modelnet import make_synthetic_modelnet
+from repro.graph.batching import batched_random_graph
+from repro.graph.fused import propagate
 from repro.graph.knn import knn_graph
 from repro.models.dgcnn import DGCNN, DGCNNConfig
 from repro.nas.derived import DerivedModel
 from repro.nas.presets import device_fast_architecture
 from repro.nn.dtype import default_dtype
 from repro.nn.loss import accuracy, cross_entropy
-from repro.nn.tensor import no_grad
+from repro.nn.tensor import Tensor, no_grad
 
 MIN_SPEEDUP = 1.5
 MIN_TRAIN_SPEEDUP = 1.2
 MIN_GATHER_SPEEDUP = 1.3
+MIN_FULL_SPEEDUP = 3.0
 ROUNDS = 5
 TRAIN_ROUNDS = 5
 GATHER_ROUNDS = 25
+FULL_ROUNDS = 15
 NUM_CLASSES = 6
 NUM_POINTS = 256
 EVAL_CLOUDS = 8
@@ -190,3 +198,38 @@ def test_column_wise_gather_max_speedup(benchmark, ab_medians):
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.pedantic(lambda: gather_reduce(x, sources, starts, counts, "max"), rounds=3, iterations=1)
     assert speedup >= MIN_GATHER_SPEEDUP, f"column-wise gather-max only {speedup:.2f}x faster than gather + reshape-max"
+
+
+def _full_aggregates(points: np.ndarray, edge_index: np.ndarray, weights: np.ndarray) -> list[np.ndarray]:
+    """Forward and backward of the ``full`` aggregate under each aggregator; the forward outputs."""
+    outputs = []
+    for aggregator in ("sum", "mean", "max", "min"):
+        x = Tensor(points, requires_grad=True)
+        out = propagate(x, edge_index, "full", aggregator, validated=True)
+        out.backward(weights)
+        outputs.append(out.data)
+    return outputs
+
+
+def test_fused_full_aggregate_speedup(benchmark, ab_medians):
+    """Fused ``full`` aggregate, forward + backward: >=3x the materialized path at the search shape."""
+    clouds, cloud_points, width, k = 8, 64, 24, 6
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((clouds * cloud_points, width)).astype(np.float32)
+    edge_index = batched_random_graph(np.repeat(np.arange(clouds), cloud_points), k, rng)
+    weights = rng.standard_normal((points.shape[0], 3 * width + 1)).astype(np.float32)
+    seconds, outputs = ab_medians(
+        {
+            "fused": _on("numpy", _full_aggregates, points, edge_index, weights),
+            "materialized": _on("materialized", _full_aggregates, points, edge_index, weights),
+        },
+        rounds=FULL_ROUNDS,
+    )
+    for fused, materialized in zip(outputs["fused"], outputs["materialized"]):
+        np.testing.assert_array_equal(fused, materialized)
+    speedup = seconds["materialized"] / seconds["fused"]
+    benchmark.extra_info["materialized_ms"] = round(seconds["materialized"] * 1e3, 3)
+    benchmark.extra_info["fused_ms"] = round(seconds["fused"] * 1e3, 3)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.pedantic(_on("numpy", _full_aggregates, points, edge_index, weights), rounds=3, iterations=1)
+    assert speedup >= MIN_FULL_SPEEDUP, f"fused full aggregate only {speedup:.2f}x faster than the materialized path"

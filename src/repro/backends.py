@@ -4,12 +4,12 @@ Models run message passing along one of two paths:
 
 * ``numpy`` (the default) — :func:`repro.graph.propagate` runs the fused
   kernels of :mod:`repro.graph.fused` in training and inference alike:
-  MLP-free aggregates as a per-node gather-reduce, EdgeConv's one
-  ``Linear`` + activation as a chunked per-edge kernel;
+  every MLP-free aggregate (all seven message types) as segment
+  reductions, EdgeConv's one ``Linear`` + activation as a chunked per-edge
+  kernel;
 * ``materialized`` — the gather → message → MLP → scatter reference path.
-  It is slower and exists as a test oracle for the fused kernels.  The
-  ``distance`` and ``full`` message types and MLPs of any other shape take
-  it on either path.
+  It is slower and exists as the test oracle for the fused kernels.  On
+  the ``numpy`` path only MLPs other than EdgeConv's still take it.
 
 :func:`use_backend` scopes the path and :func:`fused_kernels_enabled` is
 the one query ``repro.graph.propagate`` reads.  The path name is also part
@@ -21,8 +21,8 @@ alias::
 
 The module also owns the irregular-access kernels: contiguous segment
 reduction, the gather-reduce behind the fused aggregate, the row-sum by
-index behind the fused kernels' gather backward,
-and the unbuffered scatter accumulation that only the materialized path
+index behind the fused kernels' gather backward, and the unbuffered
+scatter accumulation (``ufunc.at``) that only the materialized path
 (:mod:`repro.graph.scatter`) still uses.  It imports nothing from
 ``repro.nn``/``repro.graph`` (they import *it*).
 """

@@ -9,7 +9,7 @@ from repro.graph.batching import (
     pack_clouds,
 )
 from repro.graph.fused import (
-    FUSED_MESSAGE_TYPES,
+    EDGECONV_MESSAGE_TYPES,
     fused_aggregate,
     fused_edgeconv,
     propagate,
@@ -55,7 +55,7 @@ __all__ = [
     "scatter_max",
     "scatter_min",
     "validate_index",
-    "FUSED_MESSAGE_TYPES",
+    "EDGECONV_MESSAGE_TYPES",
     "fused_aggregate",
     "fused_edgeconv",
     "propagate",

@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.backends import segment_reduce
 from repro.graph.knn import knn_graph, stacked_knn_indices
-from repro.graph.sampling import random_graph
+from repro.graph.edge_index import validate_edge_index
+from repro.graph.sampling import _cloud_sources
 from repro.nn.dtype import as_float_array, get_default_dtype
 from repro.nn.tensor import Tensor, apply_op, as_tensor
 
@@ -114,18 +115,40 @@ def batched_knn_graph(points: np.ndarray, batch: np.ndarray, k: int) -> np.ndarr
 def batched_random_graph(
     batch: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Build a random-neighbour graph independently inside every cloud."""
-    batch = np.asarray(batch, dtype=np.int64)
-    if batch.ndim != 1:
-        raise ValueError("batch vector must be 1-D")
-    edges = []
-    for graph_id in np.unique(batch):
-        node_ids = np.flatnonzero(batch == graph_id)
-        local_edges = random_graph(len(node_ids), k, rng)
-        edges.append(node_ids[local_edges])
-    if not edges:
+    """Build a random-neighbour graph independently inside every cloud.
+
+    Every cloud follows :func:`~repro.graph.sampling.random_graph`'s rules:
+    each node draws a uniform ``k_eff``-subset of the cloud's other nodes,
+    ``k_eff = min(k, n - 1)``, and a lone node gets its self-loop.  All the
+    clouds of one size are drawn together by one ``_uniform_subsets`` call,
+    so a batch of equal-size clouds is a single draw.  The edges come out
+    target-major.
+
+    Args:
+        batch: Cloud index per node, sorted ascending.
+        k: Number of random neighbours per node.
+        rng: Random generator.
+
+    Returns:
+        Edge index of shape ``(2, E)`` with indices into the stacked node set.
+    """
+    batch = _check_batch(np.size(batch), batch)
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    sizes = np.unique(batch, return_counts=True)[1]
+    starts = np.cumsum(sizes) - sizes
+    sources, targets = [], []
+    for n in np.unique(sizes):
+        first = starts[sizes == n]  # first node of every cloud of this size
+        local = _cloud_sources(first.size, int(n), k, rng)
+        sources.append((local + first[:, None, None]).reshape(-1))
+        targets.append(np.repeat(first[:, None] + np.arange(n), local.shape[2]))
+    if not sources:
         return np.zeros((2, 0), dtype=np.int64)
-    return np.concatenate(edges, axis=1)
+    edge_index = np.stack([np.concatenate(sources), np.concatenate(targets)])
+    if len(sources) > 1:
+        edge_index = edge_index[:, np.argsort(edge_index[1], kind="stable")]
+    return validate_edge_index(edge_index, batch.size)
 
 
 def _pool_batch(x: Tensor, batch: np.ndarray, num_graphs: int) -> np.ndarray:

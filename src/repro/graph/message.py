@@ -16,6 +16,14 @@ Message type       Message
 ``target_rel``     ``[x_i, x_j - x_i]``  (DGCNN's EdgeConv message)
 ``full``           ``[x_i, x_j, x_j - x_i, ||x_j - x_i||]``
 =================  ==========================================
+
+:func:`build_messages` materializes the ``(E, message_dim)`` tensor.  It is
+the first half of the materialized reference path that the fused kernels of
+:mod:`repro.graph.fused` are tested against, and the path
+:func:`repro.graph.propagate` still takes for MLPs other than EdgeConv's;
+every MLP-free aggregate runs fused.  The fused ``distance``/``full``
+kernel computes each edge's distance with the same numpy calls as here, so
+the two paths agree to the bit.
 """
 
 from __future__ import annotations

@@ -38,6 +38,27 @@ def _uniform_subsets(rows: int, pool: int, k: int, rng: np.random.Generator) -> 
     return draws
 
 
+def _cloud_sources(
+    num_clouds: int, n: int, k: int, rng: np.random.Generator, include_self: bool = False
+) -> np.ndarray:
+    """Local source indices of ``num_clouds`` random graphs on ``n`` nodes, one draw.
+
+    Returns shape ``(num_clouds, n, k_eff)``: every node's uniform
+    ``k_eff``-subset of its cloud's other nodes, ``k_eff = min(k, n - 1)``
+    (of all nodes with ``include_self``, ``k_eff = min(k, n)``).  A single
+    node gets its self-loop, the only edge it can have.  One
+    :func:`_uniform_subsets` call draws every row of every cloud.
+    """
+    if include_self or n == 1:
+        k_eff = min(k, n)
+        return _uniform_subsets(num_clouds * n, n, k_eff, rng).reshape(num_clouds, n, k_eff)
+    k_eff = min(k, n - 1)
+    sources = _uniform_subsets(num_clouds * n, n - 1, k_eff, rng).reshape(num_clouds, n, k_eff)
+    # Shift each row's draw from range(n - 1) past its own node.
+    sources += sources >= np.arange(n)[:, None]
+    return sources
+
+
 def random_graph(
     num_nodes: int,
     k: int,
@@ -63,14 +84,7 @@ def random_graph(
         raise ValueError(f"num_nodes must be positive, got {num_nodes}")
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    if include_self or num_nodes == 1:
-        k_eff = min(k, num_nodes)
-        sources = _uniform_subsets(num_nodes, num_nodes, k_eff, rng)
-    else:
-        k_eff = min(k, num_nodes - 1)
-        sources = _uniform_subsets(num_nodes, num_nodes - 1, k_eff, rng)
-        # Shift each row's draw from range(n - 1) past its own node.
-        sources += sources >= np.arange(num_nodes)[:, None]
-    targets = np.repeat(np.arange(num_nodes, dtype=np.int64), k_eff)
+    sources = _cloud_sources(1, num_nodes, k, rng, include_self)[0]
+    targets = np.repeat(np.arange(num_nodes, dtype=np.int64), sources.shape[1])
     edge_index = np.stack([sources.reshape(-1), targets], axis=0)
     return validate_edge_index(edge_index, num_nodes)

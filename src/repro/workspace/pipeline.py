@@ -61,11 +61,14 @@ _LOGGER = get_logger("workspace")
 #: training path are retrained instead of served as current results.
 PREDICTOR_TRAINING_PATH = "node-count-grouped-minibatch"
 
-#: Names the training kernels: the fused gather and pooling backward, and
-#: leaky ReLU's derivative.  Their float32 gradients differ from older
-#: kernels' in the last bits, so the predictor, search and derived keys
-#: carry it.  Serving keys do not: the forward pass is bit-identical.
-TRAINING_KERNELS = "segment-sum-backward"
+#: Names the training kernels: the fused gather, pooling and ``distance``/
+#: ``full`` backward, leaky ReLU's derivative, and the one-draw-per-size
+#: random graphs of training batches.  Their float32 gradients differ from
+#: older kernels' in the last bits, and the batched draw is another random
+#: stream, so the predictor, search and derived keys carry it.  Serving keys
+#: do not: the forward pass is bit-identical, and serving draws its random
+#: graphs one cloud at a time.
+TRAINING_KERNELS = "fused-distance-full-batched-draw"
 
 
 @dataclass

@@ -25,7 +25,7 @@ from repro.backends import (
 )
 from repro.data import collate
 from repro.graph import (
-    FUSED_MESSAGE_TYPES,
+    EDGECONV_MESSAGE_TYPES,
     MESSAGE_TYPES,
     build_messages,
     fused_aggregate,
@@ -307,7 +307,7 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
+    @pytest.mark.parametrize("message_type", EDGECONV_MESSAGE_TYPES)
     def test_fused_edgeconv_matches_reference(self, backend_name, dtype, message_type, rng):
         """The EdgeConv kernel (one Linear + LeakyReLU) computes the same under either path setting."""
         points = rng.normal(size=(40, 3)).astype(dtype)
@@ -334,7 +334,7 @@ class TestKernelEquivalence:
             mlp.zero_grad()
 
     @pytest.mark.parametrize("aggregator", AGGREGATORS)
-    @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
+    @pytest.mark.parametrize("message_type", MESSAGE_TYPES)
     def test_fused_aggregate_matches_reference(self, message_type, aggregator, rng):
         """MLP-free aggregation, forward and gradient, on an unsorted graph with empty targets."""
         points = rng.normal(size=(12, 3))
@@ -348,8 +348,9 @@ class TestKernelEquivalence:
             out = fused_aggregate(x, edge_index, message_type, aggregator)
             (out * out).sum().backward()
         np.testing.assert_allclose(out.data, expected.data, rtol=1e-12, atol=1e-12)
-        if aggregator in ("max", "min"):
-            # fl(a - c) is monotone in a, so reducing x_j first is exact.
+        if aggregator in ("max", "min") or message_type in ("distance", "full"):
+            # fl(a - c) is monotone in a, so reducing x_j first is exact; distance
+            # and full messages are reduced per edge, sums in np.add.at's order.
             np.testing.assert_array_equal(out.data, expected.data)
         np.testing.assert_array_equal(out.data[9:], 0.0)
         np.testing.assert_allclose(x.grad, x_ref.grad, rtol=1e-10, atol=1e-12)
@@ -379,7 +380,7 @@ class TestKernelEquivalence:
         (out, x_grad, params), (ref_out, ref_x_grad, ref_params) = results["numpy"], results["materialized"]
         tol = dict(rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(out, ref_out, **tol)
-        if mlp is None and aggregator in ("max", "min") and message_type in FUSED_MESSAGE_TYPES:
+        if mlp is None and (aggregator in ("max", "min") or message_type in ("distance", "full")):
             np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_allclose(x_grad, ref_x_grad, **tol)
         assert params.keys() == ref_params.keys()
@@ -547,13 +548,29 @@ class TestTrainingParity:
             path = self._supernet_path(message_type)
             self._assert_parity(supernet, lambda: supernet(batch, path), batch.labels)
 
-    def test_supernet_full_message_type_stays_materialized(self, tiny_train):
+    def test_supernet_full_message_type_runs_fused(self, tiny_train):
         batch = self._batch(tiny_train)
-        supernet = Supernet(SupernetConfig(num_positions=6, hidden_dim=12, k=4, num_classes=4)).eval()
-        _, _, dispatch = self._step(
-            supernet, lambda: supernet(batch, self._supernet_path("full")), batch.labels, "numpy"
-        )
-        assert dispatch == {"fused": 0, "materialized": 2}
+        with default_dtype("float64"):
+            supernet = Supernet(SupernetConfig(num_positions=6, hidden_dim=12, k=4, num_classes=4)).eval()
+        path = self._supernet_path("full")
+        _, _, dispatch = self._step(supernet, lambda: supernet(batch, path), batch.labels, "numpy")
+        assert dispatch == {"fused": 2, "materialized": 0}
+        self._assert_parity(supernet, lambda: supernet(batch, path), batch.labels)
+
+    @pytest.mark.parametrize("sample_method", ["knn", "random"])
+    def test_supernet_never_materializes(self, tiny_train, sample_method):
+        """A training step over every message type and aggregator runs no materialized aggregate."""
+        batch = collate([tiny_train[i] for i in range(4)])
+        supernet = Supernet(SupernetConfig(num_positions=6, hidden_dim=12, k=4, num_classes=4))
+        ops = (OperationType.SAMPLE, OperationType.AGGREGATE, OperationType.COMBINE)
+        for index, message_type in enumerate(MESSAGE_TYPES):
+            upper = FunctionSet(aggregator=AGGREGATORS[index % 4], message_type=message_type,
+                                sample_method=sample_method)
+            lower = dataclasses.replace(upper, aggregator=AGGREGATORS[(index + 1) % 4])
+            path = Architecture(ops + ops, upper_functions=upper, lower_functions=lower)
+            _, grads, dispatch = self._step(supernet, lambda: supernet(batch, path), batch.labels, "numpy")
+            assert dispatch == {"fused": 2, "materialized": 0}, message_type
+            assert grads and all(np.all(np.isfinite(grad)) for grad in grads.values())
 
 
 class TestBackendPlumbing:

@@ -26,13 +26,15 @@ from repro.graph import (
     validate_edge_index,
 )
 from repro.graph import (
-    FUSED_MESSAGE_TYPES,
+    EDGECONV_MESSAGE_TYPES,
+    MESSAGE_TYPES,
     fused_aggregate,
     fused_edgeconv,
     propagate,
     validate_index,
 )
 from repro.graph.batching import _global_pool
+from repro.graph.sampling import _uniform_subsets
 from repro.models.edgeconv import EdgeConv
 from repro.nn import MLP, BatchNorm1d, Linear, Sequential, Tensor, default_dtype, no_grad
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -401,6 +403,93 @@ class TestBatching:
         with pytest.raises(ValueError):
             batched_knn_graph(rng.normal(size=(4, 3)), np.array([1, 0, 0, 1]), 2)
 
+    @staticmethod
+    def _random_rows(edge_index, batch, k):
+        """Check one batched random graph per cloud; return each node's sorted sources.
+
+        Every node of an n-point cloud gets min(k, n - 1) distinct sources from
+        its own cloud and never itself, except a lone node, which gets its
+        self-loop.  Edges are target-major.
+        """
+        assert np.all(np.diff(edge_index[1]) >= 0)
+        sources, targets = edge_index
+        assert np.all(batch[sources] == batch[targets])
+        sizes = np.bincount(batch)[batch]
+        k_eff = np.where(sizes > 1, np.minimum(k, sizes - 1), 1)
+        np.testing.assert_array_equal(degree(edge_index, batch.size, "in"), k_eff)
+        loops = sources == targets
+        np.testing.assert_array_equal(np.unique(targets[loops]), np.flatnonzero(sizes == 1))
+        rows = np.split(sources, np.cumsum(k_eff)[:-1])
+        assert all(len(np.unique(row)) == len(row) for row in rows)
+        return rows
+
+    @pytest.mark.parametrize("sizes", [[64] * 8, [6, 4, 5], [1, 2, 3, 7, 7, 1], [1], [2, 9, 2, 9, 30]])
+    @pytest.mark.parametrize("k", [1, 3, 6, 40])
+    def test_batched_random_graph_per_cloud_invariants(self, rng, sizes, k):
+        """Equal-size, ragged and n <= k clouds keep random_graph's per-cloud rules."""
+        batch = np.repeat(np.arange(len(sizes)), sizes)
+        rows = self._random_rows(batched_random_graph(batch, k, rng), batch, k)
+        for node, row in enumerate(rows):
+            cloud = np.flatnonzero(batch == batch[node])
+            if cloud.size - 1 <= k:  # k_eff = n - 1: the whole rest of the cloud
+                expected = cloud if cloud.size == 1 else np.delete(cloud, np.searchsorted(cloud, node))
+                np.testing.assert_array_equal(np.sort(row), expected)
+
+    def test_batched_random_graph_is_one_draw_per_size(self, monkeypatch, rng):
+        from repro.graph import sampling
+
+        calls = []
+
+        def counting(rows, pool, k, generator):
+            calls.append((rows, pool, k))
+            return _uniform_subsets(rows, pool, k, generator)
+
+        monkeypatch.setattr(sampling, "_uniform_subsets", counting)
+        batched_random_graph(np.repeat(np.arange(8), 64), 6, rng)
+        assert calls == [(8 * 64, 63, 6)]
+        calls.clear()
+        batched_random_graph(np.repeat(np.arange(5), [3, 10, 3, 10, 1]), 6, rng)
+        assert calls == [(1, 1, 1), (6, 2, 2), (20, 9, 6)]
+
+    def test_batched_random_graph_seeded(self):
+        batch = np.repeat(np.arange(4), [5, 12, 12, 2])
+        first = batched_random_graph(batch, 4, np.random.default_rng(11))
+        np.testing.assert_array_equal(first, batched_random_graph(batch, 4, np.random.default_rng(11)))
+        assert not np.array_equal(first, batched_random_graph(batch, 4, np.random.default_rng(12)))
+
+    @pytest.mark.parametrize("sizes, k", [([8, 8, 8], 3), ([8, 5, 8], 2), ([12, 12], 6)])
+    def test_batched_random_graph_pairs_are_uniform(self, sizes, k):
+        """Chi-square smoke: every other node of a cloud is picked at rate k / (n - 1)."""
+        rng = np.random.default_rng(4321)
+        batch = np.repeat(np.arange(len(sizes)), sizes)
+        draws = 3000
+        counts = np.zeros((batch.size, batch.size))
+        for _ in range(draws):
+            edge_index = batched_random_graph(batch, k, rng)
+            np.add.at(counts, (edge_index[1], edge_index[0]), 1)
+        same_cloud = batch[:, None] == batch[None, :]
+        assert np.all(counts[~same_cloud] == 0) and np.all(np.diag(counts) == 0)
+        for cloud, n in enumerate(sizes):
+            nodes = np.flatnonzero(batch == cloud)
+            block = counts[np.ix_(nodes, nodes)]
+            rate = k / (n - 1)
+            observed = block[~np.eye(n, dtype=bool)]
+            assert np.allclose(observed / draws, rate, atol=0.05)
+            # Normalised by the without-replacement variance, the statistic has
+            # mean n * (n - 1) and variance about twice that.
+            statistic = float(np.sum((observed - draws * rate) ** 2) / (draws * rate * (1 - rate)))
+            mean = n * (n - 1)
+            assert statistic < mean + 5 * np.sqrt(2 * mean), (cloud, statistic, mean)
+
+    def test_batched_random_graph_validation(self, rng):
+        with pytest.raises(ValueError):
+            batched_random_graph(np.array([1, 0, 0, 1]), 2, rng)
+        with pytest.raises(ValueError):
+            batched_random_graph(np.zeros((2, 2), dtype=np.int64), 2, rng)
+        with pytest.raises(ValueError):
+            batched_random_graph(np.zeros(4, dtype=np.int64), 0, rng)
+        assert batched_random_graph(np.zeros(0, dtype=np.int64), 3, rng).shape == (2, 0)
+
     def test_global_pools(self):
         x = Tensor(np.array([[1.0], [3.0], [10.0], [20.0]]))
         batch = np.array([0, 0, 1, 1])
@@ -614,7 +703,7 @@ class TestFusedKernels:
         return MLP([message_dim(message_type, 3), 6], activation="leaky_relu", final_activation=True,
                    rng=np.random.default_rng(seed))
 
-    @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
+    @pytest.mark.parametrize("message_type", EDGECONV_MESSAGE_TYPES)
     @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
     def test_forward_matches_materialized(self, message_type, aggregator, rng):
         with default_dtype("float64"):
@@ -629,7 +718,7 @@ class TestFusedKernels:
         assert fused.shape == expected.shape
         np.testing.assert_allclose(fused.data, expected.data, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
+    @pytest.mark.parametrize("message_type", EDGECONV_MESSAGE_TYPES)
     @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
     def test_backward_matches_materialized(self, message_type, aggregator, rng):
         with default_dtype("float64"):
@@ -688,8 +777,11 @@ class TestFusedKernels:
     def test_unsupported_inputs(self):
         x = Tensor(np.ones((4, 3), dtype=np.float32))
         edge_index = np.array([[0, 1], [1, 0]])
-        with pytest.raises(ValueError):
-            fused_aggregate(x, edge_index, "full", "sum")
+        # Every message type has an MLP-free kernel, bit-identical to the reference.
+        np.testing.assert_array_equal(
+            fused_aggregate(x, edge_index, "full", "sum").data,
+            self._materialized(x, edge_index, None, "full", "sum").data,
+        )
         with pytest.raises(ValueError):
             fused_aggregate(x, edge_index, "rel_pos", "median")
         with pytest.raises(ValueError):
@@ -737,7 +829,7 @@ class TestFusedKernels:
         with pytest.raises(ValueError):
             fused_aggregate(x, np.array([[0, -1], [1, 0]]), "rel_pos", "sum")
 
-    @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
+    @pytest.mark.parametrize("message_type", MESSAGE_TYPES)
     @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
     def test_fused_aggregate_grad_check(self, message_type, aggregator, rng):
         """Float64 central differences on a ragged, unsorted graph with empty targets."""
@@ -759,7 +851,7 @@ class TestFusedKernels:
         np.testing.assert_allclose(x.grad, expected, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("slope", [0.0, 0.2])
-    @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
+    @pytest.mark.parametrize("message_type", EDGECONV_MESSAGE_TYPES)
     @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
     def test_fused_edgeconv_grad_check(self, slope, message_type, aggregator, rng):
         """Float64 central differences of the per-edge kernel for x, W and b."""
@@ -796,3 +888,66 @@ class TestFusedKernels:
             np.testing.assert_allclose(x.grad, x_ref.grad, rtol=1e-12)
             np.testing.assert_array_equal(x.grad[1], x.grad[2])
             np.testing.assert_array_equal(x.grad[1], 0.5)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("graph", ["knn", "random", "unsorted", "ragged"])
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
+    @pytest.mark.parametrize("message_type", ["distance", "full"])
+    def test_distance_full_match_materialized(self, message_type, aggregator, graph, dtype, rng):
+        """Forward bit-identical to the materialized path; gradients within float32 tolerance."""
+        points = rng.normal(size=(48, 7)).astype(dtype)
+        batch = np.repeat(np.arange(4), 12)
+        edge_index = {
+            "knn": lambda: batched_knn_graph(points, batch, 5),
+            "random": lambda: batched_random_graph(batch, 5, rng),
+            # Nodes 40..47 receive no messages.
+            "unsorted": lambda: knn_graph(points[:40], 5)[:, rng.permutation(200)],
+            "ragged": lambda: np.stack([rng.integers(0, 48, 150), rng.integers(0, 44, 150)]),
+        }[graph]()
+        weights = rng.normal(size=(48, message_dim(message_type, 7))).astype(dtype)
+        results = []
+        with default_dtype(dtype):
+            for backend in ("numpy", "materialized"):
+                x = Tensor(points.copy(), requires_grad=True)
+                with use_backend(backend), use_metrics(MetricsRegistry()) as metrics:
+                    out = propagate(x, edge_index, message_type, aggregator)
+                (out * weights).sum().backward()
+                results.append((out.data, x.grad, metrics.counter("graph.materialized.dispatch").value))
+        (out, grad, materialized), (ref_out, ref_grad, _) = results
+        assert materialized == 0
+        assert out.dtype == ref_out.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(out.view(np.uint8), ref_out.view(np.uint8))
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
+    @pytest.mark.parametrize("message_type", ["distance", "full"])
+    def test_distance_full_grad_check(self, message_type, aggregator, rng):
+        """Float64 central differences with a coincident pair and nodes without in-edges."""
+        # In-degrees 3, 1, 0, 4, 0, 2, 0 (nodes 2, 4 and 6 receive nothing).
+        sources = np.array([2, 4, 6, 3, 0, 1, 5, 6, 2, 1])
+        targets = np.array([0, 0, 0, 1, 3, 3, 3, 3, 5, 5])
+        edge_index = np.stack([sources, targets])[:, rng.permutation(10)]
+        points = rng.normal(size=(7, 3))
+        points[3] = points[1]  # edges 3 -> 1 and 1 -> 3 have distance sqrt(1e-12) = 1e-6
+        weights = rng.normal(size=(7, message_dim(message_type, 3)))
+
+        def loss(values):
+            out = fused_aggregate(Tensor(values), edge_index, message_type, aggregator)
+            return float((out.data * weights).sum())
+
+        x = Tensor(points.copy(), requires_grad=True)
+        with default_dtype("float64"):
+            out = fused_aggregate(x, edge_index, message_type, aggregator)
+            (out * weights).sum().backward()
+        np.testing.assert_array_equal(out.data[[2, 4, 6]], 0.0)
+        np.testing.assert_allclose(x.grad, finite_difference_grad(loss, points.copy()), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
+    @pytest.mark.parametrize("message_type", ["distance", "full"])
+    def test_distance_full_without_edges(self, message_type, aggregator):
+        x = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
+        out = fused_aggregate(x, np.zeros((2, 0), dtype=np.int64), message_type, aggregator)
+        out.sum().backward()
+        assert out.shape == (4, message_dim(message_type, 3))
+        np.testing.assert_array_equal(out.data, 0.0)
+        np.testing.assert_array_equal(x.grad, 0.0)

@@ -482,6 +482,25 @@ class TestTrainingKernelKeys:
         for name in ("random_edges", "knn_edges", "deployment"):
             assert before[name] == after[name], name
 
+    def test_entries_from_the_previous_kernels_miss(self, monkeypatch, tmp_path, tiny_train, tiny_test):
+        """Search and derive entries trained by the previous kernels (one random-graph
+        draw per cloud, materialized distance/full aggregates) are retrained, not served."""
+        config = tiny_search_config(tiny_train.num_classes)
+
+        def run(workspace):
+            workspace.search(tiny_train, tiny_test, config=config)
+            workspace.derive(tx2_fast_architecture(), 4, k=4, embed_dim=16, train_dataset=tiny_train,
+                             train_epochs=1)
+            return workspace.store
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline_module, "TRAINING_KERNELS", "segment-sum-backward")
+            assert run(Workspace(device="tx2", root=tmp_path)).misses == 2
+        store = run(Workspace(device="tx2", root=tmp_path))
+        assert (store.hits, store.misses) == (0, 2)
+        store = run(Workspace(device="tx2", root=tmp_path))
+        assert (store.hits, store.misses) == (2, 0)
+
 
 class TestModelRegistryAdd:
     def test_add_preserves_every_field(self, tiny_train):
