@@ -8,17 +8,28 @@ JSON output.
 Speed gates compare candidates through one interleaved A/B timer
 (the ``ab_medians`` fixture), so a load spike or a drift of the host hits
 every candidate alike instead of failing the gate.
+
+BLAS and OpenMP are pinned to one thread before numpy is first imported,
+as ``perfbench`` does, so the speed gates time repro's own threads and not
+OpenBLAS's pool: unpinned, the dense KNN's block-pool gate failed inside
+the full benchmark run on a 2-core host while passing alone.  An explicit
+setting in the environment wins.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Mapping
+import os
 
-import numpy as np
-import pytest
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from repro.experiments import ExperimentScale
+import time  # noqa: E402
+from typing import Any, Callable, Mapping  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.experiments import ExperimentScale  # noqa: E402
 
 
 @pytest.fixture(scope="session")

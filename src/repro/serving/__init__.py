@@ -16,8 +16,9 @@ scenario the paper optimises for.  The subsystem layers:
 * :mod:`repro.serving.diskcache` — disk-backed, cross-process cache tier
   shared by the workers of a pool.
 * :mod:`repro.serving.pool` — :class:`WorkerPoolEngine`: N worker
-  processes, each hosting a full engine, behind one admission-controlled
-  future-based frontend with crash requeue and fleet telemetry.
+  processes, each hosting a full engine, behind one future-based frontend
+  that admits requests and answers repeated clouds from its result tier
+  before IPC, with crash requeue and fleet telemetry.
 * :mod:`repro.serving.frontend` — asyncio adapter over the pool plus a
   JSON-lines TCP server (``repro serve --workers N --port P``) with
   connect/read timeouts.

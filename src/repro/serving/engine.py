@@ -11,7 +11,8 @@ through deployed searched architectures with a synchronous
    queue is at capacity, are rejected up front instead of queued.
 2. **Result cache** — a bounded LRU keyed by the content hash of the
    (quantised) input cloud returns logits for repeated inputs without
-   running the model.
+   running the model (:class:`ResultTier`, which the pool frontend uses
+   too).
 3. **Micro-batching** — admitted misses accumulate in the
    :class:`~repro.serving.batcher.MicroBatcher` and execute as packed
    ragged batches (:func:`repro.graph.batching.pack_clouds`).
@@ -54,6 +55,7 @@ __all__ = [
     "EngineConfig",
     "InferenceResult",
     "InferenceEngine",
+    "ResultTier",
     "validate_points",
 ]
 
@@ -199,6 +201,64 @@ class AdmissionControl:
         return estimated
 
 
+class ResultTier:
+    """The in-memory result tier: request key → logits of the input's first computation.
+
+    One helper for both places a request is answered from cache before any
+    compute: the in-process engine's admission (which also reads the shared
+    disk tier) and the pool frontend, before IPC.  First write wins, so a
+    hit always replays the bits of its input's first computation.  Not
+    thread-safe: the pool guards it with its lock.
+    """
+
+    def __init__(self, capacity: int, decimals: int, shared: SharedArrayCache | None = None):
+        self.cache = LRUCache(capacity)
+        self.decimals = decimals
+        self.shared = shared
+
+    def key(self, model: str, content_key: str, points: np.ndarray) -> str:
+        """Cache key of one request: its quantised cloud, model name and deployment content."""
+        return cloud_fingerprint(points, self.decimals, extra=(model, content_key))
+
+    def lookup(self, key: str, request_id: int, model: str, estimated_device_ms: float) -> InferenceResult | None:
+        """The cached reply to a request, or ``None`` on a miss."""
+        logits = self.cache.get(key)
+        if logits is None and self.shared is not None:
+            # Cross-process tier: a cloud computed by any pool worker is a
+            # hit here too, promoted into the local tier.
+            logits = self.shared.get(key)
+            if logits is not None:
+                self.cache.put(key, np.array(logits, copy=True))
+        if logits is None:
+            return None
+        logits = np.array(logits, copy=True)
+        return InferenceResult(
+            request_id=request_id,
+            model=model,
+            label=int(np.argmax(logits)),
+            logits=logits,
+            probabilities=_softmax(logits),
+            latency_ms=0.0,
+            queue_ms=0.0,
+            batch_size=0,
+            from_cache=True,
+            estimated_device_ms=estimated_device_ms,
+        )
+
+    def store(self, key: str, logits: np.ndarray) -> None:
+        """Keep a computed reply, unless the key already holds an earlier one."""
+        if key not in self.cache:
+            self.cache.put(key, np.array(logits, copy=True))
+        if self.shared is not None:
+            # First write wins on disk too: put_if_absent keeps the bits of a
+            # key's first cross-process computation.
+            self.shared.put_if_absent(key, logits)
+
+    def stats(self):
+        """Counters of the in-memory tier."""
+        return self.cache.stats()
+
+
 @dataclass
 class _PendingSlot:
     """Bookkeeping for a request between submission and execution."""
@@ -223,7 +283,6 @@ class InferenceEngine:
         self.batcher = MicroBatcher(
             BatcherConfig(self.config.max_batch_size, self.config.max_wait_ms), clock=clock
         )
-        self.result_cache = LRUCache(self.config.result_cache_capacity)
         self.edge_cache = LRUCache(self.config.edge_cache_capacity)
         self.telemetry = TelemetryStore(self.config.telemetry_window)
         self.admission = AdmissionControl(
@@ -237,6 +296,9 @@ class InferenceEngine:
             shared_root = pathlib.Path(self.config.shared_cache_dir)
             self.shared_cache = SharedArrayCache(shared_root / "results")
             shared_edges = SharedArrayCache(shared_root / "edges")
+        self.result_cache = ResultTier(
+            self.config.result_cache_capacity, self.config.quantize_decimals, shared=self.shared_cache
+        )
         # Deterministic even with caching disabled, so cached and uncached
         # engines produce bit-identical logits.
         caching = self.config.edge_cache_capacity > 0
@@ -283,14 +345,10 @@ class InferenceEngine:
         # weight hash changes), so a replace=True re-registration can never
         # serve stale cached logits; it also folds in the path name, which
         # keeps fused and materialized logits (equal only to allclose) from
-        # aliasing — and, unlike the old
-        # per-process generation counter, it is identical across the worker
-        # processes of a pool, making the key valid in the shared disk tier.
-        fingerprint = cloud_fingerprint(
-            points,
-            self.config.quantize_decimals,
-            extra=(model, self._content_key(entry)),
-        )
+        # aliasing — and, unlike a per-process generation counter, it is
+        # identical across the worker processes of a pool, making the key
+        # valid in the shared disk tier.
+        fingerprint = self.result_cache.key(model, self._content_key(entry), points)
         request_id = self._next_request_id
         self._next_request_id += 1
         request = QueuedRequest(
@@ -303,30 +361,10 @@ class InferenceEngine:
         )
         slot = _PendingSlot(request=request)
         self._pending[request_id] = slot
-        cached_logits = self.result_cache.get(fingerprint)
-        if cached_logits is None and self.shared_cache is not None:
-            # Cross-process tier: a cloud computed by any pool worker is an
-            # admission-time hit here.  Consulted only at admission — like
-            # the local tier — so the composition of computed batches never
-            # depends on cache state.
-            shared = self.shared_cache.get(fingerprint)
-            if shared is not None:
-                self.result_cache.put(fingerprint, np.array(shared, copy=True))
-                cached_logits = shared
-        if cached_logits is not None:
-            logits = np.array(cached_logits, copy=True)
-            slot.result = InferenceResult(
-                request_id=request_id,
-                model=model,
-                label=int(np.argmax(logits)),
-                logits=logits,
-                probabilities=_softmax(logits),
-                latency_ms=0.0,
-                queue_ms=0.0,
-                batch_size=0,
-                from_cache=True,
-                estimated_device_ms=estimated,
-            )
+        # Consulted only at admission, never at execution, so the composition
+        # of computed batches does not depend on cache state.
+        slot.result = self.result_cache.lookup(fingerprint, request_id, model, estimated)
+        if slot.result is not None:
             # Telemetry is recorded at collection time (see _collect): if the
             # surrounding submit_many is later cancelled, this request was
             # never delivered and must not count as served.
@@ -381,7 +419,7 @@ class InferenceEngine:
             raise RuntimeError(f"request {request_id} was never executed")
         if slot.extras.get("admission_hit"):
             self.telemetry.model(slot.result.model).record_request(
-                latency_ms=0.0, queue_ms=0.0, from_cache=True
+                latency_ms=0.0, queue_ms=0.0, from_cache=True, at=time.perf_counter()
             )
         return slot.result
 
@@ -448,12 +486,7 @@ class InferenceEngine:
             # input's first computation, so cache hits are reproducible even
             # when later batches recompute the same input in a different
             # (bitwise-unstable) batch composition.
-            if fingerprint not in self.result_cache:
-                self.result_cache.put(fingerprint, np.array(logits[row], copy=True))
-            if self.shared_cache is not None:
-                # First write wins on disk too: put_if_absent keeps the bits
-                # of a key's first cross-process computation.
-                self.shared_cache.put_if_absent(fingerprint, logits[row])
+            self.result_cache.store(fingerprint, logits[row])
         finished = self.clock()
         wall_ms = (finished - started) * 1e3
         for request in requests:

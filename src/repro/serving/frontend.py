@@ -4,9 +4,11 @@
 to asyncio:
 
 * :meth:`~AsyncServingFrontend.submit` awaits one request without blocking
-  the event loop — admission (which may raise before any IPC) runs on a
-  thread-pool executor, and the pool's ``concurrent.futures.Future`` is
-  awaited via :func:`asyncio.wrap_future`.
+  the event loop.  ``pool.submit`` runs inline on the loop: it only
+  validates, admits, looks the cloud up in the pool's result tier under a
+  lock and, on a miss, does a non-blocking queue put.  A hit comes back as
+  an already-completed future and returns at once; a miss's
+  ``concurrent.futures.Future`` is awaited via :func:`asyncio.wrap_future`.
 * :meth:`~AsyncServingFrontend.start`/:meth:`~AsyncServingFrontend.stop`
   run a newline-delimited-JSON TCP server (``repro serve --workers N
   --port P``): one request object per line in, one response object per
@@ -107,23 +109,25 @@ class AsyncServingFrontend:
         """Await one request through the pool without blocking the loop.
 
         ``pool.submit`` validates and admission-checks synchronously (it
-        can reject before any IPC), so it runs on the default executor;
-        the returned worker future is then awaited natively.  Worker
-        crashes are retried with bounded exponential backoff up to the
-        frontend's :class:`RetryPolicy`; an attached breaker fails fast
-        with :class:`CircuitOpenError` while the pool looks unhealthy.
-        Deadline/admission failures are terminal — the first is already
-        late, the second is the pool shedding load on purpose.
+        can reject before any IPC) and never blocks, so it runs on the
+        loop; a result-tier hit is returned without a hop, a dispatched
+        request's future is awaited natively.  Worker crashes are retried
+        with bounded exponential backoff up to the frontend's
+        :class:`RetryPolicy`; an attached breaker fails fast with
+        :class:`CircuitOpenError` while the pool looks unhealthy.  A
+        result-tier hit says nothing about the workers' health, so it
+        neither closes nor re-opens the breaker.  Deadline/admission
+        failures are terminal — the first is already late, the second is
+        the pool shedding load on purpose.
         """
-        loop = asyncio.get_running_loop()
         attempt = 0
         while True:
             attempt += 1
             if self.circuit_breaker is not None:
                 self.circuit_breaker.allow()
             try:
-                future = await loop.run_in_executor(None, self.pool.submit, model, points)
-                result = await asyncio.wrap_future(future)
+                future = self.pool.submit(model, points)
+                result = future.result() if future.done() else await asyncio.wrap_future(future)
             except WorkerCrashError:
                 if self.circuit_breaker is not None:
                     self.circuit_breaker.record_failure()
@@ -136,7 +140,10 @@ class AsyncServingFrontend:
                 await asyncio.sleep(backoff)
                 continue
             if self.circuit_breaker is not None:
-                self.circuit_breaker.record_success()
+                if result.worker is None:  # answered by the pool's result tier
+                    self.circuit_breaker.release()
+                else:
+                    self.circuit_breaker.record_success()
             return result
 
     # ------------------------------------------------------------------ #

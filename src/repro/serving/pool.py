@@ -11,18 +11,24 @@ serves requests through a future-based frontend:
    refuse never pays serialization or a queue round trip.  Worker engines
    run with admission disabled; a rejection is therefore counted exactly
    once, in the frontend's telemetry.
-2. **Dispatch** is least-loaded: each admitted request goes to the live
+2. **The in-memory result tier lives in the frontend** — an admitted
+   request whose cloud was computed before is answered from the
+   frontend's LRU (:class:`~repro.serving.engine.ResultTier`, the helper
+   the in-process engine uses) with an already-completed future, before
+   any IPC.  Replies to misses fill it as they arrive.  Worker engines run
+   with their in-memory tier off, so each request is looked up once.
+3. **Dispatch** is least-loaded: each admitted request goes to the live
    worker with the fewest in-flight requests, onto that worker's own task
    queue, where the worker micro-batches whatever has accumulated.
-3. **Results** come back over each worker's own result pipe and resolve
+4. **Results** come back over each worker's own result pipe and resolve
    :class:`concurrent.futures.Future` objects, so callers can block
    (:meth:`WorkerPoolEngine.request`), fan out
    (:meth:`~WorkerPoolEngine.submit_many`), or await them from asyncio
    (:mod:`repro.serving.frontend`).
-4. **Deadlines**: every request carries ``enqueue + request_timeout_s``;
+5. **Deadlines**: every request carries ``enqueue + request_timeout_s``;
    a worker drops expired requests without executing them and the
    frontend fails the future with :class:`DeadlineExceededError`.
-5. **Crash handling + supervision**: a worker process that dies (or goes
+6. **Crash handling + supervision**: a worker process that dies (or goes
    silent past the heartbeat timeout — a stall) is detected by the
    collector loop; its in-flight requests are requeued once onto a
    surviving worker (then failed with :class:`WorkerCrashError`), and the
@@ -31,10 +37,10 @@ serves requests through a future-based frontend:
    the surviving workers.  A frontend sweep force-fails any future still
    pending past its deadline plus a grace period, so no caller ever
    hangs on a request a dead worker never dequeued.
-6. **Shared cache tier**: workers share a disk-backed result/edge cache
+7. **Shared cache tier**: workers share a disk-backed result/edge cache
    (:mod:`repro.serving.diskcache`) under the pool root, so a cloud
    served by worker 0 is a cache hit on worker 3.
-7. **Telemetry**: each worker ships its
+8. **Telemetry**: each worker ships its
    :meth:`~repro.serving.telemetry.TelemetryStore.snapshot` (plus cache
    stats and its obs metrics snapshot) on shutdown; the frontend merges
    them into one fleet-wide view with per-worker breakdowns.
@@ -55,11 +61,20 @@ from multiprocessing.connection import wait as wait_for_ready
 
 import numpy as np
 
+from repro.backends import active_backend_name
 from repro.faults import fault_point
 from repro.nn.dtype import get_default_dtype
 from repro.obs.metrics import get_metrics, merge_snapshots
 from repro.serving.cache import CacheStats
-from repro.serving.engine import AdmissionControl, AdmissionError, EngineConfig, InferenceResult, validate_points
+from repro.serving.diskcache import deployment_fingerprint
+from repro.serving.engine import (
+    AdmissionControl,
+    AdmissionError,
+    EngineConfig,
+    InferenceResult,
+    ResultTier,
+    validate_points,
+)
 from repro.serving.registry import ModelRegistry
 from repro.serving.telemetry import TelemetryStore
 from repro.utils.logging import get_logger
@@ -313,6 +328,8 @@ class _InFlight:
     points: np.ndarray
     worker_id: int
     deadline: float
+    #: Result-tier key the reply is stored under (``None``: tier off).
+    key: str | None = None
     retries: int = 0
 
 
@@ -352,9 +369,11 @@ class WorkerPoolEngine:
             the snapshot, so all workers replicate the same models with
             bit-identical weights.
         config: Per-worker engine policy.  The frontend owns admission
-            control, so workers run with it disabled; when the pool's
-            shared cache is enabled, ``shared_cache_dir`` is pointed at
-            the pool root unless the config already names one.
+            control and the in-memory result tier (its capacity is
+            ``result_cache_capacity``), so workers run with both disabled;
+            when the pool's shared cache is enabled, ``shared_cache_dir``
+            is pointed at the pool root unless the config already names
+            one.
         pool_config: Pool-level policy (worker count, deadlines, crash
             retries, queue depth).
         root: Directory for the registry snapshot and the shared cache
@@ -390,6 +409,16 @@ class WorkerPoolEngine:
             self.pool_config.max_queue_depth,
             "{depth} requests in flight",
         )
+        # The in-memory result tier.  Keys hash the snapshot the workers
+        # load, computed once here: a later replace=True on self.registry
+        # must not key the workers' old-weight logits under new weights.
+        self.result_cache = ResultTier(config.result_cache_capacity, config.quantize_decimals)
+        backend = config.backend or active_backend_name()
+        self._content_keys = (
+            {entry.name: deployment_fingerprint(entry, backend) for entry in registry.entries()}
+            if config.result_cache_capacity > 0
+            else {}
+        )
         self.worker_snapshots: dict[int, dict] = {}
         self.fleet_metrics: dict[str, dict] = {}
         self.requeued = 0
@@ -412,7 +441,11 @@ class WorkerPoolEngine:
         # _worker_main with exactly the construction-time arguments.
         self._context = multiprocessing.get_context(method)
         self._registry_dir = registry_dir
-        self._worker_config = dataclasses.replace(config, admission_control=False)
+        # Workers run the path the result tier's keys name, and answer every
+        # request they get: the frontend already looked it up.
+        self._worker_config = dataclasses.replace(
+            config, admission_control=False, result_cache_capacity=0, backend=backend
+        )
         self._dtype_str = dtype
         self._workers: list[_Worker] = []
         for worker_id in range(self.pool_config.workers):
@@ -460,7 +493,10 @@ class WorkerPoolEngine:
     # Submission API
     # ------------------------------------------------------------------ #
     def submit(self, model: str, points: np.ndarray) -> Future:
-        """Admit and dispatch one request; returns a future of its result.
+        """Admit one request and answer it from the result tier or dispatch it.
+
+        Returns a future of its result; a result-tier hit returns an
+        already-completed one, with ``worker`` set to ``None``.
 
         Raises:
             AdmissionError: When the request would blow the model's SLO
@@ -476,21 +512,32 @@ class WorkerPoolEngine:
         points = validate_points(entry, points)
         try:
             # Frontend-side admission, before any IPC.
-            self.admission.admit(entry, points.shape[0], len(self._inflight))
+            estimated = self.admission.admit(entry, points.shape[0], len(self._inflight))
         except AdmissionError:
             get_metrics().count("serving.pool.rejected")
             raise
+        content_key = self._content_keys.get(model)
+        key = None if content_key is None else self.result_cache.key(model, content_key, points)
         deadline = time.time() + self.pool_config.request_timeout_s
         future: Future = Future()
         with self._lock:
-            worker = self._pick_worker()
             request_id = self._next_request_id
             self._next_request_id += 1
-            self._inflight[request_id] = _InFlight(
-                future=future, model=model, points=points, worker_id=worker.worker_id, deadline=deadline
-            )
-            worker.inflight += 1
-            self.submitted += 1
+            hit = None if key is None else self.result_cache.lookup(key, request_id, model, estimated)
+            if hit is not None:
+                self.telemetry.model(model).record_request(
+                    latency_ms=0.0, queue_ms=0.0, from_cache=True, at=time.perf_counter()
+                )
+            else:
+                worker = self._pick_worker()
+                self._inflight[request_id] = _InFlight(
+                    future=future, model=model, points=points, worker_id=worker.worker_id, deadline=deadline, key=key
+                )
+                worker.inflight += 1
+                self.submitted += 1
+        if hit is not None:
+            future.set_result(hit)
+            return future
         self.telemetry.observe_queue_depth(len(self._inflight))
         get_metrics().count("serving.pool.dispatched")
         worker.task_queue.put(("req", request_id, model, points, deadline))
@@ -634,9 +681,12 @@ class WorkerPoolEngine:
         if slot is None or slot.future.done():
             return  # duplicate delivery after a requeue race
         # Request telemetry is recorded by the worker engine that served it
-        # (shipped in its shutdown snapshot); the frontend only contributes
-        # rejections and queue depth, so merged fleet totals equal the sum
-        # of per-worker totals with nothing counted twice.
+        # (shipped in its shutdown snapshot); the frontend contributes only
+        # rejections, queue depth and its own result-tier hits, so nothing
+        # is counted twice in the merged fleet totals.
+        if slot.key is not None:
+            with self._lock:
+                self.result_cache.store(slot.key, payload["logits"])
         slot.future.set_result(InferenceResult(request_id=request_id, worker=worker_id, **payload))
 
     def _fail(self, request_id: int, worker_id: int, error_type: str, message: str) -> None:
@@ -856,7 +906,12 @@ class WorkerPoolEngine:
         return fleet
 
     def fleet_cache_stats(self) -> dict[str, CacheStats]:
-        """Per-cache counters summed across collected worker snapshots."""
+        """Per-cache counters summed across collected worker snapshots.
+
+        ``"result"`` is the frontend's tier when it is on: it looks up every
+        admitted request once, and the workers' zero-capacity tiers would
+        only count its misses again.
+        """
         totals: dict[str, dict[str, int]] = {}
         for snapshot in self.worker_snapshots.values():
             for name, stats in snapshot.get("caches", {}).items():
@@ -869,6 +924,8 @@ class WorkerPoolEngine:
             workers = max(1, len(self.worker_snapshots))
             totals["shared"]["size"] //= workers
             totals["shared"]["capacity"] //= workers
+        if self._content_keys:
+            totals["result"] = dataclasses.asdict(self.result_cache.stats())
         return {name: CacheStats(**bucket) for name, bucket in totals.items()}
 
     def report(self) -> dict[str, object]:

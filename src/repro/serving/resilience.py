@@ -12,10 +12,11 @@ around ``pool.submit``:
   :class:`CircuitOpenError` instead of piling onto a broken pool.  After
   ``reset_timeout_s`` one probe request is let through (*half-open*); its
   success closes the circuit, its failure re-opens it for another full
-  timeout.
+  timeout.  A probe that never reached a worker gives no verdict: it hands
+  the probe slot back.
 
 Both are synchronous and lock-protected so the frontend may drive them
-from executor threads; the frontend owns the actual ``await sleep``.
+from any thread; the frontend owns the actual ``await sleep``.
 """
 
 from __future__ import annotations
@@ -106,6 +107,16 @@ class CircuitBreaker:
         with self._lock:
             self._failures = 0
             self._opened_at = None
+            self._probing = False
+
+    def release(self) -> None:
+        """Hand an admitted request's probe slot back without a verdict.
+
+        For a request answered before it reached a worker (a result-tier
+        hit): it neither closes nor re-opens the circuit, and the next
+        request may probe.
+        """
+        with self._lock:
             self._probing = False
 
     def record_failure(self) -> None:

@@ -1,9 +1,10 @@
 """Per-model serving telemetry, built on the :mod:`repro.obs` primitives.
 
 Tracks, per deployed model, a rolling window of request latencies
-(queueing + batch execution), batch sizes, busy time and throughput (both
-from a :class:`repro.utils.timer.Timer` around each batch), admission
-rejections and the peak queue depth.  The engine injects its cache
+(queueing + batch execution), batch sizes, busy time (a
+:class:`repro.utils.timer.Timer` around each batch), throughput (over the
+window of batches and cache hits), admission rejections and the peak
+queue depth.  The engine injects its cache
 counters so one report covers the whole serving stack.
 
 Counts live in :class:`~repro.obs.metrics.Counter` objects and the rolling
@@ -55,13 +56,22 @@ class ModelTelemetry:
     # -------------------------------------------------------------- #
     # Recording
     # -------------------------------------------------------------- #
-    def record_request(self, latency_ms: float, queue_ms: float, from_cache: bool) -> None:
-        """Record one completed request."""
+    def record_request(self, latency_ms: float, queue_ms: float, from_cache: bool, at: float | None = None) -> None:
+        """Record one completed request.
+
+        ``at`` is the ``time.perf_counter`` reading of a request answered
+        outside every batch (a result-cache hit); it widens the throughput
+        window to cover that request.
+        """
         self._latency.observe(latency_ms)
         self._queue.observe(queue_ms)
         self._served.inc()
         if from_cache:
             self._cache_hits.inc()
+        if at is not None:
+            busy = self.busy
+            busy.first_started_at = at if busy.first_started_at is None else min(busy.first_started_at, at)
+            busy.last_stopped_at = at if busy.last_stopped_at is None else max(busy.last_stopped_at, at)
 
     def record_batch(self, size: int) -> None:
         """Record one executed batch."""
@@ -123,11 +133,13 @@ class ModelTelemetry:
 
     @property
     def throughput_rps(self) -> float:
-        """Requests served per second of wall time, from the first batch start to the last batch end.
+        """Requests served per second of wall time, over the window every served request falls in.
 
-        The window is on ``time.perf_counter``, one monotonic clock across
-        worker processes on Linux, so after :meth:`merge` it spans the whole
-        fleet and a pool reports its real rate.
+        The window runs from the first batch start or cache hit to the last
+        batch end or cache hit.  It is on ``time.perf_counter``, one
+        monotonic clock across worker processes on Linux, so after
+        :meth:`merge` it spans the whole fleet, frontend hits included, and
+        a pool reports its real rate.
         """
         start, end = self.busy.first_started_at, self.busy.last_stopped_at
         window = end - start if start is not None and end is not None else 0.0
@@ -175,8 +187,8 @@ class ModelTelemetry:
     def merge(self, snapshot: Mapping) -> "ModelTelemetry":
         """Fold another worker's :meth:`snapshot` into this telemetry.
 
-        Counts and busy time add exactly; the busy window keeps the earlier
-        start and the later end; the rolling windows concatenate and
+        Counts and busy time add exactly; the throughput window keeps the
+        earlier start and the later end; the rolling windows concatenate and
         truncate to this telemetry's window size.
         """
         self._latency.merge(snapshot["latency"])

@@ -352,6 +352,20 @@ class TestCircuitBreaker:
         now[0] = 10.0
         breaker.allow()
 
+    def test_released_probe_gives_no_verdict(self):
+        now = [0.0]
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0, clock=lambda: now[0])
+        breaker.record_failure()
+        now[0] = 5.0
+        breaker.allow()  # probe
+        breaker.release()
+        assert breaker.state == "half-open"
+        breaker.allow()  # the slot was handed back: the next request probes
+        with pytest.raises(CircuitOpenError):
+            breaker.allow()
+        breaker.record_success()
+        assert breaker.state == "closed"
+
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             CircuitBreaker(failure_threshold=0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.nas.architecture import Architecture
 from repro.nas.presets import dgcnn_architecture, device_fast_architecture
 from repro.serving import (
     AdmissionError,
+    CircuitBreaker,
     DeadlineExceededError,
     EngineConfig,
     InferenceEngine,
@@ -356,6 +358,118 @@ class TestWorkerPoolEngine:
             np.testing.assert_array_equal(before.logits, after.logits)
 
 
+class TestFrontendResultTier:
+    """The pool frontend answers repeated clouds from its own result tier, before IPC."""
+
+    def test_repeat_answered_in_the_frontend(self, rng):
+        registry = _make_registry()
+        cloud = _clouds(rng, 1)[0]
+        expected = InferenceEngine(registry, EngineConfig(max_batch_size=1)).submit("model", cloud).logits
+        with WorkerPoolEngine(registry, EngineConfig(max_batch_size=1), PoolConfig(workers=1)) as pool:
+            first = pool.request("model", cloud)
+            future = pool.submit("model", cloud)
+            assert future.done()  # no dispatch, no wait
+            repeat = future.result(timeout=0)
+            assert pool.submitted == 1
+            pool.shutdown()
+        assert first.worker == 0 and not first.from_cache
+        assert repeat.from_cache and repeat.worker is None
+        assert repeat.latency_ms == 0.0 and repeat.batch_size == 0
+        np.testing.assert_array_equal(repeat.logits, first.logits)
+        np.testing.assert_array_equal(repeat.logits, expected)
+        assert int(pool.fleet_metrics["serving.worker.served"]["value"]) == 1
+        assert pool.worker_snapshots[0]["telemetry"]["models"]["model"]["served"]["value"] == 1
+        assert pool.fleet_telemetry().model("model").served == 2
+
+    def test_capacity_zero_dispatches_every_request(self, rng):
+        cloud = _clouds(rng, 1)[0]
+        config = EngineConfig(max_batch_size=1, result_cache_capacity=0)
+        with WorkerPoolEngine(_make_registry(), config, PoolConfig(workers=1)) as pool:
+            results = [pool.request("model", cloud) for _ in range(3)]
+            assert pool.submitted == 3
+        assert all(result.worker == 0 for result in results)
+        assert [result.from_cache for result in results] == [False, True, True]  # the shared disk tier
+        for result in results[1:]:
+            np.testing.assert_array_equal(result.logits, results[0].logits)
+
+    def test_one_count_per_admitted_request(self, rng):
+        clouds = _clouds(rng, 4)
+        stream = clouds + [clouds[index % 4] for index in range(6)]
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=2)) as pool:
+            results = [pool.request("model", cloud) for cloud in stream]
+            pool.shutdown()
+        assert [result.from_cache for result in results] == [False] * 4 + [True] * 6
+        assert pool.fleet_telemetry().model("model").served == len(stream)
+        lookups = pool.fleet_cache_stats()["result"]
+        assert (lookups.hits, lookups.misses) == (6, 4)
+        assert pool.report()["fleet"]["caches"]["result"]["hits"] == 6
+
+    def test_concurrent_submits_are_bit_identical(self, rng):
+        registry = _make_registry()
+        clouds = _clouds(rng, 4)
+        engine = InferenceEngine(registry, EngineConfig(max_batch_size=1))
+        expected = [engine.submit("model", cloud).logits for cloud in clouds]
+        replies: list[tuple[int, np.ndarray]] = []
+        errors: list[BaseException] = []
+        start = threading.Barrier(4)
+        with WorkerPoolEngine(registry, EngineConfig(max_batch_size=1), PoolConfig(workers=1)) as pool:
+
+            def client(offset: int) -> None:
+                try:
+                    start.wait()
+                    for index in range(50):
+                        which = (index + offset) % len(clouds)
+                        replies.append((which, pool.submit("model", clouds[which]).result(timeout=60).logits))
+                except BaseException as error:  # noqa: BLE001 - asserted below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=client, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            pool.shutdown()
+        assert errors == []
+        assert len(replies) == 200
+        for which, logits in replies:
+            np.testing.assert_array_equal(logits, expected[which])
+        assert pool.fleet_telemetry().model("model").served == 200
+        lookups = pool.fleet_cache_stats()["result"]
+        assert lookups.hits + lookups.misses == 200
+
+    def test_fleet_throughput_counts_frontend_hits(self, rng):
+        cloud = _clouds(rng, 1)[0]
+        hits, gap_s = 30, 0.002
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            started = time.perf_counter()
+            pool.request("model", cloud)
+            for _ in range(hits):
+                time.sleep(gap_s)
+                assert pool.request("model", cloud).worker is None
+            wall_s = time.perf_counter() - started
+            pool.shutdown()
+        fleet = pool.fleet_telemetry().model("model")
+        served = hits + 1
+        assert fleet.served == served
+        assert served / wall_s <= fleet.throughput_rps <= served / (hits * gap_s)
+
+    def test_replace_on_the_frontend_registry_keeps_snapshot_keys(self, rng):
+        """Workers serve the snapshot taken at construction; a later replace=True on the
+        frontend's registry object must not key their logits under the new weights."""
+        registry = _make_registry()
+        cloud = _clouds(rng, 1)[0]
+        with WorkerPoolEngine(registry, EngineConfig(), PoolConfig(workers=1)) as pool:
+            first = pool.request("model", cloud)
+            old = registry.get("model")
+            registry.register(
+                "model", old.architecture, old.device, num_classes=old.num_classes, k=old.k, seed=99, replace=True
+            )
+            repeat = pool.request("model", cloud)
+        assert repeat.worker is None
+        np.testing.assert_array_equal(repeat.logits, first.logits)
+        assert pool._content_keys["model"] == deployment_fingerprint(old, "numpy")
+
+
 class TestFleetTelemetry:
     def test_three_worker_merge_sums_and_percentiles(self, rng):
         """Satellite: N-way merge through ≥3 real worker processes."""
@@ -451,6 +565,56 @@ class TestAsyncFrontend:
         assert len(served) == 4 and frontend.requests_served == 4
         assert all(len(response["logits"]) == 6 for response in served)
         assert {response["error"] for response in failed} == {"KeyError", "BadRequest"}
+
+    def test_tcp_hot_repeat_equals_first_reply(self, rng):
+        registry = _make_registry()
+        line = {"model": "model", "points": _clouds(rng, 1)[0].tolist()}
+
+        async def scenario():
+            with WorkerPoolEngine(registry, EngineConfig(), PoolConfig(workers=1)) as pool:
+                frontend = AsyncServingFrontend(pool)
+                host, port = await frontend.start(port=0)
+                responses = await request_over_tcp(host, port, [line, line])
+                await frontend.stop()
+                return responses, pool.submitted
+
+        (first, repeat), dispatched = asyncio.run(scenario())
+        assert first["ok"] and repeat["ok"] and dispatched == 1
+        assert first["worker"] == 0 and not first["from_cache"]
+        assert repeat["worker"] is None and repeat["from_cache"]
+        assert repeat["logits"] == first["logits"]
+
+    def test_tcp_admission_and_breaker_with_frontend_hits(self, rng):
+        """A full frontend and an open breaker refuse a hot cloud as before; a hit
+        probe leaves a half-open breaker half-open, a served miss closes it."""
+        hot, cold = ({"model": "model", "points": cloud.tolist()} for cloud in _clouds(rng, 2))
+        now = [0.0]
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0, clock=lambda: now[0])
+
+        async def scenario():
+            with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+                frontend = AsyncServingFrontend(pool, circuit_breaker=breaker)
+                host, port = await frontend.start(port=0)
+                replies = await request_over_tcp(host, port, [hot, hot])
+                pool.admission.max_depth = 0  # at capacity
+                replies += await request_over_tcp(host, port, [hot])
+                pool.admission.max_depth = pool.pool_config.max_queue_depth
+                breaker.record_failure()  # open
+                replies += await request_over_tcp(host, port, [hot])
+                now[0] = 5.0  # half-open
+                replies += await request_over_tcp(host, port, [hot, hot])
+                states = [breaker.state]
+                replies += await request_over_tcp(host, port, [cold])
+                states.append(breaker.state)
+                await frontend.stop()
+            return replies, states
+
+        replies, states = asyncio.run(scenario())
+        assert [reply.get("error") for reply in replies] == [
+            None, None, "AdmissionError", "CircuitOpenError", None, None, None
+        ]
+        assert [reply.get("worker") for reply in replies] == [0, None, None, None, None, None, 0]
+        assert states == ["half-open", "closed"]
 
     def test_async_submit_matches_sync(self, rng):
         registry = _make_registry()

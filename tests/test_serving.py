@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -546,6 +548,24 @@ class TestInferenceEngine:
         result = engine.submit("model", small[0])
         assert result.batch_size == 1  # no stale requests joined the batch
 
+    def test_throughput_spans_cache_hits(self, rng):
+        """Hits served after the last batch stretch the window: the rate is the stream's wall rate."""
+        engine = InferenceEngine(_make_registry())
+        clouds = _clouds(rng, 8)
+        hits, gap_s = 50, 0.002
+        started = time.perf_counter()
+        engine.submit_many("model", clouds)
+        for index in range(hits):
+            time.sleep(gap_s)
+            assert engine.submit("model", clouds[index % len(clouds)]).from_cache
+        wall_s = time.perf_counter() - started
+        telemetry = engine.telemetry.model("model")
+        served = len(clouds) + hits
+        assert telemetry.served == served
+        # The window holds every sleep between the batch and the last hit, and
+        # lies inside the measured wall time.
+        assert served / wall_s <= telemetry.throughput_rps <= served / (hits * gap_s)
+
     def test_telemetry_report_structure(self, rng):
         engine = InferenceEngine(_make_registry(), EngineConfig(max_batch_size=4))
         engine.submit_many("model", _clouds(rng, 5))
@@ -574,6 +594,22 @@ class TestModelTelemetry:
         telemetry = ModelTelemetry()
         assert telemetry.latency_percentiles() == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
         assert telemetry.throughput_rps == 0.0
+
+    def test_throughput_window_covers_hits_and_merges_exactly(self):
+        worker = ModelTelemetry()
+        worker.record_request(latency_ms=1.0, queue_ms=0.0, from_cache=False)
+        worker.busy.first_started_at, worker.busy.last_stopped_at = 10.0, 10.5
+        for at in (11.0, 12.0):
+            worker.record_request(latency_ms=0.0, queue_ms=0.0, from_cache=True, at=at)
+        assert worker.throughput_rps == pytest.approx(3 / 2.0)
+        # A frontend that only answered a hit: the merged window is the min
+        # of the starts to the max of the ends.
+        frontend = ModelTelemetry()
+        frontend.record_request(latency_ms=0.0, queue_ms=0.0, from_cache=True, at=9.0)
+        assert frontend.throughput_rps == 0.0  # one instant is no window
+        frontend.merge(worker.snapshot())
+        assert frontend.served == 4 and frontend.cache_hits == 3
+        assert frontend.throughput_rps == pytest.approx(4 / 3.0)
 
 
 class TestApiHelpers:
