@@ -15,12 +15,12 @@ import sys
 
 import numpy as np
 
-from repro import api
 from repro.data import make_synthetic_modelnet
 from repro.hardware import dgcnn_workload, estimate_latency, get_device
 from repro.models import DGCNN, DGCNNConfig
-from repro.nas import HGNASConfig, render_architecture
+from repro.nas import DerivedModel, HGNASConfig, render_architecture
 from repro.nas.trainer import evaluate_classifier, train_classifier
+from repro.workspace import Workspace
 
 
 def main(device_name: str = "jetson-tx2") -> None:
@@ -43,7 +43,7 @@ def main(device_name: str = "jetson-tx2") -> None:
         beta=0.5,
         seed=0,
     )
-    result = api.search_architecture(device, train_set, test_set, config=config)
+    result = Workspace(device=device).search(train_set, test_set, config=config)
 
     print("\n== Searched architecture ==")
     print(render_architecture(result.best_architecture, title=f"{device.display_name} design"))
@@ -56,7 +56,7 @@ def main(device_name: str = "jetson-tx2") -> None:
 
     print("\nTraining the searched model and a DGCNN baseline for comparison ...")
     rng = np.random.default_rng(0)
-    searched = api.build_model(result.best_architecture, num_classes=train_set.num_classes, k=8, embed_dim=48)
+    searched = DerivedModel(result.best_architecture, num_classes=train_set.num_classes, k=8, embed_dim=48)
     train_classifier(searched, train_set, epochs=6, batch_size=8, rng=rng)
     searched_acc = evaluate_classifier(searched, test_set).overall_accuracy
 

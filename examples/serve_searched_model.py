@@ -18,11 +18,11 @@ import sys
 
 import numpy as np
 
-from repro import api
 from repro.data import make_synthetic_modelnet
 from repro.hardware import get_device
 from repro.nas import HGNASConfig, render_architecture
 from repro.serving import EngineConfig
+from repro.workspace import Workspace
 
 def main(device_name: str = "jetson-tx2") -> None:
     device = get_device(device_name)
@@ -44,13 +44,13 @@ def main(device_name: str = "jetson-tx2") -> None:
         beta=0.5,
         seed=0,
     )
-    result = api.search_architecture(device, train_set, test_set, config=config)
+    workspace = Workspace(device=device)
+    result = workspace.search(train_set, test_set, config=config)
     print(render_architecture(result.best_architecture, title=f"{device.display_name} design"))
 
     print("[2/3] deploying (brief training + registration) ...")
-    deployed = api.deploy_architecture(
+    deployed = workspace.deploy(
         result.best_architecture,
-        device,
         num_classes=train_set.num_classes,
         name="searched",
         k=6,
@@ -71,7 +71,7 @@ def main(device_name: str = "jetson-tx2") -> None:
             stream.append(unique[int(rng.integers(0, len(unique)))])
         else:
             stream.append(unique[index % len(unique)])
-    report = api.serve(deployed, stream, EngineConfig(max_batch_size=8))
+    report = workspace.serve(stream, name=deployed.name, config=EngineConfig(max_batch_size=8))
 
     # A second burst of recurring traffic against the warm engine: repeated
     # clouds are now served straight from the result cache.

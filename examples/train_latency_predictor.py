@@ -5,10 +5,10 @@ minutes; increase ``NUM_SAMPLES`` / ``EPOCHS`` for better accuracy (the paper
 uses 30K samples and 250 epochs).
 """
 
-from repro import api
 from repro.experiments import format_table
 from repro.hardware import list_devices
 from repro.nas import dgcnn_architecture, device_fast_architecture
+from repro.workspace import Workspace
 
 NUM_SAMPLES = 400
 EPOCHS = 100
@@ -19,7 +19,7 @@ def main() -> None:
     bundles = {}
     for device in list_devices():
         print(f"Training latency predictor for {device} ({NUM_SAMPLES} sampled architectures) ...")
-        bundle = api.train_latency_predictor(device, num_samples=NUM_SAMPLES, epochs=EPOCHS, seed=0)
+        bundle = Workspace(device=device).train_predictor(num_samples=NUM_SAMPLES, epochs=EPOCHS, seed=0)
         bundles[device] = bundle
         rows.append(
             {
@@ -37,7 +37,7 @@ def main() -> None:
     predictor = bundles["rtx3080"].predictor
     for arch in (dgcnn_architecture(), device_fast_architecture("rtx3080")):
         predicted = predictor.predict_latency_ms(arch)
-        measured = api.measure_latency(arch, "rtx3080")
+        measured = Workspace(device="rtx3080").measure_latency(arch)
         print(f"{arch.name:10s} predicted {predicted:8.2f} ms   modelled {measured:8.2f} ms")
 
 

@@ -39,10 +39,12 @@ DAC 2023) on top of a pure-numpy substrate:
 * :mod:`repro.experiments` -- drivers that regenerate every table and figure
   of the paper's evaluation section.
 
-The high-level helpers of :mod:`repro.api`, the Workspace types and the
-device/evaluator registry hooks are re-exported lazily from the package
-root, so ``import repro; repro.Workspace(...)`` works without paying the
-import cost of the subsystems you do not use.
+The pipeline is driven through :class:`~repro.workspace.Workspace`
+(profile, train the latency predictor, search, derive, deploy, serve).
+It, the other Workspace types and the device/evaluator registry hooks are
+re-exported lazily from the package root, so
+``import repro; repro.Workspace(...)`` works without paying the import cost
+of the subsystems you do not use.
 """
 
 from importlib import import_module
@@ -51,20 +53,13 @@ from repro.version import __version__
 
 #: Lazily re-exported high-level names -> providing module.
 _LAZY_EXPORTS = {
-    "profile_architecture": "repro.api",
-    "measure_latency": "repro.api",
-    "train_latency_predictor": "repro.api",
-    "search_architecture": "repro.api",
-    "build_model": "repro.api",
-    "deploy_architecture": "repro.api",
-    "serve": "repro.api",
-    "ServeReport": "repro.api",
-    "PredictorBundle": "repro.api",
+    "Workspace": "repro.workspace",
+    "ServeReport": "repro.workspace",
+    "PredictorBundle": "repro.workspace",
     "InferenceEngine": "repro.serving",
     "EngineConfig": "repro.serving",
     "ModelRegistry": "repro.serving",
     "DeployedModel": "repro.serving",
-    "Workspace": "repro.workspace",
     "InferenceDefaults": "repro.workspace",
     "ArtifactStore": "repro.workspace",
     "validate_genotype": "repro.analysis",

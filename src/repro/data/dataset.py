@@ -58,10 +58,6 @@ class Batch:
     def num_points(self) -> int:
         return self.points.shape[0]
 
-    def graph_slices(self) -> list[np.ndarray]:
-        """Return the point indices belonging to each cloud."""
-        return [np.flatnonzero(self.batch == g) for g in range(self.num_graphs)]
-
 
 def collate(samples: Sequence[PointCloudSample]) -> Batch:
     """Stack samples into a :class:`Batch`."""
@@ -101,10 +97,6 @@ class InMemoryDataset:
     def labels(self) -> np.ndarray:
         """Return all labels as an integer array."""
         return np.array([s.label for s in self.samples], dtype=np.int64)
-
-    def subset(self, indices: Sequence[int]) -> "InMemoryDataset":
-        """Return a new dataset restricted to ``indices``."""
-        return InMemoryDataset([self.samples[i] for i in indices], self.num_classes)
 
 
 @dataclass

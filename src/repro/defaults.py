@@ -1,12 +1,10 @@
 """Shared inference-scenario defaults (the lowest layer of the pipeline).
 
-Historically every high-level helper re-spread its own copy of the
-deployment scenario — ``measure_latency``/``profile_architecture`` assumed
-``k=20`` while ``build_model``/``deploy_architecture`` assumed ``k=10`` —
-so the latency a search optimised for was not the latency the deployed
-model ran with.  :class:`InferenceDefaults` resolves the scenario once and
-every consumer draws from it: the low-level evaluator/serving defaults
-import this module directly, while pipeline users normally reach it as
+:class:`InferenceDefaults` resolves the deployment scenario once and every
+consumer draws from it, so the latency a search optimises for is the
+latency the deployed model runs with: the low-level evaluator, serving and
+:class:`~repro.nas.derived.DerivedModel` defaults import this module
+directly, while pipeline users normally reach it as
 :class:`repro.workspace.InferenceDefaults`.
 
 This module lives below :mod:`repro.nas`, :mod:`repro.serving` and

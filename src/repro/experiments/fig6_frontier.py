@@ -29,12 +29,6 @@ class FrontierPoint:
     accuracy: float
     is_hgnas: bool
 
-    def dominates(self, other: "FrontierPoint") -> bool:
-        """Pareto dominance: at least as good on both axes, better on one."""
-        not_worse = self.latency_ms <= other.latency_ms and self.accuracy >= other.accuracy
-        strictly_better = self.latency_ms < other.latency_ms or self.accuracy > other.accuracy
-        return not_worse and strictly_better
-
 
 def frontier_from_table(rows: Sequence[Table2Row]) -> dict[str, list[FrontierPoint]]:
     """Reshape Table II rows into per-device frontier points."""

@@ -66,12 +66,6 @@ class FaultInjector:
         self._rngs: dict[int, np.random.Generator] = {}
         self.history: list[tuple[str, str]] = []
 
-    def fired_count(self, point: str | None = None) -> int:
-        with self._lock:
-            if point is None:
-                return len(self.history)
-            return sum(1 for fired_point, _ in self.history if fired_point == point)
-
     def _should_fire(self, index: int, spec: FaultSpec, context: dict[str, Any]) -> bool:
         """Counter bookkeeping under the lock; no side effects beyond it."""
         if not spec.matches(context):

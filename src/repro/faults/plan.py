@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 __all__ = ["FaultSpec", "FaultPlan", "ACTIONS", "ENV_VAR"]
 
@@ -119,10 +119,6 @@ class FaultPlan:
 
     @classmethod
     def of(cls, *specs: FaultSpec) -> "FaultPlan":
-        return cls(specs=tuple(specs))
-
-    @classmethod
-    def from_specs(cls, specs: Iterable[FaultSpec]) -> "FaultPlan":
         return cls(specs=tuple(specs))
 
     def to_dict(self) -> dict[str, Any]:

@@ -66,11 +66,6 @@ class WorkloadQuantities:
         return totals
 
     @property
-    def peak_working_set_bytes(self) -> float:
-        """Largest transient working set over the workload."""
-        return max((q.working_set_bytes for q in self.per_op), default=0.0)
-
-    @property
     def total_working_set_bytes(self) -> float:
         """Sum of all transient working sets (upper bound on allocator pressure)."""
         return self.total("working_set_bytes")

@@ -38,11 +38,6 @@ class MemoryReport:
         """Whether the workload exceeds the device's usable memory."""
         return self.peak_mb > self.available_mb
 
-    @property
-    def utilisation(self) -> float:
-        """Fraction of the usable memory consumed (may exceed 1)."""
-        return self.peak_mb / self.available_mb
-
 
 def estimate_peak_memory(workload: Workload, device: DeviceSpec) -> MemoryReport:
     """Estimate peak memory usage of ``workload`` on ``device``."""

@@ -109,10 +109,3 @@ class Workload:
     def count(self, kind: str) -> int:
         """Number of ops of the given kind."""
         return sum(1 for op in self.ops if op.kind == kind)
-
-    def by_category(self) -> dict[str, list[OpDescriptor]]:
-        """Group ops by profiling category."""
-        groups: dict[str, list[OpDescriptor]] = {"sample": [], "aggregate": [], "combine": [], "others": []}
-        for op in self.ops:
-            groups[op.category].append(op)
-        return groups

@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from repro.data.dataset import Batch
+from repro.defaults import DEFAULTS
 from repro.graph.batching import batched_knn_graph, batched_random_graph
 from repro.graph.fused import propagate
 from repro.models.classifier import ClassificationHead
@@ -33,16 +34,20 @@ GraphBuilder = Callable[..., np.ndarray]
 
 
 class DerivedModel(Module):
-    """Executable model for a finalised architecture."""
+    """Executable model for a finalised architecture.
+
+    ``k``, ``embed_dim`` and ``seed`` default to the shared
+    :data:`~repro.defaults.DEFAULTS`, the scenario every pipeline stage uses.
+    """
 
     def __init__(
         self,
         architecture: Architecture,
         num_classes: int,
-        k: int = 10,
-        embed_dim: int = 64,
+        k: int = DEFAULTS.k,
+        embed_dim: int = DEFAULTS.embed_dim,
         dropout: float = 0.3,
-        seed: int = 0,
+        seed: int = DEFAULTS.seed,
     ):
         super().__init__()
         if k <= 0:

@@ -55,10 +55,6 @@ class DesignSpace:
     # ------------------------------------------------------------------ #
     # Size accounting (paper Observation 2)
     # ------------------------------------------------------------------ #
-    def operation_space_size(self) -> int:
-        """Number of operation assignments (4^num_positions)."""
-        return len(OperationType.list()) ** self.config.num_positions
-
     def function_space_size(self, shared: bool = True) -> int:
         """Number of function assignments.
 
@@ -70,10 +66,6 @@ class DesignSpace:
         per_position = function_space_size()
         exponent = 2 if shared else self.config.num_positions
         return per_position**exponent
-
-    def total_size(self, shared_functions: bool = True) -> int:
-        """Total number of architectures in the (possibly shared) space."""
-        return self.operation_space_size() * self.function_space_size(shared_functions)
 
     # ------------------------------------------------------------------ #
     # Sampling

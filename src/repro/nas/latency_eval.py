@@ -20,8 +20,8 @@ Evaluators are pluggable through a string-keyed registry: the built-in
 ``"oracle"``/``"measurement"``/``"predictor"`` factories are registered at
 import time, and :func:`register_latency_evaluator` adds custom oracles
 (e.g. a table lookup or a remote measurement client) that the search,
-:func:`repro.api.search_architecture` and :class:`repro.workspace.Workspace`
-can then select by name.
+:meth:`repro.workspace.Workspace.search` and the ``repro search --oracle``
+command can then select by name.
 """
 
 from __future__ import annotations

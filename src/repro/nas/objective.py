@@ -50,11 +50,6 @@ class ObjectiveConfig:
         if self.latency_constraint_ms <= 0:
             raise ValueError("latency_constraint_ms must be positive")
 
-    @property
-    def alpha_beta_ratio(self) -> float:
-        """The alpha:beta ratio explored in the paper's Fig. 7."""
-        return self.alpha / self.beta if self.beta > 0 else float("inf")
-
 
 def objective_score(accuracy: float, latency_ms: float, config: ObjectiveConfig) -> float:
     """Unconstrained part of the objective: ``alpha * acc - beta * lat_norm``."""

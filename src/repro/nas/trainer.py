@@ -35,10 +35,6 @@ class TrainingHistory:
     train_accuracies: list[float] = field(default_factory=list)
     val_accuracies: list[float] = field(default_factory=list)
 
-    @property
-    def num_epochs(self) -> int:
-        return len(self.losses)
-
 
 @dataclass(frozen=True)
 class EvalMetrics:

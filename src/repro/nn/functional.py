@@ -9,9 +9,6 @@ from repro.nn.tensor import Tensor, apply_op, as_tensor
 __all__ = [
     "relu",
     "leaky_relu",
-    "sigmoid",
-    "tanh",
-    "softmax",
     "log_softmax",
     "dropout",
     "matmul",
@@ -27,24 +24,6 @@ def relu(x: Tensor) -> Tensor:
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     """Leaky rectified linear unit."""
     return as_tensor(x).leaky_relu(negative_slope)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid."""
-    return as_tensor(x).sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Hyperbolic tangent."""
-    return as_tensor(x).tanh()
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    x = as_tensor(x)
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    exps = shifted.exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

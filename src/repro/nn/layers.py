@@ -59,13 +59,6 @@ class Module:
             Module._structure_version += 1
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, tensor: Tensor) -> Tensor:
-        """Explicitly register ``tensor`` as a learnable parameter."""
-        tensor.requires_grad = True
-        self._parameters[name] = tensor
-        object.__setattr__(self, name, tensor)
-        return tensor
-
     def add_module(self, name: str, module: "Module") -> "Module":
         """Explicitly register a sub-module under ``name``."""
         self._modules[name] = module

@@ -461,28 +461,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def sigmoid(self) -> "Tensor":
-        value = 1.0 / (1.0 + np.exp(-self.data))
-        out = _make(value, (self,))
-        if out.requires_grad:
-
-            def _backward() -> None:
-                self._accumulate(out.grad * value * (1.0 - value))
-
-            out._backward = _backward
-        return out
-
-    def tanh(self) -> "Tensor":
-        value = np.tanh(self.data)
-        out = _make(value, (self,))
-        if out.requires_grad:
-
-            def _backward() -> None:
-                self._accumulate(out.grad * (1.0 - value**2))
-
-            out._backward = _backward
-        return out
-
     def clip(self, minimum: float | None = None, maximum: float | None = None) -> "Tensor":
         lo = -np.inf if minimum is None else minimum
         hi = np.inf if maximum is None else maximum

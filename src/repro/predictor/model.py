@@ -2,10 +2,10 @@
 
 Three GCN layers with sum aggregation followed by an MLP regress the
 inference latency of a candidate architecture on one target device.  The
-paper's dimensions (256/512/512 GCN, 256/128/1 MLP) are available through
-:meth:`PredictorConfig.paper_scale`; the default configuration is smaller
-because the architecture graphs only have a couple of dozen nodes and the
-pure-numpy substrate favours compact models.
+paper's dimensions are ``gcn_dims=(256, 512, 512)`` and
+``mlp_dims=(256, 128)`` (then the scalar output); the default configuration
+is smaller because the architecture graphs only have a couple of dozen
+nodes and the pure-numpy substrate favours compact models.
 
 The predictor regresses ``log1p(latency_ms)`` internally — latencies span
 four orders of magnitude across devices — and converts back to
@@ -48,13 +48,6 @@ class PredictorConfig:
             raise ValueError("mlp_dims must not be empty")
         if self.num_points <= 0 or self.k <= 0:
             raise ValueError("num_points and k must be positive")
-
-    @classmethod
-    def paper_scale(cls, **overrides: object) -> "PredictorConfig":
-        """The paper's full-size predictor (256/512/512 GCN, 256/128 MLP)."""
-        defaults = dict(gcn_dims=(256, 512, 512), mlp_dims=(256, 128))
-        defaults.update(overrides)
-        return cls(**defaults)
 
 
 class LatencyPredictor(Module):

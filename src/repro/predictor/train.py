@@ -57,10 +57,6 @@ class PredictorTrainingHistory:
     train_losses: list[float] = field(default_factory=list)
     val_mape: list[float] = field(default_factory=list)
 
-    @property
-    def num_epochs(self) -> int:
-        return len(self.train_losses)
-
 
 def _log_targets(dataset: PredictorDataset) -> np.ndarray:
     return np.log1p(dataset.latencies())

@@ -25,8 +25,9 @@ scenario the paper optimises for.  The subsystem layers:
 * :mod:`repro.serving.resilience` — client-side retry-with-backoff and a
   circuit breaker composed by the frontend.
 
-High-level helpers live in :func:`repro.api.deploy_architecture` and
-:func:`repro.api.serve`.
+The pipeline deploys and serves through
+:meth:`repro.workspace.Workspace.deploy` and
+:meth:`repro.workspace.Workspace.serve` (or ``serve_pool``).
 """
 
 from repro.serving.batcher import BatcherConfig, MicroBatcher, QueuedRequest

@@ -63,11 +63,6 @@ class MicroBatcher:
         """Total number of pending requests across all models."""
         return sum(len(queue) for queue in self._queues.values())
 
-    def depth_for(self, model: str) -> int:
-        """Pending requests for one model."""
-        queue = self._queues.get(model)
-        return len(queue) if queue else 0
-
     def has_pending(self) -> bool:
         return self.queue_depth > 0
 

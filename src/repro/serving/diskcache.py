@@ -22,7 +22,6 @@ workspace root) that every worker of a pool reads and writes:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -182,10 +181,3 @@ class SharedArrayCache:
         """This process's counter view (size reflects the shared directory)."""
         size = len(self)
         return CacheStats(hits=self.hits, misses=self.misses, evictions=0, size=size, capacity=size)
-
-    def stats_dict(self) -> dict:
-        """JSON-compatible :meth:`stats` plus the write counter."""
-        payload = dataclasses.asdict(self.stats())
-        payload["writes"] = self.writes
-        payload["quarantined"] = self.quarantined
-        return payload

@@ -115,10 +115,11 @@ class AsyncServingFrontend:
         with bounded exponential backoff up to the frontend's
         :class:`RetryPolicy`; an attached breaker fails fast with
         :class:`CircuitOpenError` while the pool looks unhealthy.  A
-        result-tier hit says nothing about the workers' health, so it
-        neither closes nor re-opens the breaker.  Deadline/admission
-        failures are terminal — the first is already late, the second is
-        the pool shedding load on purpose.
+        result-tier hit says nothing about the workers' health, and neither
+        does any failure other than a crash, so those neither close nor
+        re-open the breaker.  Deadline/admission failures are terminal — the
+        first is already late, the second is the pool shedding load on
+        purpose.
         """
         attempt = 0
         while True:
@@ -139,6 +140,12 @@ class AsyncServingFrontend:
                 _LOGGER.warning("worker crash on attempt %d/%d; retrying in %.3fs", attempt, self.retry_policy.max_attempts, backoff)
                 await asyncio.sleep(backoff)
                 continue
+            except BaseException:
+                # Admission, deadline and request errors (and cancellation)
+                # say nothing about the workers' health: hand a probe slot back.
+                if self.circuit_breaker is not None:
+                    self.circuit_breaker.release()
+                raise
             if self.circuit_breaker is not None:
                 if result.worker is None:  # answered by the pool's result tier
                     self.circuit_breaker.release()
@@ -221,14 +228,6 @@ class AsyncServingFrontend:
         self._server.close()
         await self._server.wait_closed()
         self._server = None
-
-    async def serve_until(self, stop_event: asyncio.Event, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Run the TCP server until ``stop_event`` is set (CLI entry point)."""
-        await self.start(host=host, port=port)
-        try:
-            await stop_event.wait()
-        finally:
-            await self.stop()
 
 
 async def request_over_tcp(

@@ -48,6 +48,7 @@ serves requests through a future-based frontend:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import pathlib
 import queue as queue_module
@@ -105,9 +106,6 @@ class PoolConfig:
     workers: int = 2
     #: Per-request deadline, from admission to result delivery.
     request_timeout_s: float = 30.0
-    #: Frontend queue-depth cap: in-flight requests beyond this are rejected
-    #: at admission, before any IPC.
-    max_queue_depth: int = 1024
     #: Enable the cross-process disk cache tier under the pool root.
     shared_cache: bool = True
     #: How many times a crashed worker's in-flight request is requeued onto
@@ -142,8 +140,6 @@ class PoolConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.request_timeout_s <= 0:
             raise ValueError(f"request_timeout_s must be positive, got {self.request_timeout_s}")
-        if self.max_queue_depth <= 0:
-            raise ValueError(f"max_queue_depth must be positive, got {self.max_queue_depth}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.poll_interval_s <= 0:
@@ -369,13 +365,15 @@ class WorkerPoolEngine:
             the snapshot, so all workers replicate the same models with
             bit-identical weights.
         config: Per-worker engine policy.  The frontend owns admission
-            control and the in-memory result tier (its capacity is
-            ``result_cache_capacity``), so workers run with both disabled;
+            control (at most ``max_queue_depth`` requests in flight,
+            rejected before any IPC) and the in-memory result tier (its
+            capacity is ``result_cache_capacity``), so workers run with
+            both disabled;
             when the pool's shared cache is enabled, ``shared_cache_dir``
             is pointed at the pool root unless the config already names
             one.
         pool_config: Pool-level policy (worker count, deadlines, crash
-            retries, queue depth).
+            retries, restarts).
         root: Directory for the registry snapshot and the shared cache
             tier — pass the workspace root so cached results survive the
             pool.  ``None`` uses a temporary directory removed at
@@ -406,7 +404,7 @@ class WorkerPoolEngine:
         self.admission = AdmissionControl(
             self.telemetry,
             config.admission_control,
-            self.pool_config.max_queue_depth,
+            config.max_queue_depth,
             "{depth} requests in flight",
         )
         # The in-memory result tier.  Keys hash the snapshot the workers
@@ -616,7 +614,10 @@ class WorkerPoolEngine:
                 try:
                     message = reader.recv()
                 except (EOFError, OSError):
-                    reader.close()  # the worker exited; _check_workers handles its slot
+                    # The worker exited, or its pipe was closed under us;
+                    # _check_workers handles the slot either way.
+                    with contextlib.suppress(OSError):
+                        reader.close()
                     continue
                 self._dispatch(message)
             # Supervision runs on idle polls *and* (throttled) under load,

@@ -202,12 +202,6 @@ class ModelRegistry:
         """All registered entries in insertion order."""
         return list(self._entries.values())
 
-    def evict(self, name: str) -> DeployedModel:
-        """Remove and return the entry for ``name``."""
-        entry = self.get(name)
-        del self._entries[name]
-        return entry
-
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #

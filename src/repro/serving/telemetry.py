@@ -111,11 +111,6 @@ class ModelTelemetry:
         """The rolling window of queueing delays (most recent last)."""
         return self._queue.window
 
-    @property
-    def batch_sizes(self):
-        """The rolling window of executed batch sizes (most recent last)."""
-        return self._batch_size.window
-
     def latency_percentiles(self, percentiles: Sequence[float] | None = None) -> dict[str, float]:
         """Rolling request-latency percentiles in milliseconds.
 

@@ -9,8 +9,9 @@
   methods ``profile`` / ``measure_latency`` / ``train_predictor`` /
   ``search`` / ``derive`` / ``deploy`` / ``serve`` / ``serve_pool``.
 
-The one-shot helpers of :mod:`repro.api` and the ``repro`` CLI are both
-built on top of this package.
+``Workspace`` is the package's one pipeline API: the ``repro`` CLI and the
+examples are built on it, and a model outside any workspace is a plain
+:class:`~repro.nas.derived.DerivedModel`.
 
 The pipeline names are re-exported lazily: :mod:`repro.serving` (imported
 by the pipeline) itself draws its registration defaults from

@@ -12,8 +12,9 @@ with the same inputs are cache hits (pass ``fresh=True`` to bypass) and the
 stages compose: ``search(latency_oracle="predictor")`` reuses the predictor
 ``train_predictor()`` persisted, ``serve()`` reuses warm engine caches.
 
-The one-shot helpers in :mod:`repro.api` are thin shims over a throwaway
-``Workspace``.
+Without a ``root`` a workspace keeps its artifacts in memory for its own
+lifetime; with one they survive process restarts and are shared across
+processes.
 """
 
 from __future__ import annotations

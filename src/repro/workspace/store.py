@@ -19,8 +19,8 @@ one read, the checksum check, then ``np.frombuffer`` views.  (The model
 registry's snapshot keeps ``.npz`` files: it is an export, not on the
 search path.)
 
-Every store also keeps an in-memory layer, so a root-less store (the
-throwaway workspaces behind :mod:`repro.api`) still caches within its own
+Every store also keeps an in-memory layer, so a root-less store (a
+``Workspace`` built without a ``root``) still caches within its own
 lifetime, while a rooted store survives process restarts.
 """
 

@@ -296,7 +296,7 @@ class TestLintRules:
         init.write_text(
             '_LAZY_EXPORTS = {\n'
             '    "Workspace": "repro.workspace",\n'
-            '    "totally_missing_name": "repro.api",\n'
+            '    "totally_missing_name": "repro.workspace",\n'
             '    "also_missing": "repro.no_such_module",\n'
             "}\n"
         )

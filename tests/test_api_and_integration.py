@@ -1,37 +1,39 @@
-"""Tests for the high-level API and an end-to-end integration scenario."""
+"""Tests for the pipeline API (Workspace stages) and an end-to-end integration scenario."""
 
 import numpy as np
 import pytest
 
-from repro import api
 from repro.hardware import estimate_latency, get_device
 from repro.nas import HGNASConfig, dgcnn_architecture, rtx_fast_architecture
+from repro.nas.derived import DerivedModel
 from repro.nas.trainer import evaluate_classifier, train_classifier
+from repro.workspace import Workspace
 
 
 class TestApi:
     def test_profile_architecture(self):
-        profile = api.profile_architecture(dgcnn_architecture(), "gpu")
+        profile = Workspace(device="gpu").profile(dgcnn_architecture())
         assert profile.total_latency_ms > 0
         assert profile.device == "rtx3080"
 
     def test_measure_latency_oracle_vs_noisy(self):
         arch = rtx_fast_architecture()
-        clean = api.measure_latency(arch, "pi")
-        noisy = api.measure_latency(arch, "pi", noisy=True, seed=1)
+        ws = Workspace(device="pi")
+        clean = ws.measure_latency(arch)
+        noisy = ws.measure_latency(arch, noisy=True, seed=1)
         expected = estimate_latency(arch.to_workload(1024, 20, 40), get_device("pi")).total_ms
         assert clean == pytest.approx(expected)
         assert noisy != pytest.approx(clean)
 
     def test_train_latency_predictor_small(self):
-        bundle = api.train_latency_predictor("rtx3080", num_samples=60, epochs=15, seed=0)
+        bundle = Workspace(device="rtx3080").train_predictor(num_samples=60, epochs=15, seed=0)
         assert bundle.device == "rtx3080"
         assert bundle.metrics.num_samples > 0
         prediction = bundle.predictor.predict_latency_ms(dgcnn_architecture())
         assert prediction > 0
 
     def test_build_model(self, tiny_train):
-        model = api.build_model(rtx_fast_architecture(), num_classes=4, k=4, embed_dim=16)
+        model = DerivedModel(rtx_fast_architecture(), num_classes=4, k=4, embed_dim=16)
         from repro.data import collate
 
         logits = model(collate([tiny_train[0], tiny_train[1]]))
@@ -39,7 +41,7 @@ class TestApi:
 
     def test_search_architecture_invalid_oracle(self, tiny_train, tiny_test):
         with pytest.raises(ValueError):
-            api.search_architecture("gpu", tiny_train, tiny_test, latency_oracle="psychic")
+            Workspace(device="gpu").search(tiny_train, tiny_test, latency_oracle="psychic")
 
 
 class TestEndToEnd:
@@ -62,7 +64,8 @@ class TestEndToEnd:
             deploy_k=10,
             seed=0,
         )
-        result = api.search_architecture("jetson-tx2", tiny_train, tiny_test, config=config)
+        ws = Workspace(device="jetson-tx2")
+        result = ws.search(tiny_train, tiny_test, config=config)
         assert result.best_latency_ms > 0
 
         # The searched design must be cheaper than DGCNN on the target device.
@@ -70,11 +73,11 @@ class TestEndToEnd:
         dgcnn_latency = estimate_latency(dgcnn_architecture(6).to_workload(512, 10, 4), device).total_ms
         assert result.best_latency_ms <= dgcnn_latency * 1.5
 
-        model = api.build_model(result.best_architecture, num_classes=tiny_train.num_classes, k=4, embed_dim=16)
+        model = DerivedModel(result.best_architecture, num_classes=tiny_train.num_classes, k=4, embed_dim=16)
         history = train_classifier(model, tiny_train, epochs=2, batch_size=5, rng=np.random.default_rng(0))
-        assert history.num_epochs == 2
+        assert len(history.losses) == 2
         metrics = evaluate_classifier(model, tiny_test, batch_size=5)
         assert 0.0 <= metrics.overall_accuracy <= 1.0
 
-        profile = api.profile_architecture(result.best_architecture, device, num_points=512, k=10, num_classes=4)
+        profile = ws.profile(result.best_architecture, num_points=512, k=10, num_classes=4)
         assert not profile.out_of_memory

@@ -102,7 +102,7 @@ class TestDatasetContainers:
         assert batch.num_points == 15
         assert batch.num_graphs == 3
         np.testing.assert_array_equal(batch.labels, [0, 1, 2])
-        assert [len(s) for s in batch.graph_slices()] == [5, 5, 5]
+        np.testing.assert_array_equal(np.bincount(batch.batch), [5, 5, 5])
 
     def test_collate_empty(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,8 @@ class TestLazyExports:
     def test_workspace_and_registry_names_exported(self):
         expected = {
             "Workspace",
+            "ServeReport",
+            "PredictorBundle",
             "InferenceDefaults",
             "ArtifactStore",
             "register_device",

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import errno
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.serving import (
     WorkerPoolEngine,
     deployment_fingerprint,
 )
+from repro.serving.engine import InferenceResult
 from repro.serving.frontend import AsyncServingFrontend, request_over_tcp
 
 
@@ -44,6 +47,39 @@ def _make_registry(name="model", device="raspberry-pi", num_classes=6, k=6, slo_
 
 def _clouds(rng, count, num_points=20):
     return [rng.standard_normal((num_points, 3)) for _ in range(count)]
+
+
+class _TornPipe:
+    """A worker's result pipe closed under the collector by a racing thread.
+
+    ``recv`` fails as a read on the closed descriptor does, and the first
+    ``close`` closes the real pipe and then fails as the second ``os.close``
+    of one descriptor does.
+    """
+
+    def __init__(self, connection):
+        self._connection = connection
+        self.close_calls = 0
+
+    def fileno(self):
+        return self._connection.fileno()
+
+    @property
+    def closed(self):
+        return self._connection.closed
+
+    def poll(self, timeout=0.0):
+        return self._connection.poll(timeout)
+
+    def recv(self):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+    def close(self):
+        self.close_calls += 1
+        was_open = not self._connection.closed
+        self._connection.close()
+        if was_open:
+            raise OSError(errno.EBADF, "Bad file descriptor")
 
 
 class TestSharedArrayCache:
@@ -74,7 +110,7 @@ class TestSharedArrayCache:
         cache.put_if_absent("b", np.array([2.0]))
         assert cache.clear() == 2
         assert len(cache) == 0
-        assert cache.stats_dict()["writes"] == 2
+        assert cache.writes == 2
 
 
 class TestDeploymentFingerprint:
@@ -101,7 +137,6 @@ class TestPoolConfig:
             {"workers": -2},
             {"request_timeout_s": 0.0},
             {"request_timeout_s": -1.0},
-            {"max_queue_depth": 0},
             {"max_retries": -1},
             {"poll_interval_s": 0.0},
             {"start_method": "thread"},
@@ -331,6 +366,48 @@ class TestWorkerPoolEngine:
             assert not worker.process.is_alive()
         finally:
             pool._shutdown = False
+            pool.shutdown()
+
+    def test_collector_survives_a_result_pipe_closed_under_it(self, rng):
+        """The collector outlives a pipe whose recv and close both fail: the
+        slot goes silent and is restarted, requests still resolve and the pool
+        shuts down."""
+        pool = WorkerPoolEngine(
+            _make_registry(),
+            EngineConfig(result_cache_capacity=0),
+            PoolConfig(workers=2, heartbeat_interval_s=0.05, heartbeat_timeout_s=1.0, restart_backoff_s=0.0),
+        )
+        try:
+            pool.submit_many("model", _clouds(rng, 2))
+            torn = _TornPipe(pool._workers[0].results)
+            pool._workers[0].results = torn  # ready at the worker's next heartbeat
+            deadline = time.monotonic() + 10.0
+            while pool.restarts < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert torn.close_calls >= 1
+            assert pool._collector.is_alive()
+            assert pool.restarts >= 1
+            futures = [pool.submit("model", cloud) for cloud in _clouds(rng, 4)]
+            assert all(future.result(timeout=10).logits.shape == (6,) for future in futures)
+        finally:
+            pool.shutdown(timeout=10)
+        assert not pool._collector.is_alive()
+        assert not any(worker.process.is_alive() for worker in pool._workers)
+
+    def test_in_flight_cap_is_the_engine_queue_depth(self, rng):
+        """The frontend admits at most ``EngineConfig.max_queue_depth`` requests in flight."""
+        from repro.faults import FaultPlan, FaultSpec, use_faults
+
+        plan = FaultPlan.of(FaultSpec(point="serving.worker.serve", action="delay", delay_s=1.0, times=1))
+        with use_faults(plan):
+            pool = WorkerPoolEngine(_make_registry(), EngineConfig(max_queue_depth=1), PoolConfig(workers=1))
+        try:
+            assert pool.admission.max_depth == 1
+            held = pool.submit("model", _clouds(rng, 1)[0])  # the worker sleeps 1 s on it
+            with pytest.raises(AdmissionError, match="1 requests in flight"):
+                pool.submit("model", _clouds(rng, 1)[0])
+            assert held.result(timeout=30).logits.shape == (6,)
+        finally:
             pool.shutdown()
 
     def test_submit_after_shutdown_rejected(self, rng):
@@ -598,7 +675,7 @@ class TestAsyncFrontend:
                 replies = await request_over_tcp(host, port, [hot, hot])
                 pool.admission.max_depth = 0  # at capacity
                 replies += await request_over_tcp(host, port, [hot])
-                pool.admission.max_depth = pool.pool_config.max_queue_depth
+                pool.admission.max_depth = pool.config.max_queue_depth
                 breaker.record_failure()  # open
                 replies += await request_over_tcp(host, port, [hot])
                 now[0] = 5.0  # half-open
@@ -615,6 +692,43 @@ class TestAsyncFrontend:
         ]
         assert [reply.get("worker") for reply in replies] == [0, None, None, None, None, None, 0]
         assert states == ["half-open", "closed"]
+
+    @pytest.mark.parametrize(
+        "error",
+        [AdmissionError("full"), DeadlineExceededError("late"), ValueError("bad cloud"), KeyError("missing")],
+        ids=["admission", "deadline", "value", "key"],
+    )
+    def test_rejected_probe_hands_the_slot_back(self, error):
+        """A half-open probe that fails without reaching a worker leaves the breaker half-open."""
+        now = [0.0]
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0, clock=lambda: now[0])
+        served = InferenceResult(
+            request_id=0, model="model", label=0, logits=np.zeros(2), probabilities=np.full(2, 0.5),
+            latency_ms=1.0, queue_ms=0.0, batch_size=1, from_cache=False, estimated_device_ms=1.0, worker=0,
+        )
+
+        class FakePool:
+            def __init__(self):
+                self.outcome = error
+
+            def submit(self, model, points):
+                if self.outcome is not None:
+                    raise self.outcome
+                future = Future()
+                future.set_result(served)
+                return future
+
+        pool = FakePool()
+        frontend = AsyncServingFrontend(pool, circuit_breaker=breaker)
+        breaker.record_failure()  # open
+        now[0] = 5.0  # half-open: the next request probes and is rejected
+        with pytest.raises(type(error)):
+            asyncio.run(frontend.submit("model", np.zeros((4, 3))))
+        assert breaker.state == "half-open"
+        now[0] = 100.0
+        pool.outcome = None
+        assert asyncio.run(frontend.submit("model", np.zeros((4, 3)))) is served
+        assert breaker.state == "closed"
 
     def test_async_submit_matches_sync(self, rng):
         registry = _make_registry()

@@ -178,14 +178,12 @@ class TestPresets:
 class TestDesignSpace:
     def test_space_sizes(self):
         space = DesignSpace(DesignSpaceConfig(num_positions=12))
-        assert space.operation_space_size() == 4**12
         assert space.function_space_size(shared=True) == function_space_size() ** 2
         assert space.function_space_size(shared=False) == function_space_size() ** 12
-        assert space.total_size() == space.operation_space_size() * space.function_space_size()
 
     def test_sharing_reduces_space(self):
         space = DesignSpace(DesignSpaceConfig(num_positions=12))
-        assert space.total_size(True) < space.total_size(False)
+        assert space.function_space_size(shared=True) < space.function_space_size(shared=False)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -252,9 +250,6 @@ class TestObjective:
             objective_score(1.5, 10.0, ObjectiveConfig())
         with pytest.raises(ValueError):
             objective_score(0.5, -1.0, ObjectiveConfig())
-
-    def test_ratio(self):
-        assert ObjectiveConfig(alpha=2.0, beta=0.5).alpha_beta_ratio == pytest.approx(4.0)
 
 
 class TestEvolution:

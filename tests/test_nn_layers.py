@@ -170,13 +170,10 @@ class TestNormalisationAndDropout:
 
 
 class TestFunctional:
-    def test_softmax_sums_to_one(self, rng):
-        probs = F.softmax(Tensor(rng.normal(size=(5, 3))))
-        np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0)
-
     def test_log_softmax_consistency(self, rng):
-        x = Tensor(rng.normal(size=(4, 6)))
-        np.testing.assert_allclose(F.log_softmax(x).data, np.log(F.softmax(x).data), atol=1e-9)
+        values = rng.normal(size=(4, 6))
+        reference = np.log(np.exp(values) / np.exp(values).sum(axis=-1, keepdims=True))
+        np.testing.assert_allclose(F.log_softmax(Tensor(values)).data, reference, atol=1e-9)
 
     @pytest.mark.parametrize(
         "activation, slope",
@@ -262,7 +259,8 @@ class TestLosses:
         labels = np.array([0, 3, 1, 1, 2])
         cross_entropy(logits, labels).backward()
         one_hot = np.eye(4)[labels]
-        np.testing.assert_allclose(logits.grad, (F.softmax(logits).data - one_hot) / 5, atol=1e-12)
+        probs = np.exp(logits.data) / np.exp(logits.data).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(logits.grad, (probs - one_hot) / 5, atol=1e-12)
 
     def test_cross_entropy_validates_shapes(self):
         with pytest.raises(ValueError, match="1-D"):

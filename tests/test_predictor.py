@@ -85,8 +85,6 @@ class TestPredictorModel:
             PredictorConfig(gcn_dims=(32, 32))
         with pytest.raises(ValueError):
             PredictorConfig(mlp_dims=())
-        paper = PredictorConfig.paper_scale()
-        assert paper.gcn_dims == (256, 512, 512)
 
     def test_prediction_positive(self):
         predictor = LatencyPredictor(PredictorConfig(gcn_dims=(8, 8, 8), mlp_dims=(8,)))
@@ -163,7 +161,7 @@ class TestDatasetAndTraining:
             predictor, train, val, PredictorTrainingConfig(epochs=40, batch_size=16, learning_rate=0.01)
         )
         after = evaluate_predictor(predictor, val)
-        assert history.num_epochs == 40
+        assert len(history.train_losses) == 40
         assert after.mape < before
         assert after.spearman > 0.3
 

@@ -27,8 +27,8 @@ def architectures(draw):
 class TestTensorProperties:
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
-    def test_softmax_is_distribution(self, values):
-        probs = F.softmax(Tensor(np.array(values))).data
+    def test_log_softmax_exponentiates_to_a_distribution(self, values):
+        probs = np.exp(F.log_softmax(Tensor(np.array(values))).data)
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(), 1.0, rtol=1e-9)
 

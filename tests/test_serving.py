@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from repro import api
 from repro.hardware.device import get_device
 from repro.nas.presets import device_fast_architecture, tx2_fast_architecture
 from repro.serving import (
@@ -24,6 +23,7 @@ from repro.serving import (
 )
 from repro.serving.engine import AdmissionControl
 from repro.serving.telemetry import ModelTelemetry, TelemetryStore
+from repro.workspace import Workspace
 
 
 def _make_registry(name="model", device="raspberry-pi", num_classes=6, k=6, slo_ms=None):
@@ -213,7 +213,7 @@ class TestMicroBatcher:
         batcher.enqueue(self._request(1, model="b", at=-1.0))  # older head
         batch = batcher.pop_ready()
         assert batch[0].model == "b"
-        assert batcher.depth_for("a") == 1
+        assert batcher.queue_depth == 1
 
     def test_discard_removes_requests(self):
         batcher = MicroBatcher(BatcherConfig(max_batch_size=4, max_wait_ms=1000.0), clock=lambda: 0.0)
@@ -231,17 +231,15 @@ class TestMicroBatcher:
 
 
 class TestModelRegistry:
-    def test_register_get_list_evict(self):
+    def test_register_get_list(self):
         registry = _make_registry("pi-fast")
         assert registry.list() == ["pi-fast"]
         assert "pi-fast" in registry and len(registry) == 1
         entry = registry.get("pi-fast")
         assert entry.device.name == "raspberry-pi"
-        evicted = registry.evict("pi-fast")
-        assert evicted is entry
-        assert len(registry) == 0
+        assert registry.entries() == [entry]
         with pytest.raises(KeyError):
-            registry.get("pi-fast")
+            registry.get("pi-slow")
 
     def test_duplicate_name_requires_replace(self):
         registry = _make_registry("m")
@@ -612,12 +610,12 @@ class TestModelTelemetry:
         assert frontend.throughput_rps == pytest.approx(4 / 3.0)
 
 
-class TestApiHelpers:
+class TestWorkspaceServing:
     def test_deploy_and_serve_end_to_end(self, rng, tiny_train):
         architecture = device_fast_architecture("raspberry-pi")
-        deployed = api.deploy_architecture(
+        ws = Workspace(device="pi")
+        ws.deploy(
             architecture,
-            "pi",
             num_classes=tiny_train.num_classes,
             name="e2e",
             k=4,
@@ -626,7 +624,7 @@ class TestApiHelpers:
             train_epochs=1,
         )
         stream = [sample.points for sample in tiny_train][:6]
-        report = api.serve(deployed, stream, EngineConfig(max_batch_size=3))
+        report = ws.serve(stream, name="e2e", config=EngineConfig(max_batch_size=3))
         assert len(report.results) == 6
         assert all(0 <= r.label < tiny_train.num_classes for r in report.results)
         assert report.telemetry["models"]["e2e"]["served"] == 6
@@ -636,15 +634,5 @@ class TestApiHelpers:
 
     def test_deploy_into_existing_registry(self):
         registry = ModelRegistry()
-        api.deploy_architecture(tx2_fast_architecture(), "tx2", num_classes=4, registry=registry)
+        Workspace(device="tx2", registry=registry).deploy(tx2_fast_architecture(), num_classes=4)
         assert registry.list() == ["tx2_fast"]
-
-    def test_root_lazy_exports(self):
-        import repro
-
-        assert repro.search_architecture is api.search_architecture
-        assert repro.deploy_architecture is api.deploy_architecture
-        assert repro.ModelRegistry is ModelRegistry
-        assert "serve" in dir(repro)
-        with pytest.raises(AttributeError):
-            repro.does_not_exist

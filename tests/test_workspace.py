@@ -8,7 +8,7 @@ import pytest
 import repro.serving.cache as cache_module
 import repro.serving.diskcache as diskcache_module
 import repro.workspace.pipeline as pipeline_module
-from repro import api
+from repro.data import InMemoryDataset
 from repro.hardware import DeviceSpec, get_device, list_devices, register_device, unregister_device
 from repro.nas import (
     HGNASConfig,
@@ -21,6 +21,7 @@ from repro.nas import (
     tx2_fast_architecture,
     unregister_latency_evaluator,
 )
+from repro.nas.derived import DerivedModel
 from repro.nas.latency_eval import EvaluatorRequest
 from repro.serving import CachingGraphBuilder, LRUCache, ModelRegistry
 from repro.serving.diskcache import deployment_fingerprint
@@ -65,12 +66,12 @@ class TestInferenceDefaults:
         with pytest.raises(ValueError):
             InferenceDefaults(num_classes=1)
 
-    def test_api_helpers_share_one_k(self):
+    def test_derived_model_and_deploy_share_one_k(self):
         """The old k=20 (profiling) vs k=10 (deployment) split is gone."""
         arch = rtx_fast_architecture()
-        model = api.build_model(arch, num_classes=4)
+        model = DerivedModel(arch, num_classes=4)
         assert model.k == DEFAULTS.k
-        deployed = api.deploy_architecture(arch, "gpu", num_classes=4, name="defaults-check")
+        deployed = Workspace(device="gpu").deploy(arch, num_classes=4, name="defaults-check")
         assert deployed.k == DEFAULTS.k == 20
         assert deployed.embed_dim == DEFAULTS.embed_dim
 
@@ -79,7 +80,7 @@ class TestInferenceDefaults:
         ws = Workspace(device="gpu", defaults=custom)
         arch = dgcnn_architecture()
         profile = ws.profile(arch)
-        reference = api.profile_architecture(arch, "gpu", num_points=256, k=8, num_classes=10)
+        reference = Workspace(device="gpu").profile(arch, num_points=256, k=8, num_classes=10)
         assert profile.total_latency_ms == pytest.approx(reference.total_latency_ms)
         model = ws.derive(arch, num_classes=4)
         assert model.k == 8
@@ -150,7 +151,7 @@ class TestDeviceRegistry:
         try:
             assert get_device("orin") is get_device("orin-sim")
             assert "orin-sim" in list_devices()
-            latency = api.measure_latency(dgcnn_architecture(), "orin")
+            latency = Workspace(device="orin").measure_latency(dgcnn_architecture())
             assert latency > 0
         finally:
             unregister_device("orin-sim")
@@ -296,9 +297,10 @@ class TestSearchCaching:
         config = tiny_search_config(tiny_train.num_classes)
         ws = Workspace(device="tx2", root=tmp_path)
         ws.search(tiny_train, tiny_test, config=config)
-        assert dataset_fingerprint(tiny_train) != dataset_fingerprint(tiny_train.subset([0, 1]))
+        pair = InMemoryDataset(tiny_train.samples[:2], tiny_train.num_classes)
+        assert dataset_fingerprint(tiny_train) != dataset_fingerprint(pair)
         key_count = ws.store.stats()["memory_entries"]
-        ws.search(tiny_train.subset(list(range(10))), tiny_test, config=config)
+        ws.search(InMemoryDataset(tiny_train.samples[:10], tiny_train.num_classes), tiny_test, config=config)
         assert ws.store.stats()["memory_entries"] == key_count + 1
 
     def test_predictor_oracle_key_includes_workspace_defaults(self, tmp_path, tiny_train, tiny_test):
@@ -504,8 +506,8 @@ class TestTrainingKernelKeys:
 
 class TestModelRegistryAdd:
     def test_add_preserves_every_field(self, tiny_train):
-        deployed = api.deploy_architecture(
-            tx2_fast_architecture(), "tx2", num_classes=tiny_train.num_classes, name="adopt", k=4, slo_ms=1e6
+        deployed = Workspace(device="tx2").deploy(
+            tx2_fast_architecture(), num_classes=tiny_train.num_classes, name="adopt", k=4, slo_ms=1e6
         )
         registry = ModelRegistry()
         adopted = registry.add(deployed)
@@ -517,7 +519,7 @@ class TestModelRegistryAdd:
         assert adopted.generation == 1
 
     def test_add_rejects_duplicates_without_replace(self, tiny_train):
-        deployed = api.deploy_architecture(tx2_fast_architecture(), "tx2", num_classes=4, name="dup")
+        deployed = Workspace(device="tx2").deploy(tx2_fast_architecture(), num_classes=4, name="dup")
         registry = ModelRegistry()
         registry.add(deployed)
         with pytest.raises(ValueError):
@@ -526,13 +528,7 @@ class TestModelRegistryAdd:
         assert replaced.generation == 2
 
 
-class TestThrowawayWorkspaceShims:
-    def test_api_matches_workspace_results(self):
-        arch = dgcnn_architecture()
-        via_api = api.measure_latency(arch, "pi")
-        via_ws = Workspace(device="pi").measure_latency(arch)
-        assert via_api == pytest.approx(via_ws)
-
+class TestDeviceArgument:
     def test_device_spec_passthrough(self):
         spec = get_device("gpu")
         ws = Workspace(device=spec)
