@@ -5,12 +5,11 @@ scenario the paper optimises for.  The subsystem layers:
 
 * :mod:`repro.serving.registry` — named, persistable deployments
   (architecture + model + target device + SLO).
-* :mod:`repro.serving.batcher` — dynamic micro-batching of single-cloud
-  requests.
 * :mod:`repro.serving.cache` — bounded LRU caches for KNN edge indices
   (the dominant cost, per the paper) and full inference results.
 * :mod:`repro.serving.engine` — the synchronous engine with cost-model
-  driven admission control tying it all together.
+  driven admission control tying it all together; each call runs its
+  admitted misses in submission order, ``max_batch_size`` at a time.
 * :mod:`repro.serving.telemetry` — rolling latency percentiles,
   throughput, queue depth and cache hit rates per model.
 * :mod:`repro.serving.diskcache` — disk-backed, cross-process cache tier
@@ -30,7 +29,6 @@ The pipeline deploys and serves through
 :meth:`repro.workspace.Workspace.serve` (or ``serve_pool``).
 """
 
-from repro.serving.batcher import BatcherConfig, MicroBatcher, QueuedRequest
 from repro.serving.cache import CacheStats, CachingGraphBuilder, LRUCache, cloud_fingerprint
 from repro.serving.diskcache import SharedArrayCache, deployment_fingerprint
 from repro.serving.engine import (
@@ -47,9 +45,6 @@ from repro.serving.resilience import CircuitBreaker, CircuitOpenError, RetryPoli
 from repro.serving.telemetry import ModelTelemetry, TelemetryStore
 
 __all__ = [
-    "BatcherConfig",
-    "MicroBatcher",
-    "QueuedRequest",
     "CacheStats",
     "CachingGraphBuilder",
     "LRUCache",

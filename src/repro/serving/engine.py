@@ -1,4 +1,4 @@
-"""The inference engine: registry + micro-batcher + caches + telemetry.
+"""The inference engine: registry + batching + caches + telemetry.
 
 :class:`InferenceEngine` serves point-cloud classification requests
 through deployed searched architectures with a synchronous
@@ -7,15 +7,15 @@ through deployed searched architectures with a synchronous
 1. **Admission control** — each request's latency on the entry's target
    device is estimated with the analytical cost model
    (:func:`repro.hardware.latency.estimate_latency`); requests whose
-   estimate exceeds the entry's SLO budget, or that arrive while the
-   queue is at capacity, are rejected up front instead of queued.
+   estimate exceeds the entry's SLO budget, or that arrive once the call
+   holds ``max_queue_depth`` misses, are rejected up front instead of run.
 2. **Result cache** — a bounded LRU keyed by the content hash of the
    (quantised) input cloud returns logits for repeated inputs without
    running the model (:class:`ResultTier`, which the pool frontend uses
    too).
-3. **Micro-batching** — admitted misses accumulate in the
-   :class:`~repro.serving.batcher.MicroBatcher` and execute as packed
-   ragged batches (:func:`repro.graph.batching.pack_clouds`).
+3. **Batching** — a call's admitted misses run in submission order, up to
+   ``max_batch_size`` at a time, as packed ragged batches
+   (:func:`repro.graph.batching.pack_clouds`).
 4. **Edge cache** — during execution a
    :class:`~repro.serving.cache.CachingGraphBuilder` reuses the per-cloud
    graphs a later request can: KNN over the request coordinates and random
@@ -24,16 +24,15 @@ through deployed searched architectures with a synchronous
    fingerprint and the layer index), so results are bit-identical with
    caching on or off.
 
-The worker loop is explicit: ``step()`` executes one due batch,
-``run_worker()`` drains the queue; ``submit``/``submit_many`` drive it
-internally so callers get a simple blocking API.
+Each call runs on the caller's thread and returns once its batches have
+run; nothing is left queued between calls.
 """
 
 from __future__ import annotations
 
 import pathlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from repro.graph.batching import pack_clouds
 from repro.hardware.latency import estimate_latency
 from repro.nn.dtype import get_default_dtype
 from repro.nn.tensor import no_grad
-from repro.serving.batcher import BatcherConfig, MicroBatcher, QueuedRequest
 from repro.serving.cache import CachingGraphBuilder, LRUCache, cloud_fingerprint
 from repro.serving.diskcache import SharedArrayCache, deployment_fingerprint
 from repro.serving.registry import DeployedModel, ModelRegistry
@@ -69,10 +67,12 @@ class EngineConfig:
     """Serving-engine policy knobs."""
 
     max_batch_size: int = 8
-    max_wait_ms: float = 2.0
     result_cache_capacity: int = 512
     edge_cache_capacity: int = 512
     admission_control: bool = True
+    #: Admission cap: the misses one engine call may hold, and the requests
+    #: a :class:`~repro.serving.pool.WorkerPoolEngine` frontend keeps in
+    #: flight.
     max_queue_depth: int = 1024
     quantize_decimals: int = 6
     telemetry_window: int = 1024
@@ -87,12 +87,10 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         # Every policy knob is validated at construction so misconfiguration
-        # fails here with a clear message instead of deep inside the batcher
+        # fails here with a clear message instead of deep inside a call
         # (or inside a worker process, once N engines run behind a pool).
         if self.max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {self.max_batch_size}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_queue_depth <= 0:
             raise ValueError(f"max_queue_depth must be positive, got {self.max_queue_depth}")
         if self.result_cache_capacity < 0 or self.edge_cache_capacity < 0:
@@ -157,10 +155,11 @@ def validate_points(entry: DeployedModel, points: np.ndarray) -> np.ndarray:
 
 
 class AdmissionControl:
-    """Cost-model SLO and capacity admission, before a request is queued.
+    """Cost-model SLO and capacity admission, before a request runs.
 
-    Shared by the in-process engine (depth = its batcher's queue) and the
-    pool frontend (depth = its in-flight requests, checked before IPC).
+    Shared by the in-process engine (depth = the misses its call admitted so
+    far) and the pool frontend (depth = its in-flight requests, checked
+    before IPC).
     ``depth_text`` formats the depth in the capacity rejection message.
     """
 
@@ -260,29 +259,23 @@ class ResultTier:
 
 
 @dataclass
-class _PendingSlot:
-    """Bookkeeping for a request between submission and execution."""
+class _Miss:
+    """An admitted request the result tier could not answer, awaiting its batch."""
 
-    request: QueuedRequest
-    result: InferenceResult | None = None
-    extras: dict = field(default_factory=dict)
+    index: int  # position in the call's stream
+    request_id: int
+    points: np.ndarray
+    fingerprint: str
+    estimated_device_ms: float
+    admitted_at: float
 
 
 class InferenceEngine:
     """Batched, cached, SLO-aware serving over a :class:`ModelRegistry`."""
 
-    def __init__(
-        self,
-        registry: ModelRegistry,
-        config: EngineConfig | None = None,
-        clock=time.monotonic,
-    ):
+    def __init__(self, registry: ModelRegistry, config: EngineConfig | None = None):
         self.registry = registry
         self.config = config or EngineConfig()
-        self.clock = clock
-        self.batcher = MicroBatcher(
-            BatcherConfig(self.config.max_batch_size, self.config.max_wait_ms), clock=clock
-        )
         self.edge_cache = LRUCache(self.config.edge_cache_capacity)
         self.telemetry = TelemetryStore(self.config.telemetry_window)
         self.admission = AdmissionControl(
@@ -307,7 +300,6 @@ class InferenceEngine:
             decimals=self.config.quantize_decimals,
             shared=shared_edges if caching else None,
         )
-        self._pending: dict[int, _PendingSlot] = {}
         self._content_keys: dict[tuple[str, int], str] = {}
         self._next_request_id = 0
 
@@ -333,134 +325,77 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     # Submission API
     # ------------------------------------------------------------------ #
-    def _validate_points(self, entry: DeployedModel, points: np.ndarray) -> np.ndarray:
-        return validate_points(entry, points)
-
-    def _enqueue(self, model: str, points: np.ndarray) -> int:
-        """Admit one request: serve from the result cache or queue it."""
-        entry = self.registry.get(model)
-        points = self._validate_points(entry, points)
-        estimated = self.admission.admit(entry, points.shape[0], self.batcher.queue_depth)
-        # The content key distinguishes redeployments of the same name (its
-        # weight hash changes), so a replace=True re-registration can never
-        # serve stale cached logits; it also folds in the path name, which
-        # keeps fused and materialized logits (equal only to allclose) from
-        # aliasing — and, unlike a per-process generation counter, it is
-        # identical across the worker processes of a pool, making the key
-        # valid in the shared disk tier.
-        fingerprint = self.result_cache.key(model, self._content_key(entry), points)
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        request = QueuedRequest(
-            request_id=request_id,
-            model=model,
-            points=points,
-            enqueued_at=self.clock(),
-            fingerprint=fingerprint,
-            estimated_device_ms=estimated,
-        )
-        slot = _PendingSlot(request=request)
-        self._pending[request_id] = slot
-        # Consulted only at admission, never at execution, so the composition
-        # of computed batches does not depend on cache state.
-        slot.result = self.result_cache.lookup(fingerprint, request_id, model, estimated)
-        if slot.result is not None:
-            # Telemetry is recorded at collection time (see _collect): if the
-            # surrounding submit_many is later cancelled, this request was
-            # never delivered and must not count as served.
-            slot.extras["admission_hit"] = True
-        else:
-            self.batcher.enqueue(request)
-            self.telemetry.observe_queue_depth(self.batcher.queue_depth)
-        return request_id
-
     def submit(self, model: str, points: np.ndarray) -> InferenceResult:
         """Serve one point cloud synchronously.
 
         Raises:
             AdmissionError: When the request would blow the model's SLO
-                budget or the queue is full.
+                budget.
         """
-        request_id = self._enqueue(model, points)
-        self.run_worker()
-        return self._collect(request_id)
+        return self._serve(model, [points])[0]
 
     def submit_many(self, model: str, clouds) -> list[InferenceResult]:
-        """Serve a stream of clouds, micro-batching admitted requests.
+        """Serve a stream of clouds in batches; results come back in submission order.
 
-        All requests are admitted (or rejected) up front, the worker loop
-        drains the queue, and results come back in submission order.
-        Admission is all-or-nothing: if any request is rejected (or
-        invalid), the call's already-admitted requests are cancelled before
-        the error propagates, leaving the engine queue unchanged.
+        Admission is all-or-nothing: every request is admitted (or rejected)
+        before any batch runs, so a rejected or invalid cloud fails the call
+        with nothing computed.
         """
-        request_ids: list[int] = []
-        try:
-            for cloud in clouds:
-                request_ids.append(self._enqueue(model, cloud))
-            self.run_worker()
-            return [self._collect(request_id) for request_id in request_ids]
-        except Exception:
-            # Covers admission failures *and* execution failures: no request
-            # of this call may linger in the queue or the pending map.
-            self._cancel(request_ids)
-            raise
+        return self._serve(model, clouds)
 
-    def _cancel(self, request_ids: list[int]) -> None:
-        """Forget queued requests of a failed submission."""
-        ids = set(request_ids)
-        for request_id in ids:
-            self._pending.pop(request_id, None)
-        self.batcher.discard(ids)
-
-    def _collect(self, request_id: int) -> InferenceResult:
-        slot = self._pending.pop(request_id)
-        if slot.result is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"request {request_id} was never executed")
-        if slot.extras.get("admission_hit"):
-            self.telemetry.model(slot.result.model).record_request(
+    def _serve(self, model: str, clouds) -> list[InferenceResult]:
+        """Admit every cloud of one call, then run its misses in batches."""
+        results: list[InferenceResult | None] = []
+        hits = 0
+        misses: list[_Miss] = []
+        for cloud in clouds:
+            entry = self.registry.get(model)
+            points = validate_points(entry, cloud)
+            estimated = self.admission.admit(entry, points.shape[0], len(misses))
+            # The content key distinguishes redeployments of the same name (its
+            # weight hash changes), so a replace=True re-registration can never
+            # serve stale cached logits; it also folds in the path name, which
+            # keeps fused and materialized logits (equal only to allclose) from
+            # aliasing — and, unlike a per-process generation counter, it is
+            # identical across the worker processes of a pool, making the key
+            # valid in the shared disk tier.
+            fingerprint = self.result_cache.key(model, self._content_key(entry), points)
+            request_id = self._next_request_id
+            self._next_request_id += 1
+            admitted_at = time.monotonic()
+            # Consulted only at admission, never at execution, so the composition
+            # of computed batches does not depend on cache state.
+            hit = self.result_cache.lookup(fingerprint, request_id, model, estimated)
+            if hit is None:
+                misses.append(_Miss(len(results), request_id, points, fingerprint, estimated, admitted_at))
+                self.telemetry.observe_queue_depth(len(misses))
+            else:
+                hits += 1
+            results.append(hit)
+        size = self.config.max_batch_size
+        for start in range(0, len(misses), size):
+            batch = misses[start : start + size]
+            for miss, result in zip(batch, self._execute_batch(model, batch)):
+                results[miss.index] = result
+        # Hits count as served only once the whole call has succeeded: a call
+        # that fails later delivered none of them.
+        for _ in range(hits):
+            self.telemetry.model(model).record_request(
                 latency_ms=0.0, queue_ms=0.0, from_cache=True, at=time.perf_counter()
             )
-        return slot.result
+        return results
 
-    # ------------------------------------------------------------------ #
-    # Worker loop
-    # ------------------------------------------------------------------ #
-    def step(self, force: bool = True) -> int:
-        """Execute the next due batch; returns the number of requests served."""
-        batch = self.batcher.pop_ready(force=force)
-        if batch is None:
-            return 0
-        try:
-            self._execute_batch(batch)
-        except Exception:
-            # A poisoned batch must not leave orphaned bookkeeping behind.
-            for request in batch:
-                self._pending.pop(request.request_id, None)
-            raise
-        return len(batch)
-
-    def run_worker(self, force: bool = True) -> int:
-        """Drain the queue; returns the total number of requests served."""
-        total = 0
-        while self.batcher.has_pending():
-            served = self.step(force=force)
-            if served == 0:
-                break
-            total += served
-        return total
-
-    def _execute_batch(self, requests: list[QueuedRequest]) -> None:
-        entry = self.registry.get(requests[0].model)
+    def _execute_batch(self, model: str, requests: list[_Miss]) -> list[InferenceResult]:
+        entry = self.registry.get(model)
         telemetry = self.telemetry.model(entry.name)
-        started = self.clock()
+        started = time.monotonic()
         # In-batch deduplication: identical clouds inside one batch compute
         # once and fan out.  The result cache is only consulted at admission
         # time — never here — so the composition of computed batches does not
         # depend on cache state, which keeps cached and uncached engines
         # bit-identical (BLAS kernels are not bitwise stable across batch
         # shapes).
-        compute: list[QueuedRequest] = []
+        compute: list[_Miss] = []
         row_of: dict[str, int] = {}
         for request in requests:
             if request.fingerprint not in row_of:
@@ -487,15 +422,16 @@ class InferenceEngine:
             # when later batches recompute the same input in a different
             # (bitwise-unstable) batch composition.
             self.result_cache.store(fingerprint, logits[row])
-        finished = self.clock()
+        finished = time.monotonic()
         wall_ms = (finished - started) * 1e3
+        results = []
         for request in requests:
             row = row_of[request.fingerprint]
             row_logits = np.array(logits[row], copy=True)
             # Requests deduplicated onto another request's row were served
             # without dedicated compute; report them as cache-served.
             from_cache = request is not compute[row]
-            queue_ms = (started - request.enqueued_at) * 1e3
+            queue_ms = (started - request.admitted_at) * 1e3
             result = InferenceResult(
                 request_id=request.request_id,
                 model=entry.name,
@@ -508,8 +444,9 @@ class InferenceEngine:
                 from_cache=from_cache,
                 estimated_device_ms=request.estimated_device_ms,
             )
-            self._pending[request.request_id].result = result
+            results.append(result)
             telemetry.record_request(latency_ms=result.latency_ms, queue_ms=queue_ms, from_cache=from_cache)
+        return results
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -242,6 +242,7 @@ def _worker_main(
     task_queue,
     result_conn,
     heartbeat_interval_s: float = 0.5,
+    inherited_readers: tuple = (),
 ) -> None:
     """Entry point of one worker process: engine loop over the task queue.
 
@@ -249,7 +250,15 @@ def _worker_main(
     every idle poll timeout, and after every batch) — a worker whose loop
     is wedged mid-batch goes silent and the supervisor can tell it apart
     from an idle one, which a side thread's heartbeats could not.
+
+    ``inherited_readers`` are the frontend's result-pipe read ends a forked
+    worker holds copies of.  Closing them leaves the frontend the only
+    reader of this worker's pipe, so once the frontend closes it the
+    worker's next send fails and the worker exits.
     """
+    for reader in inherited_readers:
+        with contextlib.suppress(OSError):
+            reader.close()
     try:
         from repro.nn.dtype import set_default_dtype
         from repro.obs import reset_observability
@@ -461,6 +470,11 @@ class WorkerPoolEngine:
         """
         task_queue = self._context.Queue()
         results, worker_end = self._context.Pipe(duplex=False)
+        # Only a forked child inherits the frontend's read ends (and gets
+        # these objects without pickling).
+        inherited = ()
+        if self._context.get_start_method() == "fork":
+            inherited = tuple(worker.results for worker in self._workers) + (results,)
         process = self._context.Process(
             target=_worker_main,
             args=(
@@ -471,6 +485,7 @@ class WorkerPoolEngine:
                 task_queue,
                 worker_end,
                 self.pool_config.heartbeat_interval_s,
+                inherited,
             ),
             daemon=True,
         )

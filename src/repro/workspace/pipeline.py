@@ -597,6 +597,15 @@ class Workspace:
             self._engine = InferenceEngine(self.registry, config)
         return self._engine
 
+    def _model_name(self, name: str | None) -> str:
+        """``name``, or by default the most recently deployed model still registered."""
+        if name is not None:
+            return name
+        names = self.registry.list()
+        if not names:
+            raise ValueError("no deployed models in this workspace; call deploy() first")
+        return self._last_deployed if self._last_deployed in names else names[-1]
+
     def serve(
         self,
         clouds: Iterable[np.ndarray] | Sequence[np.ndarray],
@@ -609,11 +618,7 @@ class Workspace:
         calls reuse the same engine, so result/edge caches stay warm across
         request waves.
         """
-        if name is None:
-            names = self.registry.list()
-            if not names:
-                raise ValueError("no deployed models in this workspace; call deploy() first")
-            name = self._last_deployed if self._last_deployed in names else names[-1]
+        name = self._model_name(name)
         clouds = list(clouds)
         with trace_span(
             "workspace.serve",
@@ -642,11 +647,7 @@ class Workspace:
         ``<root>/serving_cache``, so cached results survive the pool and
         warm the next one.
         """
-        if name is None:
-            names = self.registry.list()
-            if not names:
-                raise ValueError("no deployed models in this workspace; call deploy() first")
-            name = self._last_deployed if self._last_deployed in names else names[-1]
+        name = self._model_name(name)
         clouds = list(clouds)
         pool_config = pool_config or PoolConfig()
         with trace_span(

@@ -394,6 +394,26 @@ class TestWorkerPoolEngine:
         assert not pool._collector.is_alive()
         assert not any(worker.process.is_alive() for worker in pool._workers)
 
+    def test_worker_whose_pipe_the_frontend_closed_exits_and_is_restarted(self, rng):
+        """With the default stall timeout (10 s), a closed result pipe still
+        restarts its slot within seconds: the worker holds no read end of its
+        own pipe, so its next heartbeat fails and it exits."""
+        pool = WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=2))
+        try:
+            assert pool.pool_config.heartbeat_timeout_s == 10.0
+            pool.submit_many("model", _clouds(rng, 2))
+            pool._workers[0].results.close()
+            deadline = time.monotonic() + 3.0
+            while pool.restarts < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert pool.restarts == 1
+            assert pool.stalls == 0
+            futures = [pool.submit("model", cloud) for cloud in _clouds(rng, 4)]
+            assert all(future.result(timeout=10).logits.shape == (6,) for future in futures)
+        finally:
+            pool.shutdown(timeout=10)
+        assert not any(worker.process.is_alive() for worker in pool._workers)
+
     def test_in_flight_cap_is_the_engine_queue_depth(self, rng):
         """The frontend admits at most ``EngineConfig.max_queue_depth`` requests in flight."""
         from repro.faults import FaultPlan, FaultSpec, use_faults

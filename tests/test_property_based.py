@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from repro.nas.ops import FunctionSet, random_function_set
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.predictor import FEATURE_DIM, architecture_to_graph
+from repro.serving import EngineConfig, InferenceEngine, ModelRegistry
 
 _DEVICES = ("rtx3080", "i7-8700k", "jetson-tx2", "raspberry-pi")
 
@@ -162,3 +164,55 @@ class TestHardwareProperties:
         sample_ops = workload.count("knn_sample") + workload.count("random_sample")
         assert sample_ops == architecture.num_valid_samples()
         _ = OperationType  # imported for other tests in this module
+
+
+@pytest.fixture(scope="module")
+def deployment():
+    """One deployment and a small pool of ragged clouds, shared by every example."""
+    from repro.nas.presets import device_fast_architecture
+
+    registry = ModelRegistry()
+    registry.register("model", device_fast_architecture("raspberry-pi"), get_device("pi"), num_classes=5, k=6)
+    rng = np.random.default_rng(3)
+    return registry, tuple(rng.standard_normal((n, 3)) for n in (12, 17, 9, 23, 14))
+
+
+class TestServingContract:
+    """One ``submit_many`` call on fresh engines: batches are the in-order
+    chunks of the call's misses, and caching never changes a bit."""
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.integers(1, 5))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    def test_batches_are_in_order_chunks_and_caching_changes_no_bits(self, deployment, picks, max_batch_size):
+        registry, pool = deployment
+        stream = [pool[pick] for pick in picks]
+        cached = InferenceEngine(registry, EngineConfig(max_batch_size=max_batch_size))
+        uncached = InferenceEngine(
+            registry,
+            EngineConfig(max_batch_size=max_batch_size, result_cache_capacity=0, edge_cache_capacity=0),
+        )
+        first = cached.submit_many("model", stream)
+        plain = uncached.submit_many("model", stream)
+
+        n = len(picks)
+        for results in (first, plain):
+            assert [result.request_id for result in results] == list(range(n))
+            for index, result in enumerate(results):
+                start = index - index % max_batch_size
+                chunk = picks[start : start + max_batch_size]
+                # A repeat inside its chunk is computed once and fanned out.
+                assert result.batch_size == len(set(chunk)) <= max_batch_size
+                assert result.from_cache == (picks[index] in picks[start:index])
+        for a, b in zip(first, plain):
+            assert np.array_equal(a.logits, b.logits)
+
+        # Every cloud of a second call is a repeat: answered at admission
+        # with the bits of its first computation.
+        first_of = {}
+        for pick, result in zip(picks, first):
+            first_of.setdefault(pick, result)
+        again = cached.submit_many("model", stream)
+        assert [result.request_id for result in again] == list(range(n, 2 * n))
+        for pick, result in zip(picks, again):
+            assert result.from_cache and result.batch_size == 0
+            assert np.array_equal(result.logits, first_of[pick].logits)

@@ -11,14 +11,11 @@ from repro.hardware.device import get_device
 from repro.nas.presets import device_fast_architecture, tx2_fast_architecture
 from repro.serving import (
     AdmissionError,
-    BatcherConfig,
     CachingGraphBuilder,
     EngineConfig,
     InferenceEngine,
     LRUCache,
-    MicroBatcher,
     ModelRegistry,
-    QueuedRequest,
     cloud_fingerprint,
 )
 from repro.serving.engine import AdmissionControl
@@ -174,62 +171,6 @@ class TestCachingGraphBuilder:
             builder("fps", points, np.zeros(5, dtype=np.int64), 2, points=points, layer=0)
 
 
-class TestMicroBatcher:
-    def _request(self, request_id, model="m", at=0.0):
-        return QueuedRequest(request_id=request_id, model=model, points=np.zeros((4, 3)), enqueued_at=at)
-
-    def test_releases_full_batch(self):
-        now = [0.0]
-        batcher = MicroBatcher(BatcherConfig(max_batch_size=2, max_wait_ms=1000.0), clock=lambda: now[0])
-        batcher.enqueue(self._request(0))
-        assert batcher.pop_ready() is None  # not full, not timed out
-        batcher.enqueue(self._request(1))
-        batch = batcher.pop_ready()
-        assert [r.request_id for r in batch] == [0, 1]
-        assert not batcher.has_pending()
-
-    def test_releases_on_timeout(self):
-        now = [0.0]
-        batcher = MicroBatcher(BatcherConfig(max_batch_size=8, max_wait_ms=5.0), clock=lambda: now[0])
-        batcher.enqueue(self._request(0))
-        assert batcher.pop_ready() is None
-        now[0] = 0.006  # 6 ms later
-        batch = batcher.pop_ready()
-        assert [r.request_id for r in batch] == [0]
-
-    def test_force_flush_and_fifo_order(self):
-        batcher = MicroBatcher(BatcherConfig(max_batch_size=2, max_wait_ms=1000.0), clock=lambda: 0.0)
-        for i in range(5):
-            batcher.enqueue(self._request(i))
-        batches = []
-        while batcher.has_pending():
-            batches.append([r.request_id for r in batcher.pop_ready(force=True)])
-        assert batches == [[0, 1], [2, 3], [4]]
-
-    def test_oldest_model_served_first(self):
-        now = [0.0]
-        batcher = MicroBatcher(BatcherConfig(max_batch_size=4, max_wait_ms=0.0), clock=lambda: now[0])
-        batcher.enqueue(self._request(0, model="a", at=0.0))
-        batcher.enqueue(self._request(1, model="b", at=-1.0))  # older head
-        batch = batcher.pop_ready()
-        assert batch[0].model == "b"
-        assert batcher.queue_depth == 1
-
-    def test_discard_removes_requests(self):
-        batcher = MicroBatcher(BatcherConfig(max_batch_size=4, max_wait_ms=1000.0), clock=lambda: 0.0)
-        for i in range(4):
-            batcher.enqueue(self._request(i))
-        assert batcher.discard({1, 3}) == 2
-        assert [r.request_id for r in batcher.pop_ready(force=True)] == [0, 2]
-        assert not batcher.has_pending()
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            BatcherConfig(max_batch_size=0)
-        with pytest.raises(ValueError):
-            BatcherConfig(max_wait_ms=-1.0)
-
-
 class TestModelRegistry:
     def test_register_get_list(self):
         registry = _make_registry("pi-fast")
@@ -279,13 +220,13 @@ class TestEngineConfigValidation:
         [
             {"max_batch_size": 0},
             {"max_batch_size": -4},
-            {"max_wait_ms": -1.0},
             {"max_queue_depth": 0},
             {"result_cache_capacity": -1},
             {"edge_cache_capacity": -1},
             {"quantize_decimals": -1},
             {"telemetry_window": 0},
             {"backend": "no-such-backend"},
+            {"backend": ""},  # empty is a name, not "follow the ambient path"
         ],
     )
     def test_invalid_rejected_at_construction(self, kwargs):
@@ -294,7 +235,7 @@ class TestEngineConfigValidation:
 
     def test_defaults_and_edge_values_accepted(self):
         EngineConfig()
-        EngineConfig(max_wait_ms=0.0, result_cache_capacity=0, edge_cache_capacity=0)
+        EngineConfig(result_cache_capacity=0, edge_cache_capacity=0)
 
 
 class TestAdmissionControl:
@@ -482,7 +423,8 @@ class TestInferenceEngine:
         engine = InferenceEngine(_make_registry())
         with pytest.raises(ValueError, match="3-D point features"):
             engine.submit("model", rng.standard_normal((12, 2)))
-        assert engine.batcher.queue_depth == 0
+        # The next call's batch holds its own clouds only.
+        assert [result.batch_size for result in engine.submit_many("model", _clouds(rng, 3))] == [3, 3, 3]
 
     def test_execution_failure_leaves_engine_clean(self, rng, monkeypatch):
         engine = InferenceEngine(_make_registry(), EngineConfig(max_batch_size=2))
@@ -499,8 +441,8 @@ class TestInferenceEngine:
         monkeypatch.setattr(type(entry.model), "forward", flaky_forward)
         with pytest.raises(RuntimeError, match="simulated kernel failure"):
             engine.submit_many("model", _clouds(rng, 4))  # two batches; second dies
-        assert engine.batcher.queue_depth == 0
-        assert engine._pending == {}
+        # The next call runs its own clouds only, in batches of two.
+        assert [result.batch_size for result in engine.submit_many("model", _clouds(rng, 3))] == [2, 2, 1]
 
     def test_replace_does_not_serve_stale_cache(self, rng):
         engine = InferenceEngine(_make_registry())
@@ -540,11 +482,9 @@ class TestInferenceEngine:
         stream = small + [rng.standard_normal((4096, 3))]  # last one blows the SLO
         with pytest.raises(AdmissionError):
             engine.submit_many("model", stream)
-        # The failed call must not leave queued requests or pending slots.
-        assert engine.batcher.queue_depth == 0
-        assert engine._pending == {}
-        result = engine.submit("model", small[0])
-        assert result.batch_size == 1  # no stale requests joined the batch
+        # No request of the failed call joins the next call's batch.
+        assert [result.batch_size for result in engine.submit_many("model", small[:2])] == [2, 2]
+        assert engine.submit("model", small[2]).batch_size == 1
 
     def test_throughput_spans_cache_hits(self, rng):
         """Hits served after the last batch stretch the window: the rate is the stream's wall rate."""
@@ -575,6 +515,64 @@ class TestInferenceEngine:
         assert report["peak_queue_depth"] >= 1
         assert set(report["caches"]) == {"result", "edge"}
         assert "model" in engine.format_report()
+
+
+class TestCallBatching:
+    """One engine call runs its admitted misses in order, ``max_batch_size`` at a time."""
+
+    def test_misses_run_in_full_batches_of_max_batch_size(self, rng):
+        engine = InferenceEngine(_make_registry(), EngineConfig(max_batch_size=2))
+        results = engine.submit_many("model", _clouds(rng, 4))
+        assert [result.batch_size for result in results] == [2, 2, 2, 2]
+        assert not any(result.from_cache for result in results)
+        assert engine.telemetry.model("model").batches == 2
+
+    def test_last_partial_batch_runs_and_results_keep_submission_order(self, rng):
+        clouds = _clouds(rng, 5)
+        config = EngineConfig(max_batch_size=2, result_cache_capacity=0, edge_cache_capacity=0)
+        results = InferenceEngine(_make_registry(), config).submit_many("model", clouds)
+        assert [result.batch_size for result in results] == [2, 2, 2, 2, 1]
+        assert [result.request_id for result in results] == [0, 1, 2, 3, 4]
+        # Each chunk served alone gives the same bits, row for row.
+        chunks = [clouds[0:2], clouds[2:4], clouds[4:5]]
+        expected = [r for chunk in chunks for r in InferenceEngine(_make_registry(), config).submit_many("model", chunk)]
+        for got, want in zip(results, expected):
+            assert np.array_equal(got.logits, want.logits)
+
+    def test_calls_on_two_models_batch_separately(self, rng):
+        registry = _make_registry("a")
+        registry.register("b", device_fast_architecture("raspberry-pi"), get_device("raspberry-pi"), num_classes=4, k=6)
+        engine = InferenceEngine(registry, EngineConfig(max_batch_size=4))
+        assert [result.batch_size for result in engine.submit_many("a", _clouds(rng, 3))] == [3, 3, 3]
+        results_b = engine.submit_many("b", _clouds(rng, 2))
+        assert [(result.model, result.batch_size) for result in results_b] == [("b", 2), ("b", 2)]
+        assert results_b[0].logits.shape == (4,)
+        assert (engine.telemetry.model("a").batches, engine.telemetry.model("b").batches) == (1, 1)
+
+    def test_hits_do_not_count_toward_queue_depth(self, rng):
+        engine = InferenceEngine(_make_registry(), EngineConfig(max_queue_depth=2))
+        seen = _clouds(rng, 2)
+        engine.submit_many("model", seen)
+        # Two repeats answered at admission plus two misses fit a depth of two.
+        results = engine.submit_many("model", seen + _clouds(rng, 2))
+        assert [result.from_cache for result in results] == [True, True, False, False]
+        assert [result.batch_size for result in results] == [0, 0, 2, 2]
+        assert engine.telemetry.peak_queue_depth == 2
+        with pytest.raises(AdmissionError, match=r"queue depth 2 at capacity \(2\)"):
+            engine.submit_many("model", _clouds(rng, 3))
+
+    def test_repeat_is_computed_once_per_batch(self, rng):
+        a, b, c = _clouds(rng, 3)
+        uncached = EngineConfig(result_cache_capacity=0, edge_cache_capacity=0)
+        one_batch = InferenceEngine(_make_registry(), uncached).submit_many("model", [a, b, a, c])
+        assert [result.batch_size for result in one_batch] == [3, 3, 3, 3]
+        assert [result.from_cache for result in one_batch] == [False, False, True, False]
+        assert np.array_equal(one_batch[0].logits, one_batch[2].logits)
+        # Split across two batches, the repeat is computed again in its own.
+        config = EngineConfig(max_batch_size=2, result_cache_capacity=0, edge_cache_capacity=0)
+        two_batches = InferenceEngine(_make_registry(), config).submit_many("model", [a, b, a, c])
+        assert [result.batch_size for result in two_batches] == [2, 2, 2, 2]
+        assert not any(result.from_cache for result in two_batches)
 
 
 class TestModelTelemetry:

@@ -370,6 +370,10 @@ class TestDeriveDeployServe:
         with pytest.raises(ValueError):
             Workspace(device="pi").serve([np.zeros((8, 3))])
 
+    def test_serve_pool_without_deploy_raises(self):
+        with pytest.raises(ValueError, match="call deploy"):
+            Workspace(device="pi").serve_pool([np.zeros((8, 3))])
+
     def test_serve_default_is_last_deployed_even_after_replace(self, tiny_train):
         ws = Workspace(device="pi")
         ws.deploy(tx2_fast_architecture(), num_classes=4, name="a", k=4, embed_dim=16)
