@@ -59,7 +59,6 @@ def _chaos_pool_config() -> PoolConfig:
         restart_backoff_s=0.05,
         heartbeat_interval_s=0.3,
         heartbeat_timeout_s=1.0,  # the 3s stall below is killed, not waited out
-        deadline_grace_s=1.0,
     )
 
 

@@ -338,7 +338,6 @@ def _serve_pool_stream(
         request_timeout_s=args.request_timeout,
         max_restarts=args.max_restarts,
         shared_cache=not args.no_cache,
-        dtype=args.dtype,
     )
     if args.port is None:
         report = workspace.serve_pool(clouds, name=name, config=engine_config, pool_config=pool_config)

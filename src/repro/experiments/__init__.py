@@ -5,7 +5,6 @@ from repro.experiments.fig1_latency_memory import (
     PAPER_POINT_SWEEP,
     Fig1Row,
     run_device_comparison,
-    run_fig1,
     run_point_sweep,
 )
 from repro.experiments.fig2_reuse import REUSE_CONFIGURATIONS, ReuseResult, run_fig2
@@ -30,7 +29,6 @@ __all__ = [
     "PAPER_POINT_SWEEP",
     "Fig1Row",
     "run_device_comparison",
-    "run_fig1",
     "run_point_sweep",
     "REUSE_CONFIGURATIONS",
     "ReuseResult",

@@ -19,7 +19,7 @@ from repro.nas.architecture import Architecture
 from repro.nas.presets import device_fast_architecture
 from repro.experiments.common import resolve_devices
 
-__all__ = ["Fig1Row", "run_point_sweep", "run_device_comparison", "run_fig1"]
+__all__ = ["Fig1Row", "run_point_sweep", "run_device_comparison"]
 
 #: Point counts swept in the paper's Fig. 1.
 PAPER_POINT_SWEEP = (128, 256, 512, 1024, 1536, 2048)
@@ -101,14 +101,3 @@ def run_device_comparison(
         )
     return results
 
-
-def run_fig1(
-    sweep_device: str = "raspberry-pi",
-    devices: Sequence[str] | None = None,
-    num_points: Sequence[int] = PAPER_POINT_SWEEP,
-) -> dict[str, object]:
-    """Full Fig. 1 reproduction: the Pi sweep plus the 4-device comparison."""
-    return {
-        "point_sweep": run_point_sweep(sweep_device, num_points),
-        "device_comparison": run_device_comparison(devices),
-    }

@@ -3,8 +3,14 @@
 The evolutionary algorithm is genotype-agnostic: the caller supplies
 initialisation, mutation, crossover and evaluation callables.  Fitness
 evaluations are cached by genotype key, the best-so-far trajectory is
-recorded against a (virtual) clock, and ties are broken deterministically,
-so search runs are fully reproducible.
+recorded against a (virtual) clock the caller's callables advance, and
+ties are broken deterministically, so search runs are fully reproducible.
+
+Selection rules are fixed: the best half of each generation survives as
+parents (:data:`PARENT_FRACTION`); a child is a crossover of two parents
+with probability :data:`CROSSOVER_PROBABILITY`, and a crossover child is
+then mutated with probability :data:`MUTATION_PROBABILITY`.  A child
+without crossover is always mutated.
 """
 
 from __future__ import annotations
@@ -24,38 +30,32 @@ __all__ = ["EvolutionConfig", "HistoryPoint", "EvolutionResult", "EvolutionarySe
 Genotype = TypeVar("Genotype")
 
 
+#: Share of each generation kept as parents (elitist selection).
+PARENT_FRACTION = 0.5
+#: Chance that a crossover child is also mutated.
+MUTATION_PROBABILITY = 0.8
+#: Chance that a child is a crossover of two parents.
+CROSSOVER_PROBABILITY = 0.5
+#: Candidates drawn for one slot before the search gives up on the validator.
+MAX_VALIDATION_ATTEMPTS = 32
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Evolution hyper-parameters (paper defaults: population 20)."""
+    """Evolution population (paper default: 20); selection uses the module constants."""
 
     population_size: int = 20
-    parent_fraction: float = 0.5
-    mutation_probability: float = 0.8
-    crossover_probability: float = 0.5
-    mutations_per_child: int = 1
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        if not 0 < self.parent_fraction <= 1:
-            raise ValueError("parent_fraction must be in (0, 1]")
-        if not 0 <= self.mutation_probability <= 1:
-            raise ValueError("mutation_probability must be in [0, 1]")
-        if not 0 <= self.crossover_probability <= 1:
-            raise ValueError("crossover_probability must be in [0, 1]")
-        if self.mutations_per_child <= 0:
-            raise ValueError("mutations_per_child must be positive")
 
     @property
     def num_parents(self) -> int:
-        """Elite count per generation, clamped to ``population_size - 1``.
-
-        The upper clamp guarantees at least one child per generation: with
-        e.g. ``population_size=2`` and ``parent_fraction=0.5`` the former
-        ``max(2, 1) = 2`` parents left zero slots for children and the
-        search silently never moved past its initial population.
+        """Elite count per generation: :data:`PARENT_FRACTION` of the population,
+        at least 2 and at most ``population_size - 1``, so every generation has a child.
         """
-        proposed = max(2, int(round(self.parent_fraction * self.population_size)))
+        proposed = max(2, int(round(PARENT_FRACTION * self.population_size)))
         return min(proposed, self.population_size - 1)
 
 
@@ -89,31 +89,27 @@ class EvolutionarySearch(Generic[Genotype]):
     — when the caller provides ``evaluate_many`` — in one batched call per
     generation, which lets vectorized scorers (e.g. the batched latency
     predictor) amortise their per-call overhead over the whole population.
-    Both paths share the per-genotype fitness cache and advance the clock by
-    ``evaluation_cost_s`` per *uncached* genotype, so the batched search is
-    indistinguishable from the sequential one whenever ``evaluate_many``
+    Both paths share the per-genotype fitness cache, so the batched search
+    is indistinguishable from the sequential one whenever ``evaluate_many``
     returns the same scores as mapping ``evaluate`` (note: a batched scorer
     must not consume this search's ``rng``, because batching reorders
-    evaluation relative to child generation).
+    evaluation relative to child generation).  The search never advances
+    ``clock`` itself; it reads it for the history.
     """
 
     def __init__(
         self,
         config: EvolutionConfig,
         initialize: Callable[[np.random.Generator], Genotype],
-        mutate: Callable[[Genotype, np.random.Generator, int], Genotype],
+        mutate: Callable[[Genotype, np.random.Generator], Genotype],
         evaluate: Callable[[Genotype], float],
         rng: np.random.Generator,
         crossover: Callable[[Genotype, Genotype, np.random.Generator], Genotype] | None = None,
         key: Callable[[Genotype], Hashable] | None = None,
         clock: VirtualClock | None = None,
-        evaluation_cost_s: float = 0.0,
         evaluate_many: Callable[[list[Genotype]], "np.ndarray | list[float]"] | None = None,
         validate: Callable[[Genotype], bool] | None = None,
-        max_validation_attempts: int = 32,
     ):
-        if max_validation_attempts <= 0:
-            raise ValueError("max_validation_attempts must be positive")
         self.config = config
         self.initialize = initialize
         self.mutate = mutate
@@ -123,9 +119,7 @@ class EvolutionarySearch(Generic[Genotype]):
         self.key_fn = key if key is not None else (lambda genotype: genotype)
         self.rng = rng
         self.clock = clock if clock is not None else VirtualClock()
-        self.evaluation_cost_s = evaluation_cost_s
         self.validate_fn = validate
-        self.max_validation_attempts = max_validation_attempts
         self._cache: dict[Hashable, float] = {}
         # Genotype behind every cache key, so the cache can be serialized
         # into a checkpoint (keys are arbitrary hashables; genotypes have
@@ -150,15 +144,13 @@ class EvolutionarySearch(Generic[Genotype]):
         self._cache[cache_key] = score
         self._cache_genotypes[cache_key] = genotype
         self.evaluations += 1
-        self.clock.advance(self.evaluation_cost_s)
         return score
 
     def _evaluate_batch(self, genotypes: list[Genotype]) -> list[float]:
         """Score ``genotypes`` through one ``evaluate_many`` call.
 
-        Duplicate and already-cached genotypes are evaluated at most once
-        (matching the sequential cache semantics); the clock advances by
-        ``evaluation_cost_s`` per uncached genotype.
+        Duplicate and already-cached genotypes are evaluated at most once,
+        matching the sequential cache semantics.
         """
         keys = [self.key_fn(genotype) for genotype in genotypes]
         pending: dict[Hashable, Genotype] = {}
@@ -179,31 +171,27 @@ class EvolutionarySearch(Generic[Genotype]):
                 self._cache[cache_key] = float(score)
                 self._cache_genotypes[cache_key] = pending[cache_key]
                 self.evaluations += 1
-                # One advance per genotype (not one multiplied advance):
-                # float addition is order-sensitive, and the sequential path
-                # accumulates the cost term by term.
-                self.clock.advance(self.evaluation_cost_s)
         return [self._cache[cache_key] for cache_key in keys]
 
     def _spawn_valid(self, spawn: Callable[[], Genotype]) -> Genotype:
         """Draw from ``spawn`` until ``validate`` accepts (or no validator set).
 
-        Rejected candidates never reach fitness scoring: the clock does not
-        advance and the fitness cache is untouched; only the ``rejections``
-        counter and the ``nas.analysis.rejected`` metric record them.  When
-        every genotype passes, the shared ``rng`` stream is byte-identical
-        to an unvalidated run (the validator itself must not draw from it).
+        Rejected candidates never reach fitness scoring: the fitness cache is
+        untouched; only the ``rejections`` counter and the
+        ``nas.analysis.rejected`` metric record them.  When every genotype
+        passes, the shared ``rng`` stream is byte-identical to an unvalidated
+        run (the validator itself must not draw from it).
         """
         if self.validate_fn is None:
             return spawn()
-        for _ in range(self.max_validation_attempts):
+        for _ in range(MAX_VALIDATION_ATTEMPTS):
             genotype = spawn()
             if self.validate_fn(genotype):
                 return genotype
             self.rejections += 1
             get_metrics().count("nas.analysis.rejected")
         raise RuntimeError(
-            f"no valid genotype in {self.max_validation_attempts} attempts; "
+            f"no valid genotype in {MAX_VALIDATION_ATTEMPTS} attempts; "
             "the mutation operator cannot escape an invalid region of the space"
         )
 
@@ -233,12 +221,12 @@ class EvolutionarySearch(Generic[Genotype]):
         if (
             self.crossover is not None
             and len(parents) > 1
-            and self.rng.random() < self.config.crossover_probability
+            and self.rng.random() < CROSSOVER_PROBABILITY
         ):
             second = parents[int(self.rng.integers(0, len(parents)))][0]
             child = self.crossover(first, second, self.rng)
-        if self.rng.random() < self.config.mutation_probability or child is first:
-            child = self.mutate(child, self.rng, self.config.mutations_per_child)
+        if self.rng.random() < MUTATION_PROBABILITY or child is first:
+            child = self.mutate(child, self.rng)
         return child
 
     def _traced_generation(

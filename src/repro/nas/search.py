@@ -406,13 +406,11 @@ class HGNAS:
         def initialize(rng: np.random.Generator) -> tuple[FunctionSet, FunctionSet]:
             return (random_function_set(rng), random_function_set(rng))
 
-        def mutate(
-            pair: tuple[FunctionSet, FunctionSet], rng: np.random.Generator, num: int
-        ) -> tuple[FunctionSet, FunctionSet]:
+        def mutate(pair: tuple[FunctionSet, FunctionSet], rng: np.random.Generator) -> tuple[FunctionSet, FunctionSet]:
             upper, lower = pair
             if rng.random() < 0.5:
-                return (mutate_function_set(upper, rng, num), lower)
-            return (upper, mutate_function_set(lower, rng, num))
+                return (mutate_function_set(upper, rng), lower)
+            return (upper, mutate_function_set(lower, rng))
 
         def crossover(
             pair_a: tuple[FunctionSet, FunctionSet],
@@ -480,10 +478,10 @@ class HGNAS:
         def initialize(rng: np.random.Generator) -> Architecture:
             return self.design_space.random_architecture(rng, upper, lower)
 
-        def mutate(architecture: Architecture, rng: np.random.Generator, num: int) -> Architecture:
+        def mutate(architecture: Architecture, rng: np.random.Generator) -> Architecture:
             if joint and rng.random() >= 0.5:
-                return self.design_space.mutate_functions(architecture, rng, num)
-            return self.design_space.mutate_operations(architecture, rng, num)
+                return self.design_space.mutate_functions(architecture, rng)
+            return self.design_space.mutate_operations(architecture, rng)
 
         def crossover(a: Architecture, b: Architecture, rng: np.random.Generator) -> Architecture:
             return self.design_space.crossover_operations(a, b, rng)

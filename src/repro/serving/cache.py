@@ -143,9 +143,8 @@ class CachingGraphBuilder:
     so it runs :func:`~repro.graph.batching.batched_knn_graph` uncached.
     """
 
-    def __init__(self, cache: LRUCache | None = None, decimals: int = 6, shared=None):
+    def __init__(self, cache: LRUCache | None = None, shared=None):
         self.cache = cache
-        self.decimals = decimals
         #: Optional cross-process tier (a :class:`repro.serving.diskcache.SharedArrayCache`):
         #: edges built by one pool worker are reused by its siblings.  Keys depend only on
         #: cloud geometry, method, k and layer, and rebuilt edges are deterministic, so the
@@ -169,7 +168,7 @@ class CachingGraphBuilder:
         for graph_id in np.unique(batch_vector):
             node_ids = np.flatnonzero(batch_vector == graph_id)
             cloud = points[node_ids]
-            key = cloud_fingerprint(cloud, self.decimals, extra=extra)
+            key = cloud_fingerprint(cloud, extra=extra)
             local = self.cache.get(key) if self.cache is not None else None
             if local is None and self.shared is not None:
                 local = self.shared.get(key)

@@ -64,7 +64,7 @@ class AdmissionError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Serving-engine policy knobs."""
+    """Serving-engine policy knobs.  Fixed: cache keys round clouds to 6 decimals; telemetry windows hold 1024 values."""
 
     max_batch_size: int = 8
     result_cache_capacity: int = 512
@@ -74,8 +74,6 @@ class EngineConfig:
     #: a :class:`~repro.serving.pool.WorkerPoolEngine` frontend keeps in
     #: flight.
     max_queue_depth: int = 1024
-    quantize_decimals: int = 6
-    telemetry_window: int = 1024
     #: Message-passing path batches execute under (``"numpy"`` or
     #: ``"materialized"``, see :mod:`repro.backends`); ``None`` follows the
     #: ambient path.
@@ -95,10 +93,6 @@ class EngineConfig:
             raise ValueError(f"max_queue_depth must be positive, got {self.max_queue_depth}")
         if self.result_cache_capacity < 0 or self.edge_cache_capacity < 0:
             raise ValueError("cache capacities must be >= 0")
-        if self.quantize_decimals < 0:
-            raise ValueError(f"quantize_decimals must be >= 0, got {self.quantize_decimals}")
-        if self.telemetry_window <= 0:
-            raise ValueError(f"telemetry_window must be positive, got {self.telemetry_window}")
         if self.backend is not None:
             check_backend(self.backend)
 
@@ -210,14 +204,13 @@ class ResultTier:
     thread-safe: the pool guards it with its lock.
     """
 
-    def __init__(self, capacity: int, decimals: int, shared: SharedArrayCache | None = None):
+    def __init__(self, capacity: int, shared: SharedArrayCache | None = None):
         self.cache = LRUCache(capacity)
-        self.decimals = decimals
         self.shared = shared
 
     def key(self, model: str, content_key: str, points: np.ndarray) -> str:
         """Cache key of one request: its quantised cloud, model name and deployment content."""
-        return cloud_fingerprint(points, self.decimals, extra=(model, content_key))
+        return cloud_fingerprint(points, extra=(model, content_key))
 
     def lookup(self, key: str, request_id: int, model: str, estimated_device_ms: float) -> InferenceResult | None:
         """The cached reply to a request, or ``None`` on a miss."""
@@ -277,7 +270,7 @@ class InferenceEngine:
         self.registry = registry
         self.config = config or EngineConfig()
         self.edge_cache = LRUCache(self.config.edge_cache_capacity)
-        self.telemetry = TelemetryStore(self.config.telemetry_window)
+        self.telemetry = TelemetryStore()
         self.admission = AdmissionControl(
             self.telemetry, self.config.admission_control, self.config.max_queue_depth, "queue depth {depth}"
         )
@@ -289,16 +282,12 @@ class InferenceEngine:
             shared_root = pathlib.Path(self.config.shared_cache_dir)
             self.shared_cache = SharedArrayCache(shared_root / "results")
             shared_edges = SharedArrayCache(shared_root / "edges")
-        self.result_cache = ResultTier(
-            self.config.result_cache_capacity, self.config.quantize_decimals, shared=self.shared_cache
-        )
+        self.result_cache = ResultTier(self.config.result_cache_capacity, shared=self.shared_cache)
         # Deterministic even with caching disabled, so cached and uncached
         # engines produce bit-identical logits.
         caching = self.config.edge_cache_capacity > 0
         self._graph_builder = CachingGraphBuilder(
-            cache=self.edge_cache if caching else None,
-            decimals=self.config.quantize_decimals,
-            shared=shared_edges if caching else None,
+            cache=self.edge_cache if caching else None, shared=shared_edges if caching else None
         )
         self._content_keys: dict[tuple[str, int], str] = {}
         self._next_request_id = 0

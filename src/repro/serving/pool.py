@@ -89,6 +89,14 @@ __all__ = [
 
 _LOGGER = get_logger("serving.pool")
 
+#: Collector poll interval (also bounds crash-detection latency).
+_POLL_INTERVAL_S = 0.05
+#: Ceiling on a worker slot's doubling restart backoff.
+_RESTART_BACKOFF_MAX_S = 5.0
+#: Slack past a request's deadline before the frontend force-fails its
+#: future (covers requests a worker never got to dequeue).
+_DEADLINE_GRACE_S = 1.0
+
 
 class DeadlineExceededError(RuntimeError):
     """Raised when a request's deadline expired before it finished."""
@@ -100,7 +108,7 @@ class WorkerCrashError(RuntimeError):
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Worker-pool policy knobs."""
+    """Worker-pool policy knobs.  Fixed: workers fork where the platform can and serve the dtype ambient at construction."""
 
     #: Number of worker processes (each hosts a full engine).
     workers: int = 2
@@ -111,29 +119,16 @@ class PoolConfig:
     #: How many times a crashed worker's in-flight request is requeued onto
     #: a surviving worker before its future fails.
     max_retries: int = 1
-    #: ``multiprocessing`` start method; ``None`` picks ``fork`` where
-    #: available (fast startup) and falls back to ``spawn``.
-    start_method: str | None = None
-    #: Collector poll interval (also bounds crash-detection latency).
-    poll_interval_s: float = 0.05
-    #: Compute dtype workers serve under; ``None`` captures the ambient
-    #: default dtype at pool construction.
-    dtype: str | None = None
     #: Supervisor: how many times one worker slot may be restarted after a
     #: crash or stall before it is left dead (graceful degradation).
     max_restarts: int = 2
     #: Initial restart backoff; doubles per restart of the same worker.
     restart_backoff_s: float = 0.1
-    #: Ceiling on the per-worker restart backoff.
-    restart_backoff_max_s: float = 5.0
     #: How often an idle worker emits a liveness heartbeat.
     heartbeat_interval_s: float = 0.5
     #: A live process silent for longer than this is treated as stalled and
     #: killed+restarted by the supervisor; ``0`` disables stall detection.
     heartbeat_timeout_s: float = 10.0
-    #: Extra slack past a request's deadline before the frontend force-fails
-    #: its future (covers requests a worker never got to dequeue).
-    deadline_grace_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -142,22 +137,16 @@ class PoolConfig:
             raise ValueError(f"request_timeout_s must be positive, got {self.request_timeout_s}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.poll_interval_s <= 0:
-            raise ValueError(f"poll_interval_s must be positive, got {self.poll_interval_s}")
-        if self.start_method not in (None, "fork", "spawn", "forkserver"):
-            raise ValueError(f"unknown start_method '{self.start_method}'")
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.restart_backoff_s < 0 or self.restart_backoff_max_s < 0:
-            raise ValueError("restart backoffs must be >= 0")
+        if self.restart_backoff_s < 0:
+            raise ValueError(f"restart_backoff_s must be >= 0, got {self.restart_backoff_s}")
         if self.heartbeat_interval_s <= 0:
             raise ValueError(f"heartbeat_interval_s must be positive, got {self.heartbeat_interval_s}")
         if self.heartbeat_timeout_s < 0:
             raise ValueError(f"heartbeat_timeout_s must be >= 0, got {self.heartbeat_timeout_s}")
         if 0 < self.heartbeat_timeout_s <= self.heartbeat_interval_s:
             raise ValueError("heartbeat_timeout_s must exceed heartbeat_interval_s")
-        if self.deadline_grace_s < 0:
-            raise ValueError(f"deadline_grace_s must be >= 0, got {self.deadline_grace_s}")
 
 
 # ---------------------------------------------------------------------- #
@@ -406,10 +395,9 @@ class WorkerPoolEngine:
         if self.pool_config.shared_cache and config.shared_cache_dir is None:
             config = dataclasses.replace(config, shared_cache_dir=str(self.root / "serving_cache"))
         self.config = config
-        dtype = self.pool_config.dtype or str(np.dtype(get_default_dtype()))
         # Frontend-side telemetry: rejections (admission lives here) and
         # per-model request counts merged with worker snapshots at shutdown.
-        self.telemetry = TelemetryStore(config.telemetry_window)
+        self.telemetry = TelemetryStore()
         self.admission = AdmissionControl(
             self.telemetry,
             config.admission_control,
@@ -419,7 +407,7 @@ class WorkerPoolEngine:
         # The in-memory result tier.  Keys hash the snapshot the workers
         # load, computed once here: a later replace=True on self.registry
         # must not key the workers' old-weight logits under new weights.
-        self.result_cache = ResultTier(config.result_cache_capacity, config.quantize_decimals)
+        self.result_cache = ResultTier(config.result_cache_capacity)
         backend = config.backend or active_backend_name()
         self._content_keys = (
             {entry.name: deployment_fingerprint(entry, backend) for entry in registry.entries()}
@@ -441,9 +429,7 @@ class WorkerPoolEngine:
 
         registry_dir = self.root / "pool_registry"
         registry.save(registry_dir)
-        method = self.pool_config.start_method
-        if method is None:
-            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         # Kept for the supervisor: restarting a crashed worker re-launches
         # _worker_main with exactly the construction-time arguments.
         self._context = multiprocessing.get_context(method)
@@ -453,7 +439,7 @@ class WorkerPoolEngine:
         self._worker_config = dataclasses.replace(
             config, admission_control=False, result_cache_capacity=0, backend=backend
         )
-        self._dtype_str = dtype
+        self._dtype_str = str(np.dtype(get_default_dtype()))
         self._workers: list[_Worker] = []
         for worker_id in range(self.pool_config.workers):
             self._workers.append(_Worker(worker_id, *self._launch_worker(worker_id)))
@@ -610,7 +596,7 @@ class WorkerPoolEngine:
             with self._lock:
                 if not self._inflight:
                     return True
-            time.sleep(self.pool_config.poll_interval_s)
+            time.sleep(_POLL_INTERVAL_S)
         with self._lock:
             return not self._inflight
 
@@ -622,7 +608,7 @@ class WorkerPoolEngine:
         while True:
             readers = [worker.results for worker in self._workers if not worker.results.closed]
             try:
-                ready = wait_for_ready(readers, timeout=self.pool_config.poll_interval_s)
+                ready = wait_for_ready(readers, timeout=_POLL_INTERVAL_S)
             except OSError:  # a reader was closed by a concurrent restart
                 continue
             for reader in ready:
@@ -639,7 +625,7 @@ class WorkerPoolEngine:
             # so a steady request stream cannot starve crash/stall/deadline
             # detection.
             now = time.monotonic()
-            if not ready or now - last_supervise >= self.pool_config.poll_interval_s:
+            if not ready or now - last_supervise >= _POLL_INTERVAL_S:
                 last_supervise = now
                 self._check_workers()
                 self._expire_overdue()
@@ -730,10 +716,7 @@ class WorkerPoolEngine:
         self._reassign(worker_id, reason=f"worker {worker_id} failed to start: {message}")
 
     def _schedule_restart(self, worker: _Worker) -> None:
-        backoff = min(
-            self.pool_config.restart_backoff_s * 2.0**worker.restarts,
-            self.pool_config.restart_backoff_max_s,
-        )
+        backoff = min(self.pool_config.restart_backoff_s * 2.0**worker.restarts, _RESTART_BACKOFF_MAX_S)
         worker.next_restart_at = time.time() + backoff
 
     def _on_crash(self, worker: _Worker, reason: str) -> None:
@@ -820,10 +803,9 @@ class WorkerPoolEngine:
         a small delivery grace.
         """
         now = time.time()
-        grace = self.pool_config.deadline_grace_s
         with self._lock:
             overdue = [
-                request_id for request_id, slot in self._inflight.items() if now > slot.deadline + grace
+                request_id for request_id, slot in self._inflight.items() if now > slot.deadline + _DEADLINE_GRACE_S
             ]
         for request_id in overdue:
             slot = self._take(request_id)
@@ -915,10 +897,12 @@ class WorkerPoolEngine:
     # ------------------------------------------------------------------ #
     def fleet_telemetry(self) -> TelemetryStore:
         """Frontend telemetry with every collected worker snapshot merged in."""
-        fleet = TelemetryStore(self.config.telemetry_window)
-        fleet.merge(self.telemetry.snapshot())
-        for snapshot in self.worker_snapshots.values():
-            fleet.merge(snapshot["telemetry"])
+        snapshots = [self.telemetry.snapshot()] + [snapshot["telemetry"] for snapshot in self.worker_snapshots.values()]
+        # Room for every process's whole window: a single window's room
+        # would keep only the last-merged process's values.
+        fleet = TelemetryStore(self.telemetry.window * len(snapshots))
+        for snapshot in snapshots:
+            fleet.merge(snapshot)
         return fleet
 
     def fleet_cache_stats(self) -> dict[str, CacheStats]:
@@ -949,7 +933,7 @@ class WorkerPoolEngine:
         fleet = self.fleet_telemetry()
         per_worker = {}
         for worker_id, snapshot in sorted(self.worker_snapshots.items()):
-            worker_store = TelemetryStore(self.config.telemetry_window).merge(snapshot["telemetry"])
+            worker_store = TelemetryStore().merge(snapshot["telemetry"])
             per_worker[worker_id] = worker_store.report()
         return {
             "fleet": fleet.report(self.fleet_cache_stats() or None),

@@ -421,7 +421,7 @@ class TestEvolutionValidation:
         return EvolutionarySearch(
             EvolutionConfig(population_size=6),
             initialize=lambda r: int(r.integers(0, 100)),
-            mutate=lambda g, r, n: int(g + r.integers(-3, 4)),
+            mutate=lambda g, r: int(g + r.integers(-3, 4)),
             evaluate=float,
             rng=rng,
             validate=validate,

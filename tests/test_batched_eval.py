@@ -189,16 +189,14 @@ class TestKnnRegression:
 
 class TestEvolutionBatched:
     @staticmethod
-    def _make_search(rng, evaluate_many=None, **config_kwargs):
-        config = EvolutionConfig(**{"population_size": 8, **config_kwargs})
+    def _make_search(rng, evaluate_many=None):
         return EvolutionarySearch(
-            config,
+            EvolutionConfig(population_size=8),
             initialize=lambda r: int(r.integers(0, 100)),
-            mutate=lambda x, r, n: int(np.clip(x + r.integers(-5, 6), 0, 100)),
+            mutate=lambda x, r: int(np.clip(x + r.integers(-5, 6), 0, 100)),
             evaluate=lambda x: -abs(x - 42.0),
             crossover=lambda a, b, r: (a + b) // 2,
             rng=rng,
-            evaluation_cost_s=0.3,
             evaluate_many=evaluate_many,
         )
 
@@ -226,7 +224,7 @@ class TestEvolutionBatched:
         search = EvolutionarySearch(
             EvolutionConfig(population_size=6),
             initialize=lambda r: int(r.integers(0, 3)),
-            mutate=lambda x, r, n: int((x + 1) % 3),
+            mutate=lambda x, r: int((x + 1) % 3),
             evaluate=lambda x: float(x),
             rng=np.random.default_rng(0),
             evaluate_many=evaluate_many,
@@ -245,13 +243,13 @@ class TestEvolutionBatched:
             search.run(1)
 
     def test_population_size_two_improves(self):
-        # Regression: population_size=2 with parent_fraction=0.5 used to
-        # produce num_parents=2 and therefore zero children per generation,
-        # freezing the search at its random initial population.
+        # Regression: population_size=2 with half the population kept as
+        # parents used to produce num_parents=2 and therefore zero children
+        # per generation, freezing the search at its random initial population.
         search = EvolutionarySearch(
-            EvolutionConfig(population_size=2, parent_fraction=0.5),
+            EvolutionConfig(population_size=2),
             initialize=lambda r: 0,
-            mutate=lambda x, r, n: x + 1,
+            mutate=lambda x, r: x + 1,
             evaluate=lambda x: float(x),
             rng=np.random.default_rng(0),
         )
@@ -260,10 +258,8 @@ class TestEvolutionBatched:
         assert result.best_score == 10.0
 
     def test_num_parents_clamped(self):
-        assert EvolutionConfig(population_size=2, parent_fraction=0.5).num_parents == 1
-        assert EvolutionConfig(population_size=2, parent_fraction=1.0).num_parents == 1
-        assert EvolutionConfig(population_size=20, parent_fraction=0.5).num_parents == 10
-        assert EvolutionConfig(population_size=4, parent_fraction=0.25).num_parents == 2
+        assert EvolutionConfig(population_size=2).num_parents == 1
+        assert EvolutionConfig(population_size=20).num_parents == 10
 
 
 class TestSearchEquivalence:
@@ -311,22 +307,29 @@ class TestSearchEquivalence:
 
 class TestEvolutionClock:
     def test_batched_clock_matches_sequential(self):
-        def run(evaluate_many):
+        def run(batched):
             clock = VirtualClock()
+
+            def evaluate(x):
+                # Each fresh evaluation charges the clock, as HGNAS's scorers
+                # do; 0.01 is not exactly representable: order-sensitive.
+                clock.advance(0.01)
+                return float(x)
+
             search = EvolutionarySearch(
                 EvolutionConfig(population_size=5),
                 initialize=lambda r: int(r.integers(0, 50)),
-                mutate=lambda x, r, n: int(np.clip(x + r.integers(-3, 4), 0, 50)),
-                evaluate=lambda x: float(x),
+                mutate=lambda x, r: int(np.clip(x + r.integers(-3, 4), 0, 50)),
+                evaluate=evaluate,
                 rng=np.random.default_rng(11),
                 clock=clock,
-                evaluation_cost_s=0.01,  # not exactly representable: order-sensitive
-                evaluate_many=evaluate_many,
+                evaluate_many=(lambda xs: [evaluate(x) for x in xs]) if batched else None,
             )
             return search.run(6), clock.now
 
-        sequential_result, sequential_clock = run(None)
-        batched_result, batched_clock = run(lambda xs: [float(x) for x in xs])
+        sequential_result, sequential_clock = run(False)
+        batched_result, batched_clock = run(True)
+        assert sequential_clock > 0.0
         assert batched_clock == sequential_clock
         assert [dataclasses.astuple(p) for p in batched_result.history] == [
             dataclasses.astuple(p) for p in sequential_result.history

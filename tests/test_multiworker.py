@@ -14,6 +14,7 @@ import pytest
 from repro.hardware.device import get_device
 from repro.nas.architecture import Architecture
 from repro.nas.presets import dgcnn_architecture, device_fast_architecture
+from repro.nn.dtype import default_dtype
 from repro.serving import (
     AdmissionError,
     CircuitBreaker,
@@ -29,6 +30,7 @@ from repro.serving import (
 )
 from repro.serving.engine import InferenceResult
 from repro.serving.frontend import AsyncServingFrontend, request_over_tcp
+from repro.serving.telemetry import TelemetryStore
 
 
 def _make_registry(name="model", device="raspberry-pi", num_classes=6, k=6, slo_ms=None, seed=0):
@@ -138,8 +140,11 @@ class TestPoolConfig:
             {"request_timeout_s": 0.0},
             {"request_timeout_s": -1.0},
             {"max_retries": -1},
-            {"poll_interval_s": 0.0},
-            {"start_method": "thread"},
+            {"max_restarts": -1},
+            {"restart_backoff_s": -0.5},
+            {"heartbeat_interval_s": 0.0},
+            {"heartbeat_timeout_s": -1.0},
+            {"heartbeat_interval_s": 1.0, "heartbeat_timeout_s": 1.0},  # must exceed the interval
         ],
     )
     def test_invalid_rejected_at_construction(self, kwargs):
@@ -169,6 +174,20 @@ class TestWorkerPoolEngine:
         with WorkerPoolEngine(registry, EngineConfig(max_batch_size=1), PoolConfig(workers=2)) as pool:
             results = pool.submit_many("model", clouds)
         for logits, result in zip(expected, results):
+            np.testing.assert_array_equal(logits, result.logits)
+
+    def test_serves_the_ambient_float64(self, rng):
+        """Workers serve the default dtype in force when the pool is built."""
+        clouds = _clouds(rng, 4)
+        with default_dtype("float64"):
+            registry = _make_registry()
+            engine = InferenceEngine(registry, EngineConfig(max_batch_size=1))
+            expected = [engine.submit("model", cloud).logits for cloud in clouds]
+            with WorkerPoolEngine(registry, EngineConfig(max_batch_size=1), PoolConfig(workers=1)) as pool:
+                results = pool.submit_many("model", clouds)
+        for logits, result in zip(expected, results):
+            assert result.worker == 0
+            assert logits.dtype == result.logits.dtype == np.float64
             np.testing.assert_array_equal(logits, result.logits)
 
     def test_random_sampling_is_bit_identical_across_serving_modes(self, rng, tmp_path):
@@ -291,10 +310,12 @@ class TestWorkerPoolEngine:
         except (WorkerCrashError, DeadlineExceededError):
             pass
 
-    def test_deadline_expiry_while_queued_resolves_future(self, rng):
+    def test_deadline_expiry_while_queued_resolves_future(self, rng, monkeypatch):
         """A request a wedged worker never dequeues fails at deadline+grace."""
         from repro.faults import FaultPlan, FaultSpec, use_faults
 
+        # The frontend's sweep reads the grace at call time, in this process.
+        monkeypatch.setattr("repro.serving.pool._DEADLINE_GRACE_S", 0.1)
         registry = _make_registry()
         plan = FaultPlan.of(
             FaultSpec(point="serving.worker.serve", action="delay", delay_s=2.0, times=1)
@@ -306,7 +327,6 @@ class TestWorkerPoolEngine:
                 PoolConfig(
                     workers=1,
                     request_timeout_s=0.3,
-                    deadline_grace_s=0.1,
                     heartbeat_timeout_s=0.0,  # keep the worker wedged, not restarted
                     max_retries=0,
                 ),
@@ -595,6 +615,19 @@ class TestFleetTelemetry:
         merged = fleet.latency_percentiles()
         for key, rank in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
             assert merged[key] == pytest.approx(float(np.percentile(latencies, rank)))
+
+    def test_fleet_window_keeps_every_process(self):
+        """Merged full windows all survive, not only the last-merged process's."""
+        fast, slow = TelemetryStore(), TelemetryStore()
+        for _ in range(1024):
+            fast.model("model").record_request(latency_ms=1.0, queue_ms=0.0, from_cache=False)
+            slow.model("model").record_request(latency_ms=100.0, queue_ms=0.0, from_cache=False)
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            pool.shutdown()
+        pool.worker_snapshots = {0: {"telemetry": fast.snapshot()}, 1: {"telemetry": slow.snapshot()}}
+        fleet = pool.fleet_telemetry().model("model")
+        assert fleet.served == 2048
+        assert fleet.latency_percentiles((25.0, 75.0)) == {"p25": 1.0, "p75": 100.0}
 
     def test_report_includes_per_worker_breakdown(self, rng):
         registry = _make_registry()

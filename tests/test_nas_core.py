@@ -259,7 +259,7 @@ class TestEvolution:
         def initialize(r):
             return int(r.integers(0, 100))
 
-        def mutate(x, r, n):
+        def mutate(x, r):
             return int(np.clip(x + r.integers(-5, 6), 0, 100))
 
         search = EvolutionarySearch(
@@ -274,13 +274,16 @@ class TestEvolution:
         assert result.best_score == pytest.approx(-abs(result.best - target))
 
     def test_history_monotone_and_clock(self, rng):
+        def evaluate(x):
+            search.clock.advance(2.0)  # each fresh evaluation charges the clock
+            return x
+
         search = EvolutionarySearch(
             EvolutionConfig(population_size=6),
             initialize=lambda r: float(r.random()),
-            mutate=lambda x, r, n: float(np.clip(x + r.normal(0, 0.1), 0, 1)),
-            evaluate=lambda x: x,
+            mutate=lambda x, r: float(np.clip(x + r.normal(0, 0.1), 0, 1)),
+            evaluate=evaluate,
             rng=rng,
-            evaluation_cost_s=2.0,
         )
         result = search.run(5)
         scores = [point.best_score for point in result.history]
@@ -297,7 +300,7 @@ class TestEvolution:
         search = EvolutionarySearch(
             EvolutionConfig(population_size=6),
             initialize=lambda r: int(r.integers(0, 3)),
-            mutate=lambda x, r, n: int((x + 1) % 3),
+            mutate=lambda x, r: int((x + 1) % 3),
             evaluate=evaluate,
             rng=rng,
         )
@@ -307,12 +310,10 @@ class TestEvolution:
     def test_invalid_configs(self, rng):
         with pytest.raises(ValueError):
             EvolutionConfig(population_size=1)
-        with pytest.raises(ValueError):
-            EvolutionConfig(parent_fraction=0.0)
         search = EvolutionarySearch(
             EvolutionConfig(population_size=4),
             initialize=lambda r: 0,
-            mutate=lambda x, r, n: x,
+            mutate=lambda x, r: x,
             evaluate=lambda x: 0.0,
             rng=rng,
         )

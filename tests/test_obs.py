@@ -284,13 +284,17 @@ class TestEvolutionInstrumentation:
         tracer = Tracer()
         registry = MetricsRegistry()
         rng = np.random.default_rng(0)
+
+        def evaluate(genotype):
+            search.clock.advance(1.0)  # each fresh evaluation charges the clock
+            return float(genotype)
+
         search = EvolutionarySearch(
             EvolutionConfig(population_size=4),
             initialize=lambda r: int(r.integers(0, 8)),
-            mutate=lambda genotype, r, n: (genotype + 1) % 8,
-            evaluate=lambda genotype: float(genotype),
+            mutate=lambda genotype, r: (genotype + 1) % 8,
+            evaluate=evaluate,
             rng=rng,
-            evaluation_cost_s=1.0,
         )
         with use_tracer(tracer), use_metrics(registry):
             result = search.run(iterations=3)

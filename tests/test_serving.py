@@ -223,8 +223,6 @@ class TestEngineConfigValidation:
             {"max_queue_depth": 0},
             {"result_cache_capacity": -1},
             {"edge_cache_capacity": -1},
-            {"quantize_decimals": -1},
-            {"telemetry_window": 0},
             {"backend": "no-such-backend"},
             {"backend": ""},  # empty is a name, not "follow the ambient path"
         ],
