@@ -13,7 +13,22 @@ to asyncio:
   run a newline-delimited-JSON TCP server (``repro serve --workers N
   --port P``): one request object per line in, one response object per
   line out, errors reported in-band as ``{"ok": false, ...}`` so a bad
-  request never kills the connection.
+  request never kills the connection.  A request line may be up to
+  :data:`MAX_LINE_BYTES` (16 MiB; a 1024-point cloud is about 66 KB, past
+  asyncio's 64 KiB default); a longer one is read past and answered with
+  an in-band ``BadRequest``, and the connection goes on with the next line.
+* The TCP server remembers the decoded ``(model, points)`` of lines the
+  pool's result tier answered, keyed by ``(line bytes, default dtype)``,
+  so a repeated hot line skips ``json.loads`` and the array conversion
+  (most of its cost) and goes straight to :meth:`~AsyncServingFrontend.submit`.
+  Only a line the result tier answered is stored, so one-off clouds never
+  churn the memo and a line that failed to parse, validate or admit is
+  never stored; it holds at most the pool's ``result_cache_capacity``
+  lines (LRU, 0 turns it off).  Decoding is a pure function of the bytes
+  and the dtype policy, and admission, validation, the result-tier lookup,
+  telemetry and the breaker still run on every request, so every reply is
+  the one an uncached decode would give.  Hits are counted as
+  ``serving.frontend.decoded_reused``.
 
 The wire format is deliberately minimal — stdlib-only JSON lines — so
 tests and the CLI client need nothing beyond :mod:`asyncio` and
@@ -24,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections import OrderedDict
 
 import numpy as np
 
@@ -35,9 +51,13 @@ from repro.serving.pool import DeadlineExceededError, WorkerCrashError, WorkerPo
 from repro.serving.resilience import CircuitBreaker, CircuitOpenError, RetryPolicy
 from repro.utils.logging import get_logger
 
-__all__ = ["AsyncServingFrontend", "FrontendTimeoutError", "request_over_tcp"]
+__all__ = ["AsyncServingFrontend", "FrontendTimeoutError", "MAX_LINE_BYTES", "request_over_tcp"]
 
 _LOGGER = get_logger("serving.frontend")
+
+#: The longest request line the TCP server reads (its ``StreamReader`` limit).
+#: A 1024-point cloud is about 66 KB of JSON, past asyncio's 64 KiB default.
+MAX_LINE_BYTES = 16 * 1024 * 1024
 
 
 class FrontendTimeoutError(TimeoutError):
@@ -62,12 +82,16 @@ def _result_message(result: InferenceResult) -> dict:
         "ok": True,
         "model": result.model,
         "label": result.label,
-        "logits": [float(value) for value in np.asarray(result.logits).ravel()],
+        "logits": np.asarray(result.logits).ravel().tolist(),
         "latency_ms": result.latency_ms,
         "batch_size": result.batch_size,
         "from_cache": result.from_cache,
         "worker": result.worker,
     }
+
+
+def _bad_request(message: str) -> dict:
+    return {"ok": False, "error": "BadRequest", "message": message}
 
 
 def _error_message(error: BaseException) -> dict:
@@ -79,6 +103,25 @@ def _error_message(error: BaseException) -> dict:
         message = "internal server error"
         _LOGGER.exception("unexpected serving error")
     return {"ok": False, "error": name, "message": message}
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line (``b""`` at EOF), or ``None`` for a line over the limit.
+
+    An over-limit line is dropped a buffer at a time, so memory stays
+    bounded and the stream stays at a line boundary for the next request.
+    """
+    overrun = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as error:
+            line = error.partial
+        except asyncio.LimitOverrunError as error:
+            await reader.readexactly(error.consumed)
+            overrun = True
+            continue
+        return None if overrun else line
 
 
 class AsyncServingFrontend:
@@ -98,6 +141,9 @@ class AsyncServingFrontend:
         self.circuit_breaker = circuit_breaker
         self.idle_timeout_s = idle_timeout_s
         self._server: asyncio.AbstractServer | None = None
+        # (line bytes, dtype) -> (model, read-only points) of lines the
+        # pool's result tier answered; see the module docstring.
+        self._decoded: OrderedDict[tuple[bytes, np.dtype], tuple[str, np.ndarray]] = OrderedDict()
         self.requests_served = 0
         self.requests_failed = 0
         self.retries = 0
@@ -157,17 +203,37 @@ class AsyncServingFrontend:
     # TCP server (newline-delimited JSON)
     # ------------------------------------------------------------------ #
     async def _handle_line(self, line: bytes) -> dict:
-        try:
-            request = json.loads(line)
-            model = request["model"]
-            points = np.asarray(request["points"], dtype=get_default_dtype())
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
-            return {"ok": False, "error": "BadRequest", "message": f"malformed request: {error}"}
+        dtype = get_default_dtype()
+        key = (line, dtype)
+        decoded = self._decoded.get(key)
+        if decoded is not None:
+            self._decoded.move_to_end(key)
+            get_metrics().count("serving.frontend.decoded_reused")
+            model, points = decoded
+        else:
+            try:
+                request = json.loads(line)
+                model = request["model"]
+                points = np.asarray(request["points"], dtype=dtype)
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
+                return _bad_request(f"malformed request: {error}")
         try:
             result = await self.submit(model, points)
         except Exception as error:  # noqa: BLE001 - reported in-band to the client
             return _error_message(error)
+        if decoded is None and result.worker is None:
+            self._remember(key, model, points)
         return _result_message(result)
+
+    def _remember(self, key: tuple[bytes, np.dtype], model: str, points: np.ndarray) -> None:
+        """Store a decoded line the result tier answered, evicting the oldest."""
+        capacity = self.pool.config.result_cache_capacity
+        if capacity <= 0:
+            return
+        points.setflags(write=False)  # shared by every later reuse of the line
+        self._decoded[key] = (model, points)
+        if len(self._decoded) > capacity:
+            self._decoded.popitem(last=False)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -176,9 +242,9 @@ class AsyncServingFrontend:
             while True:
                 try:
                     if self.idle_timeout_s is not None:
-                        line = await asyncio.wait_for(reader.readline(), timeout=self.idle_timeout_s)
+                        line = await asyncio.wait_for(_read_line(reader), timeout=self.idle_timeout_s)
                     else:
-                        line = await reader.readline()
+                        line = await _read_line(reader)
                 except asyncio.TimeoutError:
                     # A stalled peer no longer pins this handler forever: tell
                     # it why (in-band, typed) and drop the connection.
@@ -190,11 +256,14 @@ class AsyncServingFrontend:
                     writer.write(json.dumps(message).encode() + b"\n")
                     await writer.drain()
                     break
-                if not line:
+                if line is None:
+                    response = _bad_request(f"request line longer than {MAX_LINE_BYTES} bytes")
+                elif not line:
                     break
-                if not line.strip():
+                elif not line.strip():
                     continue
-                response = await self._handle_line(line)
+                else:
+                    response = await self._handle_line(line)
                 if response["ok"]:
                     self.requests_served += 1
                 else:
@@ -216,7 +285,9 @@ class AsyncServingFrontend:
         """
         if self._server is not None:
             raise RuntimeError("frontend server already started")
-        self._server = await asyncio.start_server(self._handle_connection, host=host, port=port)
+        self._server = await asyncio.start_server(
+            self._handle_connection, host=host, port=port, limit=MAX_LINE_BYTES
+        )
         bound = self._server.sockets[0].getsockname()
         _LOGGER.info("serving frontend listening on %s:%d", bound[0], bound[1])
         return bound[0], bound[1]

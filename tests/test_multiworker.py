@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import json
 import threading
 import time
 from concurrent.futures import Future
@@ -28,8 +29,9 @@ from repro.serving import (
     WorkerPoolEngine,
     deployment_fingerprint,
 )
+from repro.serving import frontend as frontend_module
 from repro.serving.engine import InferenceResult
-from repro.serving.frontend import AsyncServingFrontend, request_over_tcp
+from repro.serving.frontend import AsyncServingFrontend, _result_message, request_over_tcp
 from repro.serving.telemetry import TelemetryStore
 
 
@@ -49,6 +51,55 @@ def _make_registry(name="model", device="raspberry-pi", num_classes=6, k=6, slo_
 
 def _clouds(rng, count, num_points=20):
     return [rng.standard_normal((num_points, 3)) for _ in range(count)]
+
+
+def _line(cloud, model="model"):
+    return json.dumps({"model": model, "points": cloud.tolist()}).encode() + b"\n"
+
+
+async def _exchange(host, port, lines):
+    """Send raw request lines over one connection; returns the raw reply lines."""
+    reader, writer = await asyncio.open_connection(host, port)
+    replies = []
+    try:
+        for line in lines:
+            writer.write(line)
+            await writer.drain()
+            replies.append(await asyncio.wait_for(reader.readline(), timeout=60))
+    finally:
+        writer.close()
+    return replies
+
+
+def _serve_lines(pool, lines, frontend=None):
+    """Serve raw lines through a TCP frontend over ``pool``; returns ``(replies, frontend)``."""
+    frontend = frontend or AsyncServingFrontend(pool)
+
+    async def scenario():
+        host, port = await frontend.start(port=0)
+        try:
+            return await _exchange(host, port, lines)
+        finally:
+            await frontend.stop()
+
+    return asyncio.run(scenario()), frontend
+
+
+class _CountingLoads:
+    """Counts ``json.loads`` calls by argument, so a request line's decodes can be counted."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        loads = json.loads
+
+        def counting(text, *args, **kwargs):
+            self.calls.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(frontend_module.json, "loads", counting)
+
+    def count(self, line):
+        return sum(call == line for call in self.calls)
 
 
 class _TornPipe:
@@ -782,6 +833,118 @@ class TestAsyncFrontend:
         pool.outcome = None
         assert asyncio.run(frontend.submit("model", np.zeros((4, 3)))) is served
         assert breaker.state == "closed"
+
+    def test_repeated_hot_line_is_decoded_once(self, rng, monkeypatch):
+        """Once the result tier answers a line, its decode is reused and the replies stay bit-identical."""
+        from repro.obs import get_metrics
+
+        line = _line(_clouds(rng, 1)[0])
+        loads = _CountingLoads(monkeypatch)
+        reused_before = get_metrics().counter("serving.frontend.decoded_reused").value
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            replies, frontend = _serve_lines(pool, [line] * 5)
+            assert pool.submitted == 1
+        # The miss and the first result-tier hit decode; every later repeat reuses.
+        assert loads.count(line) == 2
+        assert get_metrics().counter("serving.frontend.decoded_reused").value == reused_before + 3
+        assert json.loads(replies[0])["worker"] == 0
+        assert json.loads(replies[1])["worker"] is None
+        assert replies[2:] == [replies[1]] * 3
+        assert json.loads(replies[1])["logits"] == json.loads(replies[0])["logits"]
+        assert frontend.requests_served == 5 and list(frontend._decoded) == [(line, np.dtype(np.float32))]
+
+    def test_failed_lines_are_never_stored(self, rng, monkeypatch):
+        cloud = _clouds(rng, 1)[0]
+        nan_cloud = cloud.copy()
+        nan_cloud[0, 0] = np.nan
+        bad = [b"not json\n", _line(nan_cloud), _line(cloud, model="missing")]
+        loads = _CountingLoads(monkeypatch)
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            replies, frontend = _serve_lines(pool, [line for line in bad for _ in range(2)])
+            assert pool.submitted == 0
+        errors = [json.loads(reply)["error"] for reply in replies]
+        assert errors == ["BadRequest", "BadRequest", "ValueError", "ValueError", "KeyError", "KeyError"]
+        assert replies[0::2] == replies[1::2]
+        assert all(loads.count(line) == 2 for line in bad)
+        assert not frontend._decoded and frontend.requests_failed == 6
+
+    def test_capacity_zero_stores_nothing(self, rng):
+        line = _line(_clouds(rng, 1)[0])
+        config = EngineConfig(result_cache_capacity=0)
+        with WorkerPoolEngine(_make_registry(), config, PoolConfig(workers=1)) as pool:
+            replies, frontend = _serve_lines(pool, [line] * 3)
+        assert [json.loads(reply)["worker"] for reply in replies] == [0, 0, 0]
+        assert not frontend._decoded
+
+    def test_memo_is_bounded_and_evicts_the_oldest(self, rng):
+        a, b, c = (_line(cloud) for cloud in _clouds(rng, 3))
+        float32 = np.dtype(np.float32)
+        config = EngineConfig(result_cache_capacity=2)
+        with WorkerPoolEngine(_make_registry(), config, PoolConfig(workers=1)) as pool:
+            frontend = AsyncServingFrontend(pool)
+            sizes = []
+            for lines in ([a, a], [b, b], [a], [c, c]):
+                _serve_lines(pool, lines, frontend)
+                sizes.append(len(frontend._decoded))
+            # A reuse refreshes a's place, so c evicts b, the least recently used.
+            assert list(frontend._decoded) == [(a, float32), (c, float32)]
+        assert sizes == [1, 2, 2, 2]
+        assert all(not points.flags.writeable for _, points in frontend._decoded.values())
+
+    def test_a_line_is_decoded_again_under_another_dtype(self, rng, monkeypatch):
+        line = _line(_clouds(rng, 1)[0])
+        loads = _CountingLoads(monkeypatch)
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            frontend = AsyncServingFrontend(pool)
+
+            async def handle(times):
+                return [await frontend._handle_line(line) for _ in range(times)]
+
+            float32_replies = asyncio.run(handle(3))
+            with default_dtype("float64"):
+                float64_replies = asyncio.run(handle(3))
+        assert all(reply["ok"] for reply in float32_replies + float64_replies)
+        assert loads.count(line) == 4
+        stored = {dtype: points for (_, dtype), (_, points) in frontend._decoded.items()}
+        assert set(stored) == {np.dtype(np.float32), np.dtype(np.float64)}
+        assert all(points.dtype == dtype and not points.flags.writeable for dtype, points in stored.items())
+
+    def test_paper_sized_cloud_over_tcp(self, rng):
+        """A 1024-point line is past asyncio's 64 KiB default ``StreamReader`` limit."""
+        cloud = rng.standard_normal((1024, 3)) * 1e-2
+        line = _line(cloud)
+        assert len(line) > 64 * 1024
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            (reply,), _ = _serve_lines(pool, [line])
+            expected = pool.request("model", cloud)
+        reply = json.loads(reply)
+        assert reply["ok"] and reply["worker"] == 0
+        assert expected.worker is None  # the decoded cloud keyed the same result-tier entry
+        assert reply["logits"] == np.asarray(expected.logits).tolist()
+
+    @pytest.mark.parametrize("margin", [2, 60_000], ids=["line-buffered", "line-in-pieces"])
+    def test_over_limit_line_gets_bad_request_and_the_connection_goes_on(self, rng, monkeypatch, margin):
+        big, small = _line(rng.standard_normal((1024, 3))), _line(_clouds(rng, 1)[0])
+        monkeypatch.setattr(frontend_module, "MAX_LINE_BYTES", len(big) - margin)
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            replies, frontend = _serve_lines(pool, [big, small, big])
+            assert pool.submitted == 1
+        over, served, again = (json.loads(reply) for reply in replies)
+        assert over["error"] == "BadRequest" and "longer than" in over["message"]
+        assert served["ok"] and again == over
+        assert frontend.requests_served == 1 and frontend.requests_failed == 2
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_reply_logits_match_the_per_element_construction(self, rng, dtype):
+        logits = rng.standard_normal(40).astype(dtype)
+        logits[:3] = [0.0, -0.0, 1e-40]
+        result = InferenceResult(
+            request_id=0, model="model", label=0, logits=logits, probabilities=logits,
+            latency_ms=1.0, queue_ms=0.0, batch_size=1, from_cache=False, estimated_device_ms=1.0, worker=0,
+        )
+        message = _result_message(result)
+        reference = dict(message, logits=[float(value) for value in logits])
+        assert json.dumps(message).encode() == json.dumps(reference).encode()
 
     def test_async_submit_matches_sync(self, rng):
         registry = _make_registry()
