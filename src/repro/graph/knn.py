@@ -229,20 +229,24 @@ def stacked_knn_indices(clouds: np.ndarray, k: int) -> np.ndarray:
 
 def _smallest_k(keys: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's ``k`` smallest keys, in (key, index) order."""
-    picked = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    rows, n = keys.shape
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
+    kept = keys <= kth
+    # A row keeps exactly k keys unless a tie straddles the k-th place.
+    exact = np.count_nonzero(kept, axis=1) == k
+    picked = np.empty((rows, k), dtype=np.intp)
+    if exact.all():
+        # flatnonzero walks the rows in order: each row's k columns, in index order.
+        picked[:] = (np.flatnonzero(kept) % n).reshape(rows, k)
+    else:
+        picked[exact] = (np.flatnonzero(kept[exact]) % n).reshape(-1, k)
+        for row in np.flatnonzero(~exact):
+            # The lowest tied indices win, as in a full stable sort.
+            picked[row] = np.argsort(keys[row], kind="stable")[:k]
     # Index order first, then a stable sort by key: (key, index) order.
-    picked.sort(axis=1)
     picked_keys = np.take_along_axis(keys, picked, axis=1)
     order = np.argsort(picked_keys, axis=1, kind="stable")
-    picked = np.take_along_axis(picked, order, axis=1)
-    # argpartition picks among keys equal to the k-th by its own internals;
-    # where more entries tie the k-th key than were picked, the row is
-    # re-ranked in full so the lowest tied indices win.
-    kth = np.take_along_axis(picked_keys, order[:, -1:], axis=1)
-    tied = np.count_nonzero(keys == kth, axis=1) > np.count_nonzero(picked_keys == kth, axis=1)
-    for row in np.flatnonzero(tied):
-        picked[row] = np.argsort(keys[row], kind="stable")[:k]
-    return picked
+    return np.take_along_axis(picked, order, axis=1)
 
 
 def knn_graph(points: np.ndarray, k: int, include_self: bool = False) -> np.ndarray:

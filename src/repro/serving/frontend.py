@@ -17,18 +17,26 @@ to asyncio:
   :data:`MAX_LINE_BYTES` (16 MiB; a 1024-point cloud is about 66 KB, past
   asyncio's 64 KiB default); a longer one is read past and answered with
   an in-band ``BadRequest``, and the connection goes on with the next line.
-* The TCP server remembers the decoded ``(model, points)`` of lines the
-  pool's result tier answered, keyed by ``(line bytes, default dtype)``,
-  so a repeated hot line skips ``json.loads`` and the array conversion
-  (most of its cost) and goes straight to :meth:`~AsyncServingFrontend.submit`.
-  Only a line the result tier answered is stored, so one-off clouds never
-  churn the memo and a line that failed to parse, validate or admit is
-  never stored; it holds at most the pool's ``result_cache_capacity``
-  lines (LRU, 0 turns it off).  Decoding is a pure function of the bytes
-  and the dtype policy, and admission, validation, the result-tier lookup,
-  telemetry and the breaker still run on every request, so every reply is
-  the one an uncached decode would give.  Hits are counted as
-  ``serving.frontend.decoded_reused``.
+* The TCP server remembers each line the pool's result tier answered,
+  keyed by ``(line bytes, default dtype)``: the line's prepared request
+  (:meth:`~repro.serving.pool.WorkerPoolEngine.prepare`: registry entry,
+  validated cloud and result-tier key) and the encoded reply of its last
+  result-tier answer.  A repeated hot line therefore skips ``json.loads``,
+  the array conversion and the cloud's fingerprint, and goes straight to
+  :meth:`~repro.serving.pool.WorkerPoolEngine.submit_prepared`.  Its reply
+  bytes are sent again only when the new answer's reply fields are equal
+  and its logits are bitwise equal (same ``dtype``, same ``tobytes()``),
+  so they are exactly what ``json.dumps`` would produce; a tier entry that
+  was evicted and recomputed with other bits gets a fresh encoding, and
+  logits with a NaN or an infinity are encoded afresh every time.  Only a
+  line the result tier answered is stored, so one-off clouds never churn
+  the memo and a line that failed to parse, validate or admit is never
+  stored; it holds at most the pool's ``result_cache_capacity`` lines
+  (LRU, 0 turns it off).  Decoding and preparing are pure functions of
+  the bytes and the dtype policy, and the breaker, admission, the
+  result-tier lookup and telemetry still run on every request, so every
+  reply is the one an uncached decode would give.  Reuses are counted as
+  ``serving.frontend.decoded_reused`` and ``serving.frontend.reply_reused``.
 
 The wire format is deliberately minimal — stdlib-only JSON lines — so
 tests and the CLI client need nothing beyond :mod:`asyncio` and
@@ -40,6 +48,10 @@ from __future__ import annotations
 import asyncio
 import json
 from collections import OrderedDict
+from concurrent.futures import Future
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +59,7 @@ from repro.faults import fault_point
 from repro.nn.dtype import get_default_dtype
 from repro.obs.metrics import get_metrics
 from repro.serving.engine import AdmissionError, InferenceResult
-from repro.serving.pool import DeadlineExceededError, WorkerCrashError, WorkerPoolEngine
+from repro.serving.pool import DeadlineExceededError, PreparedRequest, WorkerCrashError, WorkerPoolEngine
 from repro.serving.resilience import CircuitBreaker, CircuitOpenError, RetryPolicy
 from repro.utils.logging import get_logger
 
@@ -90,6 +102,11 @@ def _result_message(result: InferenceResult) -> dict:
     }
 
 
+def _reply_fields(result: InferenceResult) -> tuple:
+    """The fields of :func:`_result_message` other than ``ok`` and the logits."""
+    return (result.model, result.label, result.latency_ms, result.batch_size, result.from_cache, result.worker)
+
+
 def _bad_request(message: str) -> dict:
     return {"ok": False, "error": "BadRequest", "message": message}
 
@@ -124,6 +141,36 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
         return None if overrun else line
 
 
+@dataclass
+class _HotLine:
+    """A request line the pool's result tier answered: its prepared request and last reply."""
+
+    request: PreparedRequest
+    #: Encoded reply line of the last result-tier answer (``None``: none to reuse).
+    reply: bytes | None = None
+    fields: tuple = ()
+    dtype: np.dtype | None = None
+    logits: bytes = b""
+
+    def replays(self, result: InferenceResult) -> bool:
+        """Whether :attr:`reply` is the encoding of ``result``: equal fields, bitwise-equal logits."""
+        logits = np.asarray(result.logits)
+        return (
+            self.reply is not None
+            and _reply_fields(result) == self.fields
+            and logits.dtype == self.dtype
+            and logits.tobytes() == self.logits
+        )
+
+    def keep(self, result: InferenceResult, reply: bytes) -> None:
+        """Remember ``reply`` as the encoding of the result-tier answer ``result``."""
+        logits = np.asarray(result.logits)
+        if not np.isfinite(logits).all():
+            self.reply = None  # rare, and not standard JSON: encoded afresh every time
+            return
+        self.reply, self.fields, self.dtype, self.logits = reply, _reply_fields(result), logits.dtype, logits.tobytes()
+
+
 class AsyncServingFrontend:
     """Awaitable request API and a JSON-lines TCP server over one pool."""
 
@@ -141,9 +188,9 @@ class AsyncServingFrontend:
         self.circuit_breaker = circuit_breaker
         self.idle_timeout_s = idle_timeout_s
         self._server: asyncio.AbstractServer | None = None
-        # (line bytes, dtype) -> (model, read-only points) of lines the
-        # pool's result tier answered; see the module docstring.
-        self._decoded: OrderedDict[tuple[bytes, np.dtype], tuple[str, np.ndarray]] = OrderedDict()
+        # (line bytes, dtype) -> the line's prepared request and last reply,
+        # for lines the pool's result tier answered; see the module docstring.
+        self._hot: OrderedDict[tuple[bytes, np.dtype], _HotLine] = OrderedDict()
         self.requests_served = 0
         self.requests_failed = 0
         self.retries = 0
@@ -167,13 +214,17 @@ class AsyncServingFrontend:
         first is already late, the second is the pool shedding load on
         purpose.
         """
+        return await self._serve(partial(self.pool.submit, model, points))
+
+    async def _serve(self, submit: Callable[[], Future]) -> InferenceResult:
+        """Run one request's ``submit`` under the breaker and the retry policy (see :meth:`submit`)."""
         attempt = 0
         while True:
             attempt += 1
             if self.circuit_breaker is not None:
                 self.circuit_breaker.allow()
             try:
-                future = self.pool.submit(model, points)
+                future = submit()
                 result = future.result() if future.done() else await asyncio.wrap_future(future)
             except WorkerCrashError:
                 if self.circuit_breaker is not None:
@@ -202,38 +253,63 @@ class AsyncServingFrontend:
     # ------------------------------------------------------------------ #
     # TCP server (newline-delimited JSON)
     # ------------------------------------------------------------------ #
-    async def _handle_line(self, line: bytes) -> dict:
+    async def _handle_line(self, line: bytes) -> bytes:
+        """The encoded reply line to one request line."""
         dtype = get_default_dtype()
         key = (line, dtype)
-        decoded = self._decoded.get(key)
-        if decoded is not None:
-            self._decoded.move_to_end(key)
+        hot = self._hot.get(key)
+        if hot is not None:
+            self._hot.move_to_end(key)
             get_metrics().count("serving.frontend.decoded_reused")
-            model, points = decoded
+            submit = partial(self.pool.submit_prepared, hot.request)
         else:
             try:
                 request = json.loads(line)
                 model = request["model"]
                 points = np.asarray(request["points"], dtype=dtype)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
-                return _bad_request(f"malformed request: {error}")
-        try:
-            result = await self.submit(model, points)
-        except Exception as error:  # noqa: BLE001 - reported in-band to the client
-            return _error_message(error)
-        if decoded is None and result.worker is None:
-            self._remember(key, model, points)
-        return _result_message(result)
+                return self._reply(_bad_request(f"malformed request: {error}"))
+            prepared = None
 
-    def _remember(self, key: tuple[bytes, np.dtype], model: str, points: np.ndarray) -> None:
-        """Store a decoded line the result tier answered, evicting the oldest."""
+            def submit() -> Future:
+                nonlocal prepared
+                prepared = self.pool.prepare(model, points)
+                return self.pool.submit_prepared(prepared)
+
+        try:
+            result = await self._serve(submit)
+        except Exception as error:  # noqa: BLE001 - reported in-band to the client
+            return self._reply(_error_message(error))
+        if hot is not None and hot.replays(result):
+            get_metrics().count("serving.frontend.reply_reused")
+            self.requests_served += 1
+            return hot.reply
+        reply = self._reply(_result_message(result))
+        if result.worker is None:  # answered by the pool's result tier
+            if hot is None:
+                hot = self._remember(key, prepared)
+            if hot is not None:
+                hot.keep(result, reply)
+        return reply
+
+    def _reply(self, message: dict) -> bytes:
+        """Encode one reply line, counting it as served or failed."""
+        if message["ok"]:
+            self.requests_served += 1
+        else:
+            self.requests_failed += 1
+        return json.dumps(message).encode() + b"\n"
+
+    def _remember(self, key: tuple[bytes, np.dtype], request: PreparedRequest) -> _HotLine | None:
+        """Store a line the result tier answered, evicting the oldest; ``None`` when the memo is off."""
         capacity = self.pool.config.result_cache_capacity
         if capacity <= 0:
-            return
-        points.setflags(write=False)  # shared by every later reuse of the line
-        self._decoded[key] = (model, points)
-        if len(self._decoded) > capacity:
-            self._decoded.popitem(last=False)
+            return None
+        request.points.setflags(write=False)  # shared by every later reuse of the line
+        hot = self._hot[key] = _HotLine(request)
+        if len(self._hot) > capacity:
+            self._hot.popitem(last=False)
+        return hot
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -257,18 +333,14 @@ class AsyncServingFrontend:
                     await writer.drain()
                     break
                 if line is None:
-                    response = _bad_request(f"request line longer than {MAX_LINE_BYTES} bytes")
+                    reply = self._reply(_bad_request(f"request line longer than {MAX_LINE_BYTES} bytes"))
                 elif not line:
                     break
                 elif not line.strip():
                     continue
                 else:
-                    response = await self._handle_line(line)
-                if response["ok"]:
-                    self.requests_served += 1
-                else:
-                    self.requests_failed += 1
-                writer.write(json.dumps(response).encode() + b"\n")
+                    reply = await self._handle_line(line)
+                writer.write(reply)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover - client went away
             pass

@@ -76,7 +76,7 @@ from repro.serving.engine import (
     ResultTier,
     validate_points,
 )
-from repro.serving.registry import ModelRegistry
+from repro.serving.registry import DeployedModel, ModelRegistry
 from repro.serving.telemetry import TelemetryStore
 from repro.utils.logging import get_logger
 
@@ -84,6 +84,7 @@ __all__ = [
     "DeadlineExceededError",
     "WorkerCrashError",
     "PoolConfig",
+    "PreparedRequest",
     "WorkerPoolEngine",
 ]
 
@@ -313,6 +314,19 @@ def _handle_control(engine, worker_id: int, message, result_conn) -> bool:
 # ---------------------------------------------------------------------- #
 # Frontend
 # ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class PreparedRequest:
+    """A validated request and its result-tier key (:meth:`WorkerPoolEngine.prepare`)."""
+
+    model: str
+    #: The registry entry the cloud was validated against.
+    entry: DeployedModel
+    #: The cloud, coerced to the default dtype and validated.
+    points: np.ndarray
+    #: Result-tier key (``None``: tier off).
+    key: str | None
+
+
 @dataclass
 class _InFlight:
     """Frontend bookkeeping for one dispatched request."""
@@ -495,28 +509,56 @@ class WorkerPoolEngine:
         """Admit one request and answer it from the result tier or dispatch it.
 
         Returns a future of its result; a result-tier hit returns an
-        already-completed one, with ``worker`` set to ``None``.
+        already-completed one, with ``worker`` set to ``None``.  Equivalent
+        to ``submit_prepared(prepare(model, points))``.
 
         Raises:
             AdmissionError: When the request would blow the model's SLO
                 budget or the frontend queue is at capacity (raised here,
                 before any IPC).
             ValueError: When the cloud fails validation for this model.
+            KeyError: When no model of that name is deployed.
             RuntimeError: When the pool has been shut down or every worker
                 has crashed.
         """
-        if self._shutdown:
-            raise RuntimeError("pool has been shut down")
+        return self.submit_prepared(self.prepare(model, points))
+
+    def prepare(self, model: str, points: np.ndarray) -> PreparedRequest:
+        """The part of a request its model name and cloud alone determine.
+
+        Looks the deployment up, validates the cloud and computes its
+        result-tier key.  It changes no state, so a caller that sees the
+        same request again (the TCP frontend's hot lines) may keep the
+        prepared request and pass it to :meth:`submit_prepared` each time.
+
+        Raises:
+            ValueError: When the cloud fails validation for this model.
+            KeyError: When no model of that name is deployed.
+        """
         entry = self.registry.get(model)
         points = validate_points(entry, points)
+        content_key = self._content_keys.get(model)
+        key = None if content_key is None else self.result_cache.key(model, content_key, points)
+        return PreparedRequest(model=model, entry=entry, points=points, key=key)
+
+    def submit_prepared(self, request: PreparedRequest) -> Future:
+        """The per-request part of :meth:`submit`: admission, then a result-tier lookup or a dispatch.
+
+        A request prepared against a registry entry that has since been
+        replaced or removed is prepared again, so it is validated and
+        admitted as a fresh :meth:`submit` would be.
+        """
+        if self._shutdown:
+            raise RuntimeError("pool has been shut down")
+        if self.registry.get(request.model) is not request.entry:
+            request = self.prepare(request.model, request.points)
+        model, points, key = request.model, request.points, request.key
         try:
             # Frontend-side admission, before any IPC.
-            estimated = self.admission.admit(entry, points.shape[0], len(self._inflight))
+            estimated = self.admission.admit(request.entry, points.shape[0], len(self._inflight))
         except AdmissionError:
             get_metrics().count("serving.pool.rejected")
             raise
-        content_key = self._content_keys.get(model)
-        key = None if content_key is None else self.result_cache.key(model, content_key, points)
         deadline = time.time() + self.pool_config.request_timeout_s
         future: Future = Future()
         with self._lock:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 import errno
 import json
+import os
+import signal
 import threading
 import time
 from concurrent.futures import Future
@@ -315,12 +317,17 @@ class TestWorkerPoolEngine:
         pool = WorkerPoolEngine(registry, EngineConfig(), PoolConfig(workers=2, max_retries=1))
         try:
             # Warm both workers so they are live, then force every new
-            # request onto worker 0 by inflating worker 1's load.
+            # request onto worker 0 by inflating worker 1's load.  Worker 0
+            # is paused first, so all three requests are in flight on it,
+            # unserved, when it dies.
             pool.submit_many("model", _clouds(rng, 2))
+            doomed = pool._workers[0].process
+            os.kill(doomed.pid, signal.SIGSTOP)
             pool._workers[1].inflight += 1000
-            pool._workers[0].task_queue.put(("crash",))
             futures = [pool.submit("model", cloud) for cloud in _clouds(rng, 3)]
             pool._workers[1].inflight -= 1000
+            assert [slot.worker_id for slot in pool._inflight.values()] == [0, 0, 0]
+            doomed.kill()
             results = [future.result(timeout=60) for future in futures]
             assert all(result.worker == 1 for result in results)
             assert pool.worker_crashes == 1
@@ -851,7 +858,7 @@ class TestAsyncFrontend:
         assert json.loads(replies[1])["worker"] is None
         assert replies[2:] == [replies[1]] * 3
         assert json.loads(replies[1])["logits"] == json.loads(replies[0])["logits"]
-        assert frontend.requests_served == 5 and list(frontend._decoded) == [(line, np.dtype(np.float32))]
+        assert frontend.requests_served == 5 and list(frontend._hot) == [(line, np.dtype(np.float32))]
 
     def test_failed_lines_are_never_stored(self, rng, monkeypatch):
         cloud = _clouds(rng, 1)[0]
@@ -866,7 +873,7 @@ class TestAsyncFrontend:
         assert errors == ["BadRequest", "BadRequest", "ValueError", "ValueError", "KeyError", "KeyError"]
         assert replies[0::2] == replies[1::2]
         assert all(loads.count(line) == 2 for line in bad)
-        assert not frontend._decoded and frontend.requests_failed == 6
+        assert not frontend._hot and frontend.requests_failed == 6
 
     def test_capacity_zero_stores_nothing(self, rng):
         line = _line(_clouds(rng, 1)[0])
@@ -874,7 +881,7 @@ class TestAsyncFrontend:
         with WorkerPoolEngine(_make_registry(), config, PoolConfig(workers=1)) as pool:
             replies, frontend = _serve_lines(pool, [line] * 3)
         assert [json.loads(reply)["worker"] for reply in replies] == [0, 0, 0]
-        assert not frontend._decoded
+        assert not frontend._hot
 
     def test_memo_is_bounded_and_evicts_the_oldest(self, rng):
         a, b, c = (_line(cloud) for cloud in _clouds(rng, 3))
@@ -885,11 +892,11 @@ class TestAsyncFrontend:
             sizes = []
             for lines in ([a, a], [b, b], [a], [c, c]):
                 _serve_lines(pool, lines, frontend)
-                sizes.append(len(frontend._decoded))
+                sizes.append(len(frontend._hot))
             # A reuse refreshes a's place, so c evicts b, the least recently used.
-            assert list(frontend._decoded) == [(a, float32), (c, float32)]
+            assert list(frontend._hot) == [(a, float32), (c, float32)]
         assert sizes == [1, 2, 2, 2]
-        assert all(not points.flags.writeable for _, points in frontend._decoded.values())
+        assert all(not hot.request.points.flags.writeable for hot in frontend._hot.values())
 
     def test_a_line_is_decoded_again_under_another_dtype(self, rng, monkeypatch):
         line = _line(_clouds(rng, 1)[0])
@@ -898,16 +905,84 @@ class TestAsyncFrontend:
             frontend = AsyncServingFrontend(pool)
 
             async def handle(times):
-                return [await frontend._handle_line(line) for _ in range(times)]
+                return [json.loads(await frontend._handle_line(line)) for _ in range(times)]
 
             float32_replies = asyncio.run(handle(3))
             with default_dtype("float64"):
                 float64_replies = asyncio.run(handle(3))
         assert all(reply["ok"] for reply in float32_replies + float64_replies)
         assert loads.count(line) == 4
-        stored = {dtype: points for (_, dtype), (_, points) in frontend._decoded.items()}
+        stored = {dtype: hot.request.points for (_, dtype), hot in frontend._hot.items()}
         assert set(stored) == {np.dtype(np.float32), np.dtype(np.float64)}
         assert all(points.dtype == dtype and not points.flags.writeable for dtype, points in stored.items())
+
+    def test_reused_reply_is_the_fresh_encoding_and_the_cloud_is_hashed_per_decode(self, rng, monkeypatch):
+        """A hot line's reply bytes are replayed, byte-equal to a fresh ``json.dumps``,
+        and its cloud is fingerprinted when decoded, not on every request."""
+        from repro.obs import get_metrics
+        from repro.serving import engine as engine_module
+
+        cloud = _clouds(rng, 1)[0]
+        line = _line(cloud)
+        hashed = []
+        fingerprint = engine_module.cloud_fingerprint
+
+        def counting(points, *args, **kwargs):
+            hashed.append(points.shape)
+            return fingerprint(points, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "cloud_fingerprint", counting)
+        reused_before = get_metrics().counter("serving.frontend.reply_reused").value
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            replies, _ = _serve_lines(pool, [line] * 5)
+            # The miss and the first result-tier hit decode and hash; the three repeats reuse both.
+            assert len(hashed) == 2
+            fresh = pool.request("model", cloud)
+        assert get_metrics().counter("serving.frontend.reply_reused").value == reused_before + 3
+        assert fresh.worker is None
+        assert replies[1:] == [json.dumps(_result_message(fresh)).encode() + b"\n"] * 4
+
+    @pytest.mark.parametrize("replacement", ["other_bits", "nan"])
+    def test_a_replaced_tier_entry_gets_a_fresh_encoding(self, rng, replacement):
+        """A tier entry replaced by other logits is encoded afresh; NaN logits are never replayed."""
+        from repro.obs import get_metrics
+
+        line = _line(_clouds(rng, 1)[0])
+        metric = get_metrics().counter("serving.frontend.reply_reused")
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            frontend = AsyncServingFrontend(pool)
+            first, _ = _serve_lines(pool, [line] * 3, frontend)
+            (hot,) = frontend._hot.values()
+            old = pool.result_cache.cache.get(hot.request.key)
+            new = old + np.float32(1.0) if replacement == "other_bits" else np.full_like(old, np.nan)
+            pool.result_cache.cache.clear()
+            pool.result_cache.store(hot.request.key, new)
+            reused_before = metric.value
+            second, _ = _serve_lines(pool, [line] * 3, frontend)
+            fresh = pool.request("model", hot.request.points)
+        expected = json.dumps(_result_message(fresh)).encode() + b"\n"
+        assert first[1] == first[2] != expected
+        assert second == [expected] * 3
+        assert np.asarray(fresh.logits).tobytes() == new.tobytes()
+        if replacement == "other_bits":
+            assert metric.value == reused_before + 2 and hot.reply == expected
+        else:
+            assert metric.value == reused_before and hot.reply is None
+
+    def test_a_hot_line_is_admitted_against_the_current_registry_entry(self, rng):
+        """A hot line prepared before a ``replace=True`` is admitted as a fresh decode would be."""
+        registry = _make_registry()
+        line = _line(_clouds(rng, 1)[0])
+        with WorkerPoolEngine(registry, EngineConfig(), PoolConfig(workers=1)) as pool:
+            frontend = AsyncServingFrontend(pool)
+            before, _ = _serve_lines(pool, [line] * 3, frontend)
+            old = registry.get("model")
+            registry.register(
+                "model", old.architecture, old.device, num_classes=old.num_classes, k=old.k, slo_ms=1e-9, replace=True
+            )
+            after, _ = _serve_lines(pool, [line], frontend)
+        assert [json.loads(reply)["ok"] for reply in before] == [True] * 3
+        assert json.loads(after[0])["error"] == "AdmissionError"
 
     def test_paper_sized_cloud_over_tcp(self, rng):
         """A 1024-point line is past asyncio's 64 KiB default ``StreamReader`` limit."""
