@@ -10,9 +10,10 @@ through deployed searched architectures with a synchronous
    estimate exceeds the entry's SLO budget, or that arrive once the call
    holds ``max_queue_depth`` misses, are rejected up front instead of run.
 2. **Result cache** — a bounded LRU keyed by the content hash of the
-   (quantised) input cloud returns logits for repeated inputs without
-   running the model (:class:`ResultTier`, which the pool frontend uses
-   too).
+   (quantised) input cloud answers repeated inputs without running the
+   model (:class:`ResultTier`, which the pool frontend uses too).  An entry
+   keeps the logits, label and probabilities of the input's first
+   computation, computed once; a hit hands out copies of them.
 3. **Batching** — a call's admitted misses run in submission order, up to
    ``max_batch_size`` at a time, as packed ragged batches
    (:func:`repro.graph.batching.pack_clouds`).
@@ -33,6 +34,7 @@ from __future__ import annotations
 import pathlib
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,14 +196,36 @@ class AdmissionControl:
         return estimated
 
 
+class _Answer(NamedTuple):
+    """One result-tier entry: an input's first computed reply, with read-only arrays."""
+
+    logits: np.ndarray
+    label: int
+    probabilities: np.ndarray
+
+
+def _answer(logits: np.ndarray, label: int | None = None, probabilities: np.ndarray | None = None) -> _Answer:
+    """A read-only copy of one computed reply; the label and probabilities are derived when not given."""
+    logits = np.array(logits, copy=True)
+    if label is None:
+        label = int(np.argmax(logits))
+    probabilities = _softmax(logits) if probabilities is None else np.array(probabilities, copy=True)
+    logits.setflags(write=False)
+    probabilities.setflags(write=False)
+    return _Answer(logits, label, probabilities)
+
+
 class ResultTier:
-    """The in-memory result tier: request key → logits of the input's first computation.
+    """The in-memory result tier: request key → the reply of the input's first computation.
 
     One helper for both places a request is answered from cache before any
     compute: the in-process engine's admission (which also reads the shared
     disk tier) and the pool frontend, before IPC.  First write wins, so a
-    hit always replays the bits of its input's first computation.  Not
-    thread-safe: the pool guards it with its lock.
+    hit always replays the bits of its input's first computation.  Each
+    entry keeps the logits, label and probabilities computed once when it
+    was stored (or promoted from the disk tier), and every hit hands out
+    copies of its arrays.  Not thread-safe: the pool guards it with its
+    lock.
     """
 
     def __init__(self, capacity: int, shared: SharedArrayCache | None = None):
@@ -214,22 +238,22 @@ class ResultTier:
 
     def lookup(self, key: str, request_id: int, model: str, estimated_device_ms: float) -> InferenceResult | None:
         """The cached reply to a request, or ``None`` on a miss."""
-        logits = self.cache.get(key)
-        if logits is None and self.shared is not None:
+        answer = self.cache.get(key)
+        if answer is None and self.shared is not None:
             # Cross-process tier: a cloud computed by any pool worker is a
             # hit here too, promoted into the local tier.
             logits = self.shared.get(key)
             if logits is not None:
-                self.cache.put(key, np.array(logits, copy=True))
-        if logits is None:
+                answer = _answer(logits)
+                self.cache.put(key, answer)
+        if answer is None:
             return None
-        logits = np.array(logits, copy=True)
         return InferenceResult(
             request_id=request_id,
             model=model,
-            label=int(np.argmax(logits)),
-            logits=logits,
-            probabilities=_softmax(logits),
+            label=answer.label,
+            logits=answer.logits.copy(),
+            probabilities=answer.probabilities.copy(),
             latency_ms=0.0,
             queue_ms=0.0,
             batch_size=0,
@@ -237,10 +261,16 @@ class ResultTier:
             estimated_device_ms=estimated_device_ms,
         )
 
-    def store(self, key: str, logits: np.ndarray) -> None:
-        """Keep a computed reply, unless the key already holds an earlier one."""
+    def store(
+        self, key: str, logits: np.ndarray, label: int | None = None, probabilities: np.ndarray | None = None
+    ) -> None:
+        """Keep a computed reply, unless the key already holds an earlier one.
+
+        ``label`` and ``probabilities`` are the ones computed with ``logits``;
+        left out, they are derived from the logits here.
+        """
         if key not in self.cache:
-            self.cache.put(key, np.array(logits, copy=True))
+            self.cache.put(key, _answer(logits, label, probabilities))
         if self.shared is not None:
             # First write wins on disk too: put_if_absent keeps the bits of a
             # key's first cross-process computation.
@@ -405,18 +435,23 @@ class InferenceEngine:
         finally:
             entry.model.graph_builder = None
         telemetry.record_batch(len(compute))
+        answers: dict[str, tuple[np.ndarray, int, np.ndarray]] = {}
         for fingerprint, row in row_of.items():
+            # Each computed row's label and probabilities are computed once,
+            # for its results and its tier entry.
+            row_logits = logits[row]
+            answers[fingerprint] = answer = (row_logits, int(np.argmax(row_logits)), _softmax(row_logits))
             # First write wins: a cached reply always replays the bits of the
             # input's first computation, so cache hits are reproducible even
             # when later batches recompute the same input in a different
             # (bitwise-unstable) batch composition.
-            self.result_cache.store(fingerprint, logits[row])
+            self.result_cache.store(fingerprint, *answer)
         finished = time.monotonic()
         wall_ms = (finished - started) * 1e3
         results = []
         for request in requests:
             row = row_of[request.fingerprint]
-            row_logits = np.array(logits[row], copy=True)
+            row_logits, label, probabilities = answers[request.fingerprint]
             # Requests deduplicated onto another request's row were served
             # without dedicated compute; report them as cache-served.
             from_cache = request is not compute[row]
@@ -424,9 +459,9 @@ class InferenceEngine:
             result = InferenceResult(
                 request_id=request.request_id,
                 model=entry.name,
-                label=int(np.argmax(row_logits)),
-                logits=row_logits,
-                probabilities=_softmax(row_logits),
+                label=label,
+                logits=row_logits.copy(),
+                probabilities=probabilities.copy(),
                 latency_ms=queue_ms + wall_ms,
                 queue_ms=queue_ms,
                 batch_size=len(compute),

@@ -9,9 +9,13 @@ to asyncio:
   lock and, on a miss, does a non-blocking queue put.  A hit comes back as
   an already-completed future and returns at once; a miss's
   ``concurrent.futures.Future`` is awaited via :func:`asyncio.wrap_future`.
+  The tier computes each answer's label and probabilities once, when it
+  stores the answer, and every hit hands out copies of its arrays, so a
+  caller that mutates a result cannot change a later hit.
 * :meth:`~AsyncServingFrontend.start`/:meth:`~AsyncServingFrontend.stop`
   run a newline-delimited-JSON TCP server (``repro serve --workers N
-  --port P``): one request object per line in, one response object per
+  --port P``; ``stop`` also closes the open connections and waits for
+  their handlers): one request object per line in, one response object per
   line out, errors reported in-band as ``{"ok": false, ...}`` so a bad
   request never kills the connection.  A request line may be up to
   :data:`MAX_LINE_BYTES` (16 MiB; a 1024-point cloud is about 66 KB, past
@@ -23,7 +27,8 @@ to asyncio:
   validated cloud and result-tier key) and the encoded reply of its last
   result-tier answer.  A repeated hot line therefore skips ``json.loads``,
   the array conversion and the cloud's fingerprint, and goes straight to
-  :meth:`~repro.serving.pool.WorkerPoolEngine.submit_prepared`.  Its reply
+  the pool's admission and result-tier lookup, which hands a hit back
+  without a future (``WorkerPoolEngine._hit_or_dispatch``).  Its reply
   bytes are sent again only when the new answer's reply fields are equal
   and its logits are bitwise equal (same ``dtype``, same ``tobytes()``),
   so they are exactly what ``json.dumps`` would produce; a tier entry that
@@ -188,6 +193,8 @@ class AsyncServingFrontend:
         self.circuit_breaker = circuit_breaker
         self.idle_timeout_s = idle_timeout_s
         self._server: asyncio.AbstractServer | None = None
+        # Each open connection's handler task and writer, aborted by stop().
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         # (line bytes, dtype) -> the line's prepared request and last reply,
         # for lines the pool's result tier answered; see the module docstring.
         self._hot: OrderedDict[tuple[bytes, np.dtype], _HotLine] = OrderedDict()
@@ -216,16 +223,24 @@ class AsyncServingFrontend:
         """
         return await self._serve(partial(self.pool.submit, model, points))
 
-    async def _serve(self, submit: Callable[[], Future]) -> InferenceResult:
-        """Run one request's ``submit`` under the breaker and the retry policy (see :meth:`submit`)."""
+    async def _serve(self, submit: Callable[[], InferenceResult | Future]) -> InferenceResult:
+        """Run one request's ``submit`` under the breaker and the retry policy (see :meth:`submit`).
+
+        ``submit`` returns the result itself (a result-tier hit) or a future of it.
+        """
         attempt = 0
         while True:
             attempt += 1
             if self.circuit_breaker is not None:
                 self.circuit_breaker.allow()
             try:
-                future = submit()
-                result = future.result() if future.done() else await asyncio.wrap_future(future)
+                outcome = submit()
+                if not isinstance(outcome, Future):
+                    result = outcome
+                elif outcome.done():
+                    result = outcome.result()
+                else:
+                    result = await asyncio.wrap_future(outcome)
             except WorkerCrashError:
                 if self.circuit_breaker is not None:
                     self.circuit_breaker.record_failure()
@@ -261,7 +276,7 @@ class AsyncServingFrontend:
         if hot is not None:
             self._hot.move_to_end(key)
             get_metrics().count("serving.frontend.decoded_reused")
-            submit = partial(self.pool.submit_prepared, hot.request)
+            submit = partial(self.pool._hit_or_dispatch, hot.request)
         else:
             try:
                 request = json.loads(line)
@@ -271,10 +286,10 @@ class AsyncServingFrontend:
                 return self._reply(_bad_request(f"malformed request: {error}"))
             prepared = None
 
-            def submit() -> Future:
+            def submit() -> InferenceResult | Future:
                 nonlocal prepared
                 prepared = self.pool.prepare(model, points)
-                return self.pool.submit_prepared(prepared)
+                return self.pool._hit_or_dispatch(prepared)
 
         try:
             result = await self._serve(submit)
@@ -314,6 +329,9 @@ class AsyncServingFrontend:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None  # asyncio runs each connection's handler as a task
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -345,9 +363,10 @@ class AsyncServingFrontend:
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover - client went away
             pass
         finally:
-            # Close without awaiting: the handler task is cancelled when the
-            # server stops, and awaiting wait_closed() here would surface
-            # that cancellation as a spurious error callback.
+            # Close without awaiting wait_closed(): the transport finishes
+            # closing on the loop, and a handler cancelled at the loop's
+            # shutdown must not await again.
+            del self._connections[task]
             writer.close()
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
@@ -365,10 +384,23 @@ class AsyncServingFrontend:
         return bound[0], bound[1]
 
     async def stop(self) -> None:
-        """Stop accepting connections (the pool itself is left running)."""
+        """Stop accepting connections and close the open ones (the pool itself is left running).
+
+        Each handler ends on its own: aborting its connection ends the read
+        it waits on, and a request it is serving finishes with its reply
+        dropped.  Aborting, not closing, drops replies the peer has not read,
+        so a peer that stopped reading cannot hold ``stop`` up.  Handlers are
+        not cancelled: before Python 3.12 the stream protocol's done callback
+        calls ``exception()`` on the handler task, which raises on a
+        cancelled task, and asyncio logs that at ERROR.
+        """
         if self._server is None:
             return
         self._server.close()
+        handlers = dict(self._connections)
+        for writer in handlers.values():
+            writer.transport.abort()
+        await asyncio.gather(*handlers)
         await self._server.wait_closed()
         self._server = None
 

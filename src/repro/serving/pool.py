@@ -15,8 +15,10 @@ serves requests through a future-based frontend:
    request whose cloud was computed before is answered from the
    frontend's LRU (:class:`~repro.serving.engine.ResultTier`, the helper
    the in-process engine uses) with an already-completed future, before
-   any IPC.  Replies to misses fill it as they arrive.  Worker engines run
-   with their in-memory tier off, so each request is looked up once.
+   any IPC (the TCP frontend takes the answer itself, with no future).
+   Replies to misses fill it as they arrive, with the label and
+   probabilities their worker computed.  Worker engines run with their
+   in-memory tier off, so each request is looked up once.
 3. **Dispatch** is least-loaded: each admitted request goes to the live
    worker with the fewest in-flight requests, onto that worker's own task
    queue, where the worker micro-batches whatever has accumulated.
@@ -236,10 +238,12 @@ def _worker_main(
 ) -> None:
     """Entry point of one worker process: engine loop over the task queue.
 
-    Heartbeats are emitted *from the serve loop itself* (after startup, on
-    every idle poll timeout, and after every batch) — a worker whose loop
-    is wedged mid-batch goes silent and the supervisor can tell it apart
-    from an idle one, which a side thread's heartbeats could not.
+    Heartbeats are emitted *from the serve loop itself* (after startup and
+    on every idle poll timeout); a busy worker needs none, since the
+    collector counts each reply it sends (one per request) as a beat.  A
+    worker whose loop is wedged mid-batch goes silent and the supervisor
+    can tell it apart from an idle one, which a side thread's heartbeats
+    could not.
 
     ``inherited_readers`` are the frontend's result-pipe read ends a forked
     worker holds copies of.  Closing them leaves the frontend the only
@@ -278,7 +282,6 @@ def _worker_main(
             fault_point("serving.worker.serve", worker=worker_id)
             requests, control = _drain_batch(task_queue, message, engine_config.max_batch_size)
             _serve_messages(engine, worker_id, requests, result_conn)
-            result_conn.send(("hb", worker_id))
             for extra in control:
                 if _handle_control(engine, worker_id, extra, result_conn):
                     return
@@ -548,6 +551,15 @@ class WorkerPoolEngine:
         replaced or removed is prepared again, so it is validated and
         admitted as a fresh :meth:`submit` would be.
         """
+        outcome = self._hit_or_dispatch(request)
+        if isinstance(outcome, Future):
+            return outcome
+        future: Future = Future()
+        future.set_result(outcome)
+        return future
+
+    def _hit_or_dispatch(self, request: PreparedRequest) -> InferenceResult | Future:
+        """:meth:`submit_prepared` without wrapping a hit: the result-tier answer, or the dispatched future."""
         if self._shutdown:
             raise RuntimeError("pool has been shut down")
         if self.registry.get(request.model) is not request.entry:
@@ -560,7 +572,6 @@ class WorkerPoolEngine:
             get_metrics().count("serving.pool.rejected")
             raise
         deadline = time.time() + self.pool_config.request_timeout_s
-        future: Future = Future()
         with self._lock:
             request_id = self._next_request_id
             self._next_request_id += 1
@@ -569,16 +580,14 @@ class WorkerPoolEngine:
                 self.telemetry.model(model).record_request(
                     latency_ms=0.0, queue_ms=0.0, from_cache=True, at=time.perf_counter()
                 )
-            else:
-                worker = self._pick_worker()
-                self._inflight[request_id] = _InFlight(
-                    future=future, model=model, points=points, worker_id=worker.worker_id, deadline=deadline, key=key
-                )
-                worker.inflight += 1
-                self.submitted += 1
-        if hit is not None:
-            future.set_result(hit)
-            return future
+                return hit
+            worker = self._pick_worker()
+            future: Future = Future()
+            self._inflight[request_id] = _InFlight(
+                future=future, model=model, points=points, worker_id=worker.worker_id, deadline=deadline, key=key
+            )
+            worker.inflight += 1
+            self.submitted += 1
         self.telemetry.observe_queue_depth(len(self._inflight))
         get_metrics().count("serving.pool.dispatched")
         worker.task_queue.put(("req", request_id, model, points, deadline))
@@ -730,7 +739,7 @@ class WorkerPoolEngine:
         # is counted twice in the merged fleet totals.
         if slot.key is not None:
             with self._lock:
-                self.result_cache.store(slot.key, payload["logits"])
+                self.result_cache.store(slot.key, payload["logits"], payload["label"], payload["probabilities"])
         slot.future.set_result(InferenceResult(request_id=request_id, worker=worker_id, **payload))
 
     def _fail(self, request_id: int, worker_id: int, error_type: str, message: str) -> None:

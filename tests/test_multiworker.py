@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import errno
 import json
+import logging
 import os
 import signal
 import threading
@@ -492,6 +493,31 @@ class TestWorkerPoolEngine:
             pool.shutdown(timeout=10)
         assert not any(worker.process.is_alive() for worker in pool._workers)
 
+    def test_a_worker_busy_past_the_heartbeat_timeout_is_not_stalled(self, rng):
+        """A worker sends no heartbeat while it serves batches back to back; its
+        replies are its beats, so the supervisor never declares it stalled."""
+        from repro.faults import FaultPlan, FaultSpec, use_faults
+
+        timeout_s, delay_s, count = 1.0, 0.2, 8
+        plan = FaultPlan.of(FaultSpec(point="serving.worker.serve", action="delay", delay_s=delay_s, times=0))
+        config = EngineConfig(max_batch_size=1, result_cache_capacity=0)
+        with use_faults(plan):
+            pool = WorkerPoolEngine(
+                _make_registry(),
+                config,
+                PoolConfig(workers=1, heartbeat_interval_s=0.5, heartbeat_timeout_s=timeout_s),
+            )
+        try:
+            pool.request("model", _clouds(rng, 1)[0])  # the worker is up
+            started = time.monotonic()
+            results = pool.submit_many("model", _clouds(rng, count))
+            busy_s = time.monotonic() - started
+        finally:
+            pool.shutdown()
+        assert busy_s > timeout_s
+        assert all(result.worker == 0 for result in results)
+        assert (pool.stalls, pool.worker_crashes, pool.restarts) == (0, 0, 0)
+
     def test_in_flight_cap_is_the_engine_queue_depth(self, rng):
         """The frontend admits at most ``EngineConfig.max_queue_depth`` requests in flight."""
         from repro.faults import FaultPlan, FaultSpec, use_faults
@@ -564,8 +590,35 @@ class TestFrontendResultTier:
             assert pool.submitted == 3
         assert all(result.worker == 0 for result in results)
         assert [result.from_cache for result in results] == [False, True, True]  # the shared disk tier
+        first = results[0]
         for result in results[1:]:
-            np.testing.assert_array_equal(result.logits, results[0].logits)
+            assert result.label == first.label
+            assert result.logits.tobytes() == first.logits.tobytes()
+            assert result.probabilities.tobytes() == first.probabilities.tobytes()
+
+    def test_a_hit_is_the_workers_answer_bit_for_bit(self, rng):
+        """Hits replay the logits, label and probabilities the worker sent, whatever
+        a caller does to a returned result; only a miss makes a future."""
+        cloud, other = _clouds(rng, 2)
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            first = pool.request("model", cloud)
+            expected = (first.label, first.logits.tobytes(), first.probabilities.tobytes())
+            prepared = pool.prepare("model", cloud)
+            futures = [pool.submit("model", cloud), pool.submit_prepared(prepared)]
+            assert all(isinstance(future, Future) and future.done() for future in futures)
+            direct = pool._hit_or_dispatch(prepared)
+            assert isinstance(direct, InferenceResult)
+            hits = [future.result(timeout=0) for future in futures] + [direct]
+            for result in [first] + hits:
+                assert result is first or result.worker is None
+                assert (result.label, result.logits.tobytes(), result.probabilities.tobytes()) == expected
+                result.logits[:] = 99.0
+                result.probabilities[:] = 0.0
+            again = pool.request("model", cloud)
+            miss = pool._hit_or_dispatch(pool.prepare("model", other))
+            assert isinstance(miss, Future) and miss.result(timeout=30).worker == 0
+        assert again.worker is None
+        assert (again.label, again.logits.tobytes(), again.probabilities.tobytes()) == expected
 
     def test_one_count_per_admitted_request(self, rng):
         clouds = _clouds(rng, 4)
@@ -953,7 +1006,7 @@ class TestAsyncFrontend:
             frontend = AsyncServingFrontend(pool)
             first, _ = _serve_lines(pool, [line] * 3, frontend)
             (hot,) = frontend._hot.values()
-            old = pool.result_cache.cache.get(hot.request.key)
+            old = pool.result_cache.cache.get(hot.request.key).logits
             new = old + np.float32(1.0) if replacement == "other_bits" else np.full_like(old, np.nan)
             pool.result_cache.cache.clear()
             pool.result_cache.store(hot.request.key, new)
@@ -983,6 +1036,61 @@ class TestAsyncFrontend:
             after, _ = _serve_lines(pool, [line], frontend)
         assert [json.loads(reply)["ok"] for reply in before] == [True] * 3
         assert json.loads(after[0])["error"] == "AdmissionError"
+
+    def test_stop_closes_a_connection_left_open(self, rng, caplog):
+        """Stopping the server ends the handler of a connection the client left
+        open, so asyncio logs no cancelled-callback error when the loop closes."""
+        line = _line(_clouds(rng, 1)[0])
+
+        async def scenario(pool):
+            frontend = AsyncServingFrontend(pool)
+            host, port = await frontend.start(port=0)
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(line)
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.readline(), timeout=60)
+                await frontend.stop()
+                return reply
+            finally:
+                writer.close()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+                reply = asyncio.run(scenario(pool))
+        assert json.loads(reply)["ok"]
+        assert [record.getMessage() for record in caplog.records if record.levelno >= logging.ERROR] == []
+
+    def test_stop_returns_while_a_peer_is_not_reading(self, rng):
+        """A peer that sends requests but reads no replies blocks its handler on a
+        full send buffer; stop drops those replies instead of waiting for it."""
+        import socket
+
+        line, count = _line(_clouds(rng, 1)[0]), 30_000
+
+        async def scenario(pool):
+            frontend = AsyncServingFrontend(pool)
+            host, port = await frontend.start(port=0)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((host, port))
+            _, writer = await asyncio.open_connection(sock=sock)
+            try:
+                writer.write(line * count)
+                served = -1
+                for _ in range(100):  # until the handler blocks
+                    if served == frontend.requests_served > 0:
+                        break
+                    served = frontend.requests_served
+                    await asyncio.sleep(0.2)
+                await asyncio.wait_for(frontend.stop(), timeout=10)
+                return served
+            finally:
+                writer.transport.abort()
+
+        with WorkerPoolEngine(_make_registry(), EngineConfig(), PoolConfig(workers=1)) as pool:
+            served = asyncio.run(scenario(pool))
+        assert 0 < served < count
 
     def test_paper_sized_cloud_over_tcp(self, rng):
         """A 1024-point line is past asyncio's 64 KiB default ``StreamReader`` limit."""

@@ -361,6 +361,52 @@ class TestInferenceEngine:
         third = engine.submit("model", cloud + 1e-10)
         assert third.from_cache
 
+    def test_a_hit_replays_the_computed_answer_bit_for_bit(self, rng, monkeypatch):
+        """A tier entry keeps the label and probabilities computed with its logits:
+        a hit recomputes neither, and its arrays equal the first computation's bits."""
+        from repro.serving import engine as engine_module
+
+        engine = InferenceEngine(_make_registry())
+        cloud = rng.standard_normal((16, 3))
+        first = engine.submit("model", cloud)
+
+        def no_softmax(logits):
+            raise AssertionError("a hit recomputed its probabilities")
+
+        monkeypatch.setattr(engine_module, "_softmax", no_softmax)
+        hits = [engine.submit("model", cloud) for _ in range(2)]
+        for hit in hits:
+            assert hit.from_cache and hit.label == first.label
+            assert hit.logits.tobytes() == first.logits.tobytes()
+            assert hit.probabilities.tobytes() == first.probabilities.tobytes()
+        (entry,) = engine.result_cache.cache._entries.values()
+        assert not entry.logits.flags.writeable and not entry.probabilities.flags.writeable
+
+    def test_mutating_a_result_leaves_later_hits_unchanged(self, rng):
+        engine = InferenceEngine(_make_registry())
+        cloud = rng.standard_normal((16, 3))
+        first = engine.submit("model", cloud)
+        logits, probabilities = first.logits.copy(), first.probabilities.copy()
+        for result in (first, engine.submit("model", cloud)):
+            result.logits[:] = 99.0
+            result.probabilities[:] = 0.0
+        again = engine.submit("model", cloud)
+        assert again.from_cache
+        assert again.logits.tobytes() == logits.tobytes()
+        assert again.probabilities.tobytes() == probabilities.tobytes()
+
+    def test_a_disk_tier_promotion_yields_the_same_answer(self, rng, tmp_path):
+        config = EngineConfig(shared_cache_dir=str(tmp_path))
+        cloud = rng.standard_normal((16, 3))
+        first = InferenceEngine(_make_registry(), config).submit("model", cloud)
+        engine = InferenceEngine(_make_registry(), config)  # empty in-memory tier
+        promoted, again = engine.submit("model", cloud), engine.submit("model", cloud)
+        assert engine.shared_cache.stats().hits == 1  # the second hit is the promoted entry
+        for hit in (promoted, again):
+            assert hit.from_cache and hit.label == first.label
+            assert hit.logits.tobytes() == first.logits.tobytes()
+            assert hit.probabilities.tobytes() == first.probabilities.tobytes()
+
     def test_edge_cache_reuses_knn_across_batches(self, rng):
         engine = InferenceEngine(
             _make_registry(),
