@@ -9,8 +9,8 @@ currently wired into the tree:
 ``serving.diskcache.get``   shared-array cache read (corrupt → quarantine path)
 ``workspace.store.load``    artifact load (corrupt → checksum-mismatch path)
 ``serving.tcp.read``        TCP client response read (delay → read timeout)
-``nas.search.checkpoint``   just after a search checkpoint commits (error →
-                            simulated kill for resume tests)
+``nas.search.checkpoint``   just after a search checkpoint is published
+                            (error/crash → simulated kill for resume tests)
 ========================== ====================================================
 """
 

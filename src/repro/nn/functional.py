@@ -29,7 +29,10 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     x = as_tensor(x)
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
+    # The shift is a constant: x.max(...).detach() would leave a max node
+    # whose backward closure keeps the whole forward graph in a reference
+    # cycle until the cyclic GC finds it.
+    shifted = x - Tensor(np.max(x.data, axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 

@@ -445,11 +445,17 @@ class Workspace:
                 checkpointer = SearchCheckpointer(self.store, key)
                 if not resume:
                     checkpointer.clear()
-            result = (
-                search.run(checkpointer=checkpointer)
-                if strategy == "multi-stage"
-                else search.run_one_stage(checkpointer=checkpointer)
-            )
+            try:
+                result = (
+                    search.run(checkpointer=checkpointer)
+                    if strategy == "multi-stage"
+                    else search.run_one_stage(checkpointer=checkpointer)
+                )
+            finally:
+                # A failed search leaves its latest commit on disk for
+                # --resume; a completed one has cleared the slot.
+                if checkpointer is not None:
+                    checkpointer.flush()
             span.attributes.update(
                 best_score=float(result.best_score),
                 search_time_s=float(result.search_time_s),

@@ -13,11 +13,16 @@ On-disk layout (when a root directory is given)::
 
 ``arrays.bin`` is the arrays' bytes back to back, each padded to a 64-byte
 offset.  The manifest in ``meta.json`` lists ``(name, dtype, shape,
-offset)`` per array, and the checksum is a blake2b digest of the whole
-file, taken from the bytes in memory before they are written.  A load is
-one read, the checksum check, then ``np.frombuffer`` views.  (The model
-registry's snapshot keeps ``.npz`` files: it is an export, not on the
-search path.)
+offset)`` per array, and the checksum is a crc32 of the whole file, taken
+from the bytes in memory before they are written.  It guards against torn
+and rotted files, not against tampering.  A load is one read, the checksum
+check, then ``np.frombuffer`` views.  (The model registry's snapshot keeps
+``.npz`` files: it is an export, not on the search path.)
+
+:meth:`ArtifactStore.save` commits before it returns.
+:meth:`ArtifactStore.commit` serves overwritable entries (search
+checkpoints): the caller takes a snapshot and a background writer
+publishes it, one commit in flight per entry.
 
 Every store also keeps an in-memory layer, so a root-less store (a
 ``Workspace`` built without a ``root``) still caches within its own
@@ -30,9 +35,11 @@ import hashlib
 import json
 import os
 import pathlib
+import threading
 import uuid
+import zlib
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,7 +56,7 @@ __all__ = [
     "dataset_fingerprint",
 ]
 
-_FORMAT = "repro.workspace.artifact/v2"
+_FORMAT = "repro.workspace.artifact/v3"
 
 #: The committed array file and the alignment of each array in it.
 _ARRAYS = "arrays.bin"
@@ -60,32 +67,83 @@ _SAVE_ATTEMPTS = 3
 
 _LOGGER = get_logger("workspace.store")
 
+#: Counters of :meth:`ArtifactStore.commit` outcomes: ``.published`` and ``.failed``.
+_COMMITS = "workspace.store.commits"
+
+
+#: The ``meta.json`` fields of an entry without arrays.
+_NO_ARRAYS = '"arrays": false'
+
+
+def _stamp_text(manifest: list, checksum: str) -> str:
+    """The ``meta.json`` fields that stamp an entry's arrays, as JSON text."""
+    return json.dumps({"arrays": True, "manifest": manifest, "checksum": checksum})[1:-1]
+
 
 def _checksum(chunks) -> str:
-    """blake2b digest of a sequence of byte buffers (the integrity stamp in meta.json)."""
-    digest = hashlib.blake2b(digest_size=16)
+    """crc32 of a sequence of byte buffers (the integrity stamp in meta.json)."""
+    crc = 0
     for chunk in chunks:
-        digest.update(chunk)
-    return digest.hexdigest()
+        crc = zlib.crc32(chunk, crc)
+    return f"{crc:08x}"
 
 
-def _write_arrays(path: pathlib.Path, arrays: Mapping[str, np.ndarray]) -> tuple[list, str]:
-    """Write ``arrays`` to ``path`` as one flat file; return ``(manifest, checksum)``."""
-    manifest, chunks, offset = [], [], 0
+def _pack_arrays(arrays: Mapping[str, np.ndarray], buffer: np.ndarray | None = None) -> tuple[list, np.ndarray]:
+    """Lay ``arrays`` out as ``arrays.bin`` holds them; return ``(manifest, bytes)``.
+
+    The bytes are the head of ``buffer`` when it is large enough (a reused
+    snapshot buffer), else of a new one; padding is zeroed either way.
+    """
+    manifest, values, offset = [], [], 0
     for name, value in arrays.items():
         value = np.asarray(value, order="C")  # ascontiguousarray would make 0-d arrays 1-d
         if value.dtype.hasobject:
             raise ValueError(f"array '{name}' has dtype {value.dtype}; only plain data arrays are stored")
-        padding = -offset % _ALIGN
-        if padding:
-            chunks.append(bytes(padding))
-            offset += padding
+        offset += -offset % _ALIGN
         manifest.append([name, value.dtype.str, list(value.shape), offset])
-        chunks.append(value.reshape(-1).view(np.uint8))
+        values.append(value)
         offset += value.nbytes
+    if buffer is None or buffer.size < offset:
+        buffer = np.empty(offset, dtype=np.uint8)
+    blob = buffer[:offset]
+    # memoryview slice copies cost half of numpy's per array.
+    target, end = memoryview(blob), 0
+    for (_, _, _, start), value in zip(manifest, values):
+        if start > end:
+            target[end:start] = bytes(start - end)
+        if value.nbytes:
+            end = start + value.nbytes
+            target[start:end] = memoryview(value).cast("B")
+    return manifest, blob
+
+
+def _unpack_arrays(blob, manifest: list) -> dict[str, np.ndarray]:
+    """``np.frombuffer`` views of the arrays ``manifest`` lays out in ``blob``."""
+    arrays = {}
+    for name, dtype, shape, offset in manifest:
+        dtype = np.dtype(dtype)
+        count = int(np.prod(shape, dtype=np.int64))
+        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(tuple(shape))
+    return arrays
+
+
+def _meta_text(meta: Mapping[str, object]) -> str:
+    """JSON text of ``meta``, as ``json.dumps(to_jsonable(meta))`` gives it for
+    string keys, with plain containers left to the C encoder."""
+    try:
+        return json.dumps(meta, default=to_jsonable)
+    except TypeError:  # a key the encoder refuses (e.g. a tuple); to_jsonable stringifies it
+        return json.dumps(to_jsonable(meta))
+
+
+def _write_arrays(path: pathlib.Path, blob: np.ndarray) -> str:
+    """Write packed arrays to ``path`` in one call; return their checksum.
+
+    Both the checksum and the write release the GIL.
+    """
     with open(path, "wb") as handle:
-        handle.writelines(chunks)
-    return manifest, _checksum(chunks)
+        handle.write(blob)
+    return _checksum((blob,))
 
 
 def _read_arrays(path: pathlib.Path, manifest: list, checksum: str) -> dict[str, np.ndarray] | None:
@@ -95,12 +153,7 @@ def _read_arrays(path: pathlib.Path, manifest: list, checksum: str) -> dict[str,
         handle.readinto(blob)
     if _checksum((blob,)) != checksum:
         return None
-    arrays = {}
-    for name, dtype, shape, offset in manifest:
-        dtype = np.dtype(dtype)
-        count = int(np.prod(shape, dtype=np.int64))
-        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(tuple(shape))
-    return arrays
+    return _unpack_arrays(blob, manifest)
 
 
 def canonical_key(payload: object, digits: int = 16) -> str:
@@ -142,12 +195,73 @@ class Artifact:
     path: pathlib.Path | None = None
 
 
+class _Commit(NamedTuple):
+    """A snapshot of one commit to an overwritable entry, taken by its committer."""
+
+    meta_text: str  # the meta, encoded to JSON
+    arrays: tuple[list, np.ndarray] | None  # (manifest, packed bytes); None keeps the entry's arrays
+
+
+class _Slot:
+    """Write-behind state of one overwritable entry: at most one commit in flight.
+
+    A commit waits for the write before it and raises that write's error,
+    then hands itself to a new writer thread; flush and discard wait the
+    same way.  So no commit is queued behind a failed write, and a
+    meta-only commit is published only after the array commit it keeps.
+    The write in flight is never interrupted.  Two snapshot buffers
+    alternate: one being written, one being filled.  One thread uses a slot.
+    """
+
+    def __init__(self, publish: Callable[[_Commit], None]):
+        self._publish = publish
+        self._thread: threading.Thread | None = None
+        self._error: BaseException | None = None
+        self._busy: np.ndarray | None = None  # the buffer of the latest array commit
+        self._spare: np.ndarray | None = None  # the other buffer, free to fill
+
+    def spare(self) -> np.ndarray | None:
+        """A snapshot buffer no write uses, for an array commit about to be made."""
+        return self._spare
+
+    def _run(self, commit: _Commit) -> None:
+        try:
+            self._publish(commit)
+        except BaseException as error:  # noqa: BLE001 - raised on the committer's thread
+            self._error = error
+            get_metrics().count(f"{_COMMITS}.failed")
+        else:
+            get_metrics().count(f"{_COMMITS}.published")
+
+    def wait(self) -> None:
+        """Wait for the write in flight; raise (once) the error it stopped on."""
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.join()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def submit(self, commit: _Commit) -> None:
+        """Start writing ``commit``; call after :meth:`wait`."""
+        assert self._thread is None, "a write is in flight"
+        if commit.arrays is not None:
+            self._spare, self._busy = self._busy, commit.arrays[1].base  # the packed bytes view the buffer
+        self._thread = threading.Thread(target=self._run, args=(commit,), name="repro-store-writer")
+        self._thread.start()
+
+
 class ArtifactStore:
     """Two-level (memory + optional disk) content-addressed artifact cache."""
 
     def __init__(self, root: str | pathlib.Path | None = None):
         self.root = pathlib.Path(root) if root is not None else None
         self._memory: dict[tuple[str, str], Artifact] = {}
+        #: Write-behind state of the entries written through :meth:`commit`.
+        self._slots: dict[tuple[str, str], _Slot] = {}
+        #: The arrays stamp (JSON text) of each disk entry as this store last
+        #: wrote or read it; ``None`` while its latest array write has not landed.
+        self._stamps: dict[tuple[str, str], str | None] = {}
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -161,8 +275,17 @@ class ArtifactStore:
         assert self.root is not None
         return self.root / stage / key
 
+    def flush(self, stage: str, key: str) -> None:
+        """Wait for the :meth:`commit` of ``(stage, key)`` in flight; raise its error."""
+        slot = self._slots.get((stage, key))
+        if slot is not None:
+            slot.wait()
+
     def keys(self, stage: str) -> list[str]:
         """Every stored key of ``stage``, across the memory and disk layers."""
+        for slot_stage, key in list(self._slots):
+            if slot_stage == stage:
+                self.flush(slot_stage, key)
         found = {key for (stored_stage, key) in self._memory if stored_stage == stage}
         if self.root is not None:
             stage_dir = self.root / stage
@@ -174,6 +297,7 @@ class ArtifactStore:
 
     def contains(self, stage: str, key: str) -> bool:
         """Whether an artifact exists (without counting a hit or a miss)."""
+        self.flush(stage, key)
         if (stage, key) in self._memory:
             return True
         return self.root is not None and (self._entry_dir(stage, key) / "meta.json").exists()
@@ -222,16 +346,21 @@ class ArtifactStore:
                 self._drop_corrupt(stage, key, f"{_ARRAYS} checksum mismatch")
                 return None
             arrays = loaded
+            self._stamps[(stage, key)] = _stamp_text(document["manifest"], document["checksum"])
+        else:
+            self._stamps.pop((stage, key), None)
         return Artifact(stage=stage, key=key, meta=document["meta"], arrays=arrays, path=directory)
 
     def load(self, stage: str, key: str) -> Artifact | None:
         """Return the stored artifact, or ``None`` on a cache miss.
 
-        A damaged entry (torn write, bit rot, checksum mismatch against the
-        stamp written by :meth:`save`) is logged, discarded and reported as
-        a miss, so the pipeline recomputes instead of consuming poisoned
-        arrays or crashing mid-stage.
+        A :meth:`commit` of the entry in flight ends first.  A damaged
+        entry (torn write, bit rot, checksum mismatch against the stamp
+        written at commit) is logged, discarded and reported as a miss, so
+        the pipeline recomputes instead of consuming poisoned arrays or
+        crashing mid-stage.
         """
+        self.flush(stage, key)
         memo = self._memory.get((stage, key))
         if memo is not None:
             self.hits += 1
@@ -245,16 +374,64 @@ class ArtifactStore:
         self.misses += 1
         return None
 
-    @staticmethod
-    def _committed_stamp(directory: pathlib.Path) -> dict:
-        """The committed entry's array stamp: ``{"arrays": bool}`` plus its manifest and checksum."""
-        try:
-            document = load_json(directory / "meta.json")
-        except (FileNotFoundError, ValueError):
-            return {"arrays": False}
-        if document.get("format") != _FORMAT or not document.get("arrays"):
-            return {"arrays": False}
-        return {name: document[name] for name in ("arrays", "manifest", "checksum") if name in document}
+    def _publish(
+        self, stage: str, key: str, meta_text: str, packed: tuple[list, np.ndarray] | None, keep: bool = False
+    ) -> None:
+        """Write one commit to disk: arrays, then ``meta.json``, each by an atomic rename.
+
+        ``packed`` is ``(manifest, bytes)`` from :func:`_pack_arrays`.
+        Without it the entry commits no arrays or, with ``keep``, the
+        arrays it last committed, under the stamp this store holds for them.
+        An array write that fails leaves no stamp to keep (see :meth:`commit`).
+        """
+        directory = self._entry_dir(stage, key)
+        arrays_path = directory / _ARRAYS
+        if packed is None:
+            stamp = self._stamps.get((stage, key), _NO_ARRAYS) if keep else _NO_ARRAYS
+        else:
+            self._stamps[(stage, key)] = None  # lost, unless this write lands
+        # Both files are staged under unique temp names and committed with
+        # atomic renames — arrays first, then meta.json.  load() only
+        # trusts entries whose meta.json exists, so an interrupted commit
+        # can neither read as a cache hit nor leave a truncated file that
+        # poisons the key; and because temp names are unique (uuid, not a
+        # fixed ".tmp"), any number of processes may race a commit of the
+        # same key — each commit is one writer's complete bytes, last write
+        # wins, a concurrent reader sees some complete version, never a torn
+        # one.  A meta-only commit renames just meta.json, stamped with the
+        # arrays it keeps.
+        for attempt in range(_SAVE_ATTEMPTS):
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+                token = uuid.uuid4().hex
+                if packed is not None:
+                    manifest, blob = packed
+                    staging_arrays = directory / f".{token}.arrays.tmp"
+                    # The checksum covers the exact committed bytes; load()
+                    # verifies it before trusting the arrays.
+                    stamp = _stamp_text(manifest, _write_arrays(staging_arrays, blob))
+                    os.replace(staging_arrays, arrays_path)
+                elif stamp == _NO_ARRAYS and arrays_path.exists():
+                    arrays_path.unlink()
+                staging_meta = directory / f".{token}.meta.tmp"
+                with open(staging_meta, "w", encoding="utf-8") as handle:
+                    handle.write(
+                        f'{{"format": "{_FORMAT}", "stage": {json.dumps(stage)}, "key": {json.dumps(key)}, '
+                        f'{stamp}, "meta": {meta_text}}}'
+                    )
+                os.replace(staging_meta, directory / "meta.json")
+                break
+            except (FileNotFoundError, FileExistsError):
+                # A racing discard() can rmdir the entry directory between
+                # our mkdir and a write (FileNotFoundError), or between
+                # mkdir's EEXIST and its is_dir() check (FileExistsError);
+                # a retry recreates it after the racer is done with it.
+                if attempt == _SAVE_ATTEMPTS - 1:
+                    raise
+        if stamp == _NO_ARRAYS:
+            self._stamps.pop((stage, key), None)
+        else:
+            self._stamps[(stage, key)] = stamp
 
     def save(
         self,
@@ -262,84 +439,87 @@ class ArtifactStore:
         key: str,
         meta: Mapping[str, object],
         arrays: Mapping[str, np.ndarray] | None = None,
-        keep_arrays: bool = False,
     ) -> Artifact:
         """Persist a stage result under ``(stage, key)``, overwriting any old entry.
 
-        With ``keep_arrays`` the commit replaces only the meta document: the
-        entry keeps its committed arrays and their checksum (an empty slot
-        commits none), so an unchanged set of weights is never rewritten.
-        A rooted store keeps them on disk only, and the artifact it returns
-        carries none: the next :meth:`load` reads and verifies them.
+        The commit is on disk when this returns; a :meth:`commit` of the
+        entry in flight ends first.
         """
         meta = dict(meta)
-        if keep_arrays:
-            if arrays:
-                raise ValueError("keep_arrays commits the meta document only; pass no arrays")
-            previous = self._memory.get((stage, key))
-            arrays = previous.arrays if previous is not None and self.root is None else {}
-        else:
+        path = None
+        if self.root is None:
             # Copy the arrays so later in-place mutation of live model
             # weights cannot corrupt the cached artifact.
             arrays = {name: np.array(value) for name, value in (arrays or {}).items()}
-        path = None
-        if self.root is not None:
-            directory = self._entry_dir(stage, key)
-            # Both files are staged under unique temp names and committed
-            # with atomic renames — arrays first, then meta.json.  load()
-            # only trusts entries whose meta.json exists, so an interrupted
-            # save can neither read as a cache hit nor leave a truncated
-            # file that poisons the key; and because temp names are unique
-            # (uuid, not a fixed ".tmp"), any number of processes may race
-            # a save of the same key — each commit is one writer's complete
-            # bytes, last write wins, a concurrent reader sees some complete
-            # version, never a torn one.  A meta-only commit renames just
-            # meta.json, stamped with the arrays it keeps.
-            for attempt in range(_SAVE_ATTEMPTS):
-                try:
-                    directory.mkdir(parents=True, exist_ok=True)
-                    token = uuid.uuid4().hex
-                    arrays_path = directory / _ARRAYS
-                    if keep_arrays:
-                        stamp = self._committed_stamp(directory)
-                    elif arrays:
-                        staging_arrays = directory / f".{token}.arrays.tmp"
-                        manifest, checksum = _write_arrays(staging_arrays, arrays)
-                        # The checksum covers the exact committed bytes;
-                        # load() verifies it before trusting the arrays.
-                        stamp = {"arrays": True, "manifest": manifest, "checksum": checksum}
-                        os.replace(staging_arrays, arrays_path)
-                    else:
-                        stamp = {"arrays": False}
-                    if not stamp["arrays"] and arrays_path.exists():
-                        arrays_path.unlink()
-                    staging_meta = directory / f".{token}.meta.tmp"
-                    # The manifest is plain JSON already: only the caller's
-                    # meta goes through the converter.
-                    document = {"format": _FORMAT, "stage": stage, "key": key, "meta": to_jsonable(meta), **stamp}
-                    with open(staging_meta, "w", encoding="utf-8") as handle:
-                        handle.write(json.dumps(document, sort_keys=True))
-                    os.replace(staging_meta, directory / "meta.json")
-                    break
-                except (FileNotFoundError, FileExistsError):
-                    # A racing discard() can rmdir the entry directory between
-                    # our mkdir and a write (FileNotFoundError), or between
-                    # mkdir's EEXIST and its is_dir() check (FileExistsError);
-                    # a retry recreates it after the racer is done with it.
-                    if attempt == _SAVE_ATTEMPTS - 1:
-                        raise
-            path = directory
-        artifact = Artifact(stage=stage, key=key, meta=meta, arrays=arrays, path=path)
-        if keep_arrays and path is not None:
-            # The disk entry holds the kept arrays: the next load() reads
-            # them there and verifies their checksum.
-            self._memory.pop((stage, key), None)
         else:
-            self._memory[(stage, key)] = artifact
+            self.flush(stage, key)
+            packed = _pack_arrays(arrays) if arrays else None
+            self._publish(stage, key, _meta_text(meta), packed)
+            # The packed bytes are a private copy: the cached arrays view them.
+            arrays = _unpack_arrays(packed[1], packed[0]) if packed is not None else {}
+            path = self._entry_dir(stage, key)
+        artifact = Artifact(stage=stage, key=key, meta=meta, arrays=arrays, path=path)
+        self._memory[(stage, key)] = artifact
         return artifact
 
+    def commit(
+        self,
+        stage: str,
+        key: str,
+        meta: Mapping[str, object],
+        arrays: Mapping[str, np.ndarray] | None = None,
+    ) -> None:
+        """Overwrite the entry ``(stage, key)`` from a background writer.
+
+        The caller's thread only takes the snapshot: the meta encoded to
+        JSON, and the arrays copied into one buffer laid out as
+        ``arrays.bin`` is.  Without ``arrays`` the commit is meta-only and
+        keeps the arrays of the entry's latest array commit (none, if this
+        store has neither committed nor loaded any).  One commit is in
+        flight: the next one, :meth:`load`, :meth:`contains`, :meth:`keys`,
+        :meth:`save` and :meth:`discard` wait for it and raise its error.
+        After a failed array write a meta-only commit raises, until arrays
+        are committed again or loaded, so no ``meta.json`` is stamped with
+        arrays the failed commit should have replaced.  Other stores (other
+        processes) read the last published commit.  A memory-only store
+        commits at once.  Outcomes are counted as
+        ``workspace.store.commits.published`` and ``.failed``.
+        """
+        if self.root is None:
+            previous = self._memory.get((stage, key))
+            if arrays is None and previous is not None:
+                arrays = previous.arrays
+            self.save(stage, key, meta, arrays)
+            get_metrics().count(f"{_COMMITS}.published")
+            return
+        slot = self._slots.get((stage, key))
+        if slot is None:
+            slot = self._slots[(stage, key)] = _Slot(
+                lambda commit: self._publish(stage, key, commit.meta_text, commit.arrays, keep=True)
+            )
+        packed = None if arrays is None else _pack_arrays(arrays, slot.spare())
+        meta_text = _meta_text(meta)
+        slot.wait()
+        if packed is None and self._stamps.get((stage, key), _NO_ARRAYS) is None:
+            raise RuntimeError(f"{stage}/{key}: its last array write failed; commit the arrays again")
+        # The disk entry is the latest commit's: the next load() reads it there.
+        self._memory.pop((stage, key), None)
+        slot.submit(_Commit(meta_text, packed))
+
     def discard(self, stage: str, key: str) -> bool:
-        """Drop an artifact from both layers; returns whether anything existed."""
+        """Drop an artifact from both layers; returns whether anything existed.
+
+        A :meth:`commit` of the entry in flight ends first; its error is
+        raised once the entry is gone.
+        """
+        slot = self._slots.pop((stage, key), None)
+        error = None
+        if slot is not None:
+            try:
+                slot.wait()
+            except BaseException as caught:  # noqa: BLE001 - raised below
+                error = caught
+        self._stamps.pop((stage, key), None)
         existed = self._memory.pop((stage, key), None) is not None
         if self.root is not None:
             directory = self._entry_dir(stage, key)
@@ -359,6 +539,8 @@ class ArtifactStore:
                     directory.rmdir()
                 except OSError:  # refilled (or never emptied) by a racer
                     pass
+        if error is not None:
+            raise error
         return existed
 
     def stats(self) -> dict[str, object]:

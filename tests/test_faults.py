@@ -433,6 +433,7 @@ class TestSearchCheckpointer:
         assert checkpointer.load() is None
         # A meta-only save on an empty slot commits no arrays.
         checkpointer.save({"phase": "stage1_functions", "progress": 1})
+        checkpointer.flush()  # another store reads published commits only
         meta, arrays = SearchCheckpointer(ArtifactStore(tmp_path), "key").load()
         assert meta["progress"] == 1 and arrays == {}
 
@@ -440,6 +441,7 @@ class TestSearchCheckpointer:
         checkpointer = SearchCheckpointer(ArtifactStore(tmp_path), "key")
         checkpointer.save({"phase": "stage1_supernet", "progress": 0}, {"w": np.arange(3.0)})
         checkpointer.save({"phase": "stage1_functions", "progress": 0})
+        checkpointer.flush()
         # Swap in a well-formed file with other weights (same manifest, same
         # size): only the checksum the meta-only commit kept can tell.
         (tmp_path / CHECKPOINT_STAGE / "key" / "arrays.bin").write_bytes(np.zeros(3).tobytes())
@@ -592,11 +594,11 @@ class TestSearchResume:
         writes: list[tuple] = []
         real_write_arrays = store_module._write_arrays
 
-        def recording_write_arrays(path, arrays):
-            manifest, checksum = real_write_arrays(path, arrays)
+        def recording_write_arrays(path, blob):
+            checksum = real_write_arrays(path, blob)
             stat = path.stat()  # os.replace keeps the inode and mtime
             writes.append((checksum, stat.st_ino, stat.st_mtime_ns))
-            return manifest, checksum
+            return checksum
 
         monkeypatch.setattr(store_module, "_write_arrays", recording_write_arrays)
         baseline = self.make_search(resume_data, **overrides).run(

@@ -175,6 +175,21 @@ class TestFunctional:
         reference = np.log(np.exp(values) / np.exp(values).sum(axis=-1, keepdims=True))
         np.testing.assert_allclose(F.log_softmax(Tensor(values)).data, reference, atol=1e-9)
 
+    def test_a_backpropagated_loss_graph_is_freed_without_the_cyclic_gc(self, rng):
+        """A graph node left off the loss's path keeps its closure cycle, and
+        with it the forward activations, until the cyclic GC runs."""
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            x = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+            cross_entropy(x * 2.0, np.arange(8) % 4).backward()
+            del x
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize(
         "activation, slope",
         [(F.relu, 0.0), (lambda x: F.leaky_relu(x, 0.01), 0.01), (lambda x: F.leaky_relu(x, 0.2), 0.2)],
